@@ -110,9 +110,6 @@ class Tribracket:
         """Look up matrix a, row b, column c."""
         return self.table[a - 1][b - 1][c - 1]
 
-    def __call__(self, a: int, b: int, c: int) -> int:
-        return self.table[a - 1][b - 1][c - 1]
-
 
 UNDEFINED = None
 
@@ -194,6 +191,26 @@ def _check_entries(t: Tribracket) -> None:
                     raise ShapeError(f"entry ({a},{b},{c}) = {v!r} is not in 1..{n}")
 
 
+def _repeats(axiom: str, lines) -> list[Violation]:
+    """Repeated values along lines of (fixed inputs, values in input order).
+
+    Each witness is the fixed inputs, then the first input that gave the
+    value and the input that repeated it; witnesses come out sorted.
+    Undefined (None) values never repeat.
+    """
+    fam: list[Violation] = []
+    for fixed, line in lines:
+        seen: dict[int, int] = {}
+        for z, v in enumerate(line, 1):
+            if v is None:
+                continue
+            if v in seen:
+                fam.append(Violation(axiom, (*fixed, seen[v], z), v, v))
+            else:
+                seen[v] = z
+    return sorted(fam, key=lambda x: x.witness)
+
+
 def verify_tribracket(t: Tribracket) -> AxiomReport:
     """Check slot bijectivity and both coherence identities, with witnesses.
 
@@ -205,39 +222,13 @@ def verify_tribracket(t: Tribracket) -> AxiomReport:
     n, tab = t.n, t.table
     viol: list[Violation] = []
 
-    fam: list[Violation] = []
-    for b in range(1, n + 1):
-        for c in range(1, n + 1):
-            seen: dict[int, int] = {}
-            for a in range(1, n + 1):
-                v = tab[a - 1][b - 1][c - 1]
-                if v in seen:
-                    fam.append(Violation("slot-a-bijection", (b, c, seen[v], a), v, v))
-                else:
-                    seen[v] = a
-    viol.extend(sorted(fam, key=lambda x: x.witness))
-    fam = []
-    for a in range(1, n + 1):
-        for c in range(1, n + 1):
-            seen = {}
-            for b in range(1, n + 1):
-                v = tab[a - 1][b - 1][c - 1]
-                if v in seen:
-                    fam.append(Violation("slot-b-bijection", (a, c, seen[v], b), v, v))
-                else:
-                    seen[v] = b
-    viol.extend(sorted(fam, key=lambda x: x.witness))
-    fam = []
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            seen = {}
-            for c in range(1, n + 1):
-                v = tab[a - 1][b - 1][c - 1]
-                if v in seen:
-                    fam.append(Violation("slot-c-bijection", (a, b, seen[v], c), v, v))
-                else:
-                    seen[v] = c
-    viol.extend(sorted(fam, key=lambda x: x.witness))
+    rng = range(n)
+    pairs = [(x, y) for x in rng for y in rng]
+    viol.extend(_repeats(
+        "slot-a-bijection", (((b + 1, c + 1), [m[b][c] for m in tab]) for b, c in pairs)))
+    viol.extend(_repeats(
+        "slot-b-bijection", (((a + 1, c + 1), [r[c] for r in tab[a]]) for a, c in pairs)))
+    viol.extend(_repeats("slot-c-bijection", (((a + 1, b + 1), tab[a][b]) for a, b in pairs)))
 
     coh1: list[Violation] = []
     coh2: list[Violation] = []
@@ -289,30 +280,10 @@ def verify_algebra(alg: TribracketAlgebra) -> AxiomReport:
     mul = p.mul
     viol: list[Violation] = []
 
-    fam: list[Violation] = []
-    for a in range(1, n + 1):
-        seen: dict[int, int] = {}
-        for b in range(1, n + 1):
-            v = mul(a, b)
-            if v is None:
-                continue
-            if v in seen:
-                fam.append(Violation("left-cancellation", (a, seen[v], b), v, v))
-            else:
-                seen[v] = b
-    viol.extend(sorted(fam, key=lambda x: x.witness))
-    fam = []
-    for b in range(1, n + 1):
-        seen = {}
-        for a in range(1, n + 1):
-            v = mul(a, b)
-            if v is None:
-                continue
-            if v in seen:
-                fam.append(Violation("right-cancellation", (b, seen[v], a), v, v))
-            else:
-                seen[v] = a
-    viol.extend(sorted(fam, key=lambda x: x.witness))
+    rows = p.table
+    viol.extend(_repeats("left-cancellation", (((a + 1,), rows[a]) for a in range(n))))
+    viol.extend(_repeats(
+        "right-cancellation", (((b + 1,), [r[b] for r in rows]) for b in range(n))))
 
     for a in range(1, n + 1):
         for b in range(1, n + 1):

@@ -235,8 +235,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate-tribrackets", help="census of tensors on n elements")
     p.add_argument("n", type=int)
-    p.add_argument("--max-candidates", type=int, default=None)
-    p.add_argument("--timeout", type=float, default=None)
+    p.add_argument("--max-candidates", type=int, default=None,
+                   help="stop after this many complete tensors reach the verifier")
+    p.add_argument("--timeout", type=float, default=None,
+                   help="stop after this many seconds")
     p.set_defaults(func=_cmd_enumerate_tribrackets)
 
     p = sub.add_parser("enumerate-products", help="all products compatible with a tensor")

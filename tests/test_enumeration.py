@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -177,3 +178,173 @@ class TestEnumerateTribrackets:
             EnumerationBudget(max_candidates=0)
         with pytest.raises(ValueError):
             EnumerationBudget(timeout=-1.0)
+
+
+# Leaf-only reference enumerators.  They prune only on slot bijectivity
+# (tensors) or on cancellation and the vertex fixpoint (products) and leave
+# every other axiom to the verifier at the leaf, so they are slow but visit
+# tables in the same lexicographic order: the pruned enumerators must return
+# identical lists.
+def leaf_only_tribrackets(n):
+    cells = [(a, b, c) for a in range(n) for b in range(n) for c in range(n)]
+    table = [[[0] * n for _ in range(n)] for _ in range(n)]
+    out = []
+
+    def line_free(a, b, c, v):
+        return (
+            all(table[a][b][cc] != v for cc in range(c))
+            and all(table[a][bb][c] != v for bb in range(b))
+            and all(table[aa][b][c] != v for aa in range(a))
+        )
+
+    def rec(i):
+        if i == len(cells):
+            t = Tribracket(n, tuple(tuple(tuple(r) for r in m) for m in table))
+            if verify_tribracket(t).passed:
+                out.append(t)
+            return
+        a, b, c = cells[i]
+        for v in range(1, n + 1):
+            if line_free(a, b, c, v):
+                table[a][b][c] = v
+                rec(i + 1)
+
+    rec(0)
+    return out
+
+
+def leaf_only_products(t):
+    n = t.n
+    cells = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
+    cand = {
+        (a, b): [v for v in range(1, n + 1) if t.bracket(a, v, b) == v]
+        for a, b in cells
+    }
+    grid = {}
+    out = []
+
+    def rec(i):
+        if i == len(cells):
+            p = PartialProduct(
+                n,
+                tuple(
+                    tuple(grid.get((a, b)) for b in range(1, n + 1))
+                    for a in range(1, n + 1)
+                ),
+            )
+            if verify_algebra(TribracketAlgebra(t, p)).passed:
+                out.append(p)
+            return
+        a, b = cells[i]
+        rec(i + 1)  # undefined sorts first
+        for v in cand[(a, b)]:
+            if any(grid.get((a, bb)) == v for bb in range(1, n + 1)) or any(
+                grid.get((aa, b)) == v for aa in range(1, n + 1)
+            ):
+                continue
+            grid[(a, b)] = v
+            rec(i + 1)
+            del grid[(a, b)]
+
+    rec(0)
+    return out
+
+
+ORDER3 = leaf_only_tribrackets(3)
+ALEXANDER4 = [alexander_tribracket(4, x, y) for x in (1, 3) for y in (1, 3)]
+
+
+class TestAgainstLeafOnlyOracle:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tribrackets_identical_in_order(self, n):
+        result = enumerate_tribrackets(n)
+        assert result.complete
+        assert result.items == leaf_only_tribrackets(n)
+
+    @pytest.mark.parametrize(
+        "t",
+        ORDER3 + [alexander_tribracket(4, 1, 1), alexander_tribracket(4, 1, 3)],
+        ids=[f"order3_{k}" for k in range(len(ORDER3))] + ["alex4_1_1", "alex4_1_3"],
+    )
+    def test_products_identical_in_order(self, t):
+        assert enumerate_products(t) == leaf_only_products(t)
+
+    @pytest.mark.parametrize(
+        "t", leaf_only_tribrackets(1) + leaf_only_tribrackets(2) + ORDER3 + ALEXANDER4
+    )
+    def test_idempotent_shortcut_equals_filter(self, t):
+        want = [
+            p for p in enumerate_products(t) if is_idempotent(TribracketAlgebra(t, p))
+        ]
+        assert enumerate_idempotent_products(t) == want
+
+    def test_idempotent_shortcut_keeps_the_precondition(self):
+        t = Tribracket(2, (((1, 1), (1, 1)), ((1, 1), (1, 1))))
+        with pytest.raises(ValueError, match="must pass its axioms"):
+            enumerate_idempotent_products(t)
+
+
+def flat(t):
+    return tuple(v for m in t.table for r in m for v in r)
+
+
+def relabel(t, sigma):
+    """The tensor [s(a), s(b), s(c)] -> s([a, b, c]) for a permutation s of 1..n."""
+    n = t.n
+    table = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for a, b, c in itertools.product(range(1, n + 1), repeat=3):
+        table[sigma[a] - 1][sigma[b] - 1][sigma[c] - 1] = sigma[t.bracket(a, b, c)]
+    return Tribracket(n, tuple(tuple(tuple(r) for r in m) for m in table))
+
+
+class TestOrder4Census:
+    @pytest.fixture(scope="class")
+    def census(self):
+        result = enumerate_tribrackets(4)
+        assert result.complete
+        return result.items
+
+    def test_count(self, census):
+        assert len(census) == 168  # cross-checked by an independent search
+
+    def test_strictly_sorted(self, census):
+        keys = [flat(t) for t in census]
+        assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
+
+    def test_everything_emitted_passes_the_verifier(self, census):
+        assert all(verify_tribracket(t).passed for t in census)
+
+    def test_contains_the_linear_members(self, census):
+        for t in ALEXANDER4:
+            assert t in census
+
+    def test_closed_under_relabelling(self, census):
+        members = {t.table for t in census}
+        for perm in itertools.permutations(range(1, 5)):
+            sigma = dict(zip(range(1, 5), perm))
+            for t in census:
+                assert relabel(t, sigma).table in members
+
+
+class TestBudgetAtInteriorNodes:
+    def test_timeout_fires_between_leaves(self):
+        start = time.monotonic()
+        result = enumerate_tribrackets(5, EnumerationBudget(timeout=0.2))
+        assert time.monotonic() - start < 5.0
+        assert not result.complete
+        keys = [flat(t) for t in result]
+        assert keys == sorted(keys)
+        assert all(verify_tribracket(t).passed for t in result)
+
+    def test_timeout_is_checked_at_every_node(self, monkeypatch):
+        # a clock that ticks once per reading: the deadline passes after 1000
+        # search nodes, long before the first order-5 tensor is complete
+        import tribrackets.enumeration as enumeration
+
+        ticks = itertools.count()
+        monkeypatch.setattr(
+            enumeration, "time", type("Clock", (), {"monotonic": lambda: next(ticks)})
+        )
+        result = enumerate_tribrackets(5, EnumerationBudget(timeout=1000))
+        assert not result.complete and len(result) == 0
+        assert next(ticks) < 2000  # stopped soon after the deadline
