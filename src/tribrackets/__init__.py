@@ -18,6 +18,7 @@ from .algebra import (
     Violation,
     alexander_tribracket,
     is_idempotent,
+    load_bundled_algebra,
     parse_algebra,
     product_solve,
     recheck_violation,
@@ -99,6 +100,7 @@ __all__ = [
     "enumerate_products",
     "enumerate_tribrackets",
     "is_idempotent",
+    "load_bundled_algebra",
     "load_bundled_diagram",
     "parse_algebra",
     "parse_diagram",

@@ -14,11 +14,13 @@ are byte-stable across runs.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from importlib import resources
 from typing import Optional
 
 
@@ -110,8 +112,14 @@ class Tribracket:
         """Look up matrix a, row b, column c."""
         return self.table[a - 1][b - 1][c - 1]
 
+    @cached_property
+    def slot_tables(self) -> tuple[tuple[int, ...], ...]:
+        """Flat tables for the slots (a, b, c, result) of bracket(a, b, c) = d.
 
-UNDEFINED = None
+        See :func:`_slot_tables`; raises ShapeError for an entry outside 1..n.
+        """
+        _check_entries(self)
+        return _slot_tables(tuple(v for mat in self.table for row in mat for v in row), self.n, 3)
 
 
 @dataclass(frozen=True)
@@ -148,6 +156,16 @@ class PartialProduct:
 
     def mul(self, a: int, b: int) -> Optional[int]:
         return self.table[a - 1][b - 1]
+
+    @cached_property
+    def slot_tables(self) -> tuple[tuple[int, ...], ...]:
+        """Flat tables for the slots (left, right, result) of a*b = c.
+
+        See :func:`_slot_tables`; an undefined cell reads 0 in the result
+        table.  Raises ShapeError for an entry outside 1..n.
+        """
+        _check_product_entries(self)
+        return _slot_tables(tuple(v or 0 for row in self.table for v in row), self.n, 2)
 
     def defined_cells(self) -> list[tuple[int, int]]:
         return [
@@ -327,17 +345,7 @@ def verify_algebra(alg: TribracketAlgebra) -> AxiomReport:
 
 def is_idempotent(alg: TribracketAlgebra) -> bool:
     """True iff the product is defined exactly on the diagonal with aa = a."""
-    n = alg.n
-    p = alg.product
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            v = p.mul(a, b)
-            if a == b:
-                if v != a:
-                    return False
-            elif v is not None:
-                return False
-    return True
+    return alg.product == PartialProduct.diagonal(alg.n)
 
 
 def alexander_tribracket(n: int, x: int, y: int) -> Tribracket:
@@ -364,32 +372,51 @@ def alexander_tribracket(n: int, x: int, y: int) -> Tribracket:
     return Tribracket(n, tuple(tuple(tuple(r) for r in m) for m in table))
 
 
+def _slot_tables(fwd: tuple[int, ...], n: int, arity: int) -> tuple[tuple[int, ...], ...]:
+    """Lookup tables for every slot of an operation given as a flat table.
+
+    ``fwd`` holds the result of inputs x, y, ... (values 1..n, 0 where
+    undefined) at index (x-1)*n**(arity-1) + (y-1)*n**(arity-2) + ...  The
+    tables come in slot order, inputs first and fwd last; table i is indexed
+    the same way by the other slots' values in slot order and holds the
+    unique value of slot i, 0 when there is none and -1 when there are several.
+    """
+    inv = [[0] * len(fwd) for _ in range(arity)]
+    for args, d in zip(itertools.product(range(n), repeat=arity), fwd):
+        if d:
+            for j in range(arity):
+                i = _index((*args[:j], *args[j + 1:], d - 1), n)
+                inv[j][i] = args[j] + 1 if inv[j][i] == 0 else -1
+    return (*map(tuple, inv), fwd)
+
+
+def _index(values, n: int) -> int:
+    """Flat table index of 0-based values."""
+    i = 0
+    for v in values:
+        i = i * n + v
+    return i
+
+
+def _slot_read(tables, slot, known: tuple[int, ...], n: int) -> int:
+    if not all(1 <= v <= n for v in known):
+        raise ValueError(f"{known} has a value outside 1..{n}")
+    return tables[list(type(slot)).index(slot)][_index((v - 1 for v in known), n)]
+
+
 def tribracket_solve(t: Tribracket, slot: BracketSlot, known: tuple[int, int, int]) -> int:
     """Fill the named slot of bracket(a, b, c) = d from the other three.
 
     ``known`` lists the three given values in slot order (a, b, c, d) with the
-    unknown omitted.  Total on any tensor passing verify_tribracket.
+    unknown omitted.  Raises LookupError when no value, or more than one,
+    fills the slot; on a tensor passing verify_tribracket exactly one does.
     """
-    if slot is BracketSlot.RESULT:
-        a, b, c = known
-        return t.bracket(a, b, c)
-    if slot is BracketSlot.A:
-        b, c, d = known
-        for a in range(1, t.n + 1):
-            if t.bracket(a, b, c) == d:
-                return a
-        raise LookupError(f"no a with bracket(a,{b},{c}) = {d}")
-    if slot is BracketSlot.B:
-        a, c, d = known
-        for b in range(1, t.n + 1):
-            if t.bracket(a, b, c) == d:
-                return b
-        raise LookupError(f"no b with bracket({a},b,{c}) = {d}")
-    a, b, d = known
-    for c in range(1, t.n + 1):
-        if t.bracket(a, b, c) == d:
-            return c
-    raise LookupError(f"no c with bracket({a},{b},c) = {d}")
+    v = _slot_read(t.slot_tables, slot, known, t.n)
+    if v < 1:
+        raise LookupError(
+            f"{'no' if v == 0 else 'several'} {slot.value} values fit {known} in bracket(a,b,c)=d"
+        )
+    return v
 
 
 def product_solve(
@@ -397,23 +424,14 @@ def product_solve(
 ) -> Optional[int]:
     """Fill the named slot of a*b = c, or None if no table entry matches.
 
-    RESULT takes (a, b); LEFT takes (b, c); RIGHT takes (a, c).  Uniqueness of
-    LEFT/RIGHT answers is guaranteed by cancellation.
+    RESULT takes (a, b); LEFT takes (b, c); RIGHT takes (a, c).  Raises
+    LookupError when several values fill LEFT or RIGHT, which cancellation
+    rules out.
     """
-    if slot is ProductSlot.RESULT:
-        a, b = known
-        return p.mul(a, b)
-    if slot is ProductSlot.LEFT:
-        b, c = known
-        for a in range(1, p.n + 1):
-            if p.mul(a, b) == c:
-                return a
-        return None
-    a, c = known
-    for b in range(1, p.n + 1):
-        if p.mul(a, b) == c:
-            return b
-    return None
+    v = _slot_read(p.slot_tables, slot, known, p.n)
+    if v < 0:
+        raise LookupError(f"several {slot.value} values fit {known} in a*b=c")
+    return v or None
 
 
 def recheck_violation(
@@ -582,6 +600,17 @@ def parse_algebra(text: str) -> tuple[Tribracket, Optional[PartialProduct]]:
     if s is not None:
         raise AlgebraParseError(f"unexpected trailing content {s!r}", ln)
     return tribracket, product
+
+
+def load_bundled_algebra(name: str) -> TribracketAlgebra:
+    """One of the algebras shipped in the package data (it must have a product)."""
+    text = (
+        resources.files("tribrackets")
+        .joinpath(f"data/algebras/{name}.alg")
+        .read_text(encoding="utf-8")
+    )
+    tribracket, product = parse_algebra(text)
+    return TribracketAlgebra(tribracket, product)
 
 
 def serialize_algebra(t: Tribracket, p: Optional[PartialProduct] = None) -> str:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from importlib import resources
 
 from .algebra import (
     AlgebraParseError,
@@ -17,6 +16,7 @@ from .algebra import (
     ShapeError,
     Tribracket,
     TribracketAlgebra,
+    load_bundled_algebra,
     parse_algebra,
     serialize_algebra,
     verify_algebra,
@@ -88,7 +88,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_enumerate_tribrackets(args) -> int:
     budget = None
-    if args.max_candidates or args.timeout:
+    if args.max_candidates is not None or args.timeout is not None:
         budget = EnumerationBudget(args.max_candidates, args.timeout)
     result = enumerate_tribrackets(args.n, budget)
     for t in result:
@@ -129,9 +129,7 @@ def _cmd_count(args) -> int:
             for coloring in enumerate_colorings(algebra, diagram):
                 print(" ".join(f"{r}={coloring[r]}" for r in diagram.regions))
         print(count)
-    except HandlebodyModeError as exc:
-        raise _CliError(str(exc)) from exc
-    except BruteForceCapError as exc:
+    except (HandlebodyModeError, BruteForceCapError) as exc:
         raise _CliError(str(exc)) from exc
     return 0
 
@@ -153,16 +151,6 @@ def _cmd_check_moves(args) -> int:
     return MATH_FAILURE if failures else 0
 
 
-def _bundled_algebra(name: str) -> TribracketAlgebra:
-    text = (
-        resources.files("tribrackets")
-        .joinpath(f"data/algebras/{name}.alg")
-        .read_text(encoding="utf-8")
-    )
-    tribracket, product = parse_algebra(text)
-    return TribracketAlgebra(tribracket, product)
-
-
 _DEMO_COUNTS = (
     ("theta", "z3_full", 9),
     ("handcuff", "z3_full", 3),
@@ -179,7 +167,7 @@ _DEMO_COUNTS = (
 
 def _cmd_demo(_args) -> int:
     diagrams = {d.name: d for d in builtin_diagrams()}
-    algebras = {name: _bundled_algebra(name) for name in
+    algebras = {name: load_bundled_algebra(name) for name in
                 ("z3_full", "z3_diag", "z3_cyc", "z4_half")}
     rows: list[tuple[str, int, int]] = []
 

@@ -1,19 +1,24 @@
 """Counting and listing the region colorings of a diagram by a finite algebra.
 
-The solver orders regions most-constrained-first, propagates forced values
-(a crossing with three colored corners forces the fourth; a vertex with two
-colored sectors forces the third or kills the branch when the product is
-undefined) and backtracks on conflicts.  count_colorings_bruteforce provides
-the independent reference semantics.
+One exact search, :func:`_solutions`, serves the counter, the listing and
+the move harness.  Regions are integers, and constraints read the flat slot
+tables of the algebra.  Coloring a region revisits only the constraints that
+touch it: a constraint with every slot colored is checked against its forward
+table, and one with a single uncolored slot forces that slot only when the
+preimage is unique, kills the branch when there is none, and leaves the
+region to branching when there are several.  Branching takes the
+most-constrained region on an explicit stack, so no diagram is too deep for
+the recursion limit.  count_colorings_bruteforce provides the independent
+reference semantics.
 """
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
-from .algebra import (
-    BracketSlot,
-    ProductSlot,
+# the slot solvers stay importable from here; the search reads their tables
+from .algebra import (  # noqa: F401
     TribracketAlgebra,
     is_idempotent,
     product_solve,
@@ -48,106 +53,115 @@ def _satisfies(alg: TribracketAlgebra, con: Constraint, env: Coloring) -> bool:
     return alg.product.mul(left, right) == middle
 
 
-def _propagate(
+def _solutions(
     alg: TribracketAlgebra,
-    constraints: tuple[Constraint, ...],
-    env: Coloring,
-    trail: list[str],
-) -> bool:
-    """Assign forced regions until a fixpoint; False on a dead branch."""
-    t, p = alg.tribracket, alg.product
-    changed = True
-    while changed:
-        changed = False
-        for con in constraints:
-            refs = con.refs
-            missing = [r for r in refs if r not in env]
-            distinct_missing = set(missing)
-            if len(distinct_missing) > 1:
-                continue
-            if not missing:
-                if not _satisfies(alg, con, env):
-                    return False
-                continue
-            if len(missing) > 1:
-                continue  # one region in several slots; branch on it instead
-            gap = missing[0]
-            idx = refs.index(gap)
-            if con.kind is ConstraintKind.CROSSING:
-                vals = [env[r] for r in refs if r != gap]
-                slot = (BracketSlot.A, BracketSlot.B, BracketSlot.C, BracketSlot.RESULT)[idx]
-                forced = tribracket_solve(t, slot, tuple(vals))
-            else:
-                left, middle, right = refs
-                if gap == middle:
-                    forced = product_solve(p, ProductSlot.RESULT, (env[left], env[right]))
-                elif gap == left:
-                    forced = product_solve(p, ProductSlot.LEFT, (env[right], env[middle]))
-                else:
-                    forced = product_solve(p, ProductSlot.RIGHT, (env[left], env[middle]))
-                if forced is None:
-                    return False
-            env[gap] = forced
-            trail.append(gap)
-            changed = True
-    return True
+    regions: int,
+    constraints: Sequence[tuple[ConstraintKind, tuple[int, ...]]],
+) -> Iterator[list[int]]:
+    """Every coloring of regions 0..regions-1, as the list of their values.
 
+    ``constraints`` pairs each kind with region indices in the order of
+    :class:`Constraint` refs.  The same list is yielded each time and changes
+    as the search goes on: copy it to keep a coloring.
+    """
+    n = alg.n
+    tri, prod = alg.tribracket.slot_tables, alg.product.slot_tables
+    # each constraint as its regions in slot order, that order's tables, its
+    # arity and the index offset of its arity-1 1-based values
+    cons = []
+    for kind, refs in constraints:
+        if kind is ConstraintKind.CROSSING:
+            cons.append((refs, tri, 4, n * n + n + 1))
+        else:
+            left, middle, right = refs
+            cons.append(((left, right, middle), prod, 3, n + 1))
+    touch: list[list[int]] = [[] for _ in range(regions)]  # constraints per region
+    slots: list[list[int]] = [[] for _ in range(regions)]  # ... once per slot
+    for i, (refs, *_) in enumerate(cons):
+        for r in refs:
+            slots[r].append(i)
+            if touch[r][-1:] != [i]:
+                touch[r].append(i)
+    val = [0] * regions  # 0 = uncolored
+    filled = [0] * len(cons)  # colored slots per constraint
+    trail: list[int] = []
 
-def _pick_region(dia: Diagram, env: Coloring) -> str:
-    """Most-constrained unassigned region, declaration order breaking ties."""
-    best = None
-    best_score = (-1, -1)
-    for r in dia.regions:
-        if r in env:
-            continue
-        active = sum(
-            1
-            for con in dia.constraints
-            if r in con.refs and any(x in env for x in con.refs)
+    def color(r: int, v: int) -> None:
+        val[r] = v
+        trail.append(r)
+        for i in slots[r]:
+            filled[i] += 1
+
+    def assign(r: int, v: int) -> bool:
+        """Color r with v and propagate; False on a dead branch."""
+        color(r, v)
+        queue = [r]
+        while queue:
+            for i in touch[queue.pop()]:
+                refs, tables, k, off = cons[i]
+                missing = k - filled[i]
+                if missing > 1:
+                    continue
+                vals = [val[x] for x in refs]
+                gap = vals.index(0) if missing else k - 1
+                want = vals.pop(gap)
+                index = 0
+                for x in vals:
+                    index = index * n + x
+                w = tables[gap][index - off]
+                if not missing:
+                    if w != want:
+                        return False
+                elif w > 0:
+                    color(refs[gap], w)
+                    queue.append(refs[gap])
+                elif w == 0:
+                    return False
+        return True
+
+    def pick() -> int:
+        """Most-constrained uncolored region, lowest index breaking ties."""
+        return max(
+            (r for r in range(regions) if not val[r]),
+            key=lambda r: (sum(1 for i in touch[r] if filled[i]), len(touch[r])),
         )
-        total = sum(1 for con in dia.constraints if r in con.refs)
-        score = (active, total)
-        if best is None or score > best_score:
-            best = r
-            best_score = score
-    assert best is not None
-    return best
+
+    stack = [[pick(), 1, 0]]  # frames: region, next value, trail length on entry
+    while stack:
+        frame = stack[-1]
+        r, v, mark = frame
+        while len(trail) > mark:
+            x = trail.pop()
+            val[x] = 0
+            for i in slots[x]:
+                filled[i] -= 1
+        if v > n:
+            stack.pop()
+            continue
+        frame[1] = v + 1
+        if assign(r, v):
+            if len(trail) == regions:
+                yield val
+            else:
+                stack.append([pick(), 1, len(trail)])
+
+
+def _system(dia: Diagram) -> tuple[int, list[tuple[ConstraintKind, tuple[int, ...]]]]:
+    index = {r: i for i, r in enumerate(dia.regions)}
+    return len(index), [(c.kind, tuple(index[r] for r in c.refs)) for c in dia.constraints]
 
 
 def enumerate_colorings(alg: TribracketAlgebra, dia: Diagram) -> list[Coloring]:
     """All valid colorings, sorted by their value tuple in region order."""
     _check_mode(alg, dia)
-    n = alg.n
-    out: list[Coloring] = []
-
-    def rec(env: Coloring) -> None:
-        trail: list[str] = []
-        if not _propagate(alg, dia.constraints, env, trail):
-            for r in trail:
-                del env[r]
-            return
-        if len(env) == len(dia.regions):
-            if all(_satisfies(alg, con, env) for con in dia.constraints):
-                out.append(dict(env))
-            for r in trail:
-                del env[r]
-            return
-        region = _pick_region(dia, env)
-        for v in range(1, n + 1):
-            env[region] = v
-            rec(env)
-        del env[region]
-        for r in trail:
-            del env[r]
-
-    rec({})
-    out.sort(key=lambda c: tuple(c[r] for r in dia.regions))
-    return out
+    found = sorted(tuple(val) for val in _solutions(alg, *_system(dia)))
+    return [dict(zip(dia.regions, values)) for values in found]
 
 
 def count_colorings(alg: TribracketAlgebra, dia: Diagram) -> int:
     """The number of valid region colorings of dia by alg."""
-    return len(enumerate_colorings(alg, dia))
+    _check_mode(alg, dia)
+    return sum(1 for _ in _solutions(alg, *_system(dia)))
 
 
 class BruteForceCapError(ValueError):

@@ -1,25 +1,29 @@
 """Executable invariance checks for the generating diagram moves.
 
 Each move ships as a pair of local constraint systems over a shared set of
-boundary regions; a check enumerates every boundary coloring and compares the
-number of extensions to the internal regions on both sides.  The fragments
-are transcribed so that their algebraic content is exactly one verifier
-axiom: the kink and poke moves (R1*/R2*) exercise slot bijectivity, R3a the
-two coherence identities, the vertex twists R4.1/R4.10 the r4 compatibility
-condition, and the four vertex-slide moves R5.7/R5.10/R5.13/R5.16 the four
-r5 compatibility families.  The IH pair passes for every boundary coloring
+boundary regions.  A check solves each fragment once over its boundary and
+internal regions with the coloring search, tallies fragment colorings per
+boundary coloring (the number of extensions to the internal regions), and
+compares the two tallies.  The fragments are transcribed so that their
+algebraic content is exactly one verifier axiom: the kink and poke moves
+(R1*/R2*) exercise slot bijectivity, R3a the two coherence identities, the
+vertex twists R4.1/R4.10 the r4 compatibility condition, and the four
+vertex-slide moves R5.7/R5.10/R5.13/R5.16 the four r5 compatibility
+families.  The IH pair passes for every boundary coloring
 exactly when the product is defined only on equal operands with aa = a.
 
 A fragment may also merge two boundary regions (the strand-free side of a
-poke move joins its two gap regions into one band); boundary colorings that
-disagree on merged regions admit no extension on that side.
+poke move joins its two gap regions into one band); it is solved as the
+region it merges into, so boundary colorings that disagree on merged regions
+admit no extension on that side.
 """
 from __future__ import annotations
 
-import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .algebra import TribracketAlgebra
+from .coloring import _solutions
 from .diagram import Constraint, ConstraintKind
 
 _C = ConstraintKind.CROSSING
@@ -125,68 +129,39 @@ def builtin_move_pairs() -> list[LocalMovePair]:
     )
 
     # vertex twists: crossing the prongs above the vertex
-    pairs.append(
-        LocalMovePair(
-            "R4.1",
-            ("a", "b", "m"),
-            before=_frag(constraints=(_v("a", "m", "b"),)),
-            after=_frag(("t",), (_v("a", "t", "b"), _x("a", "t", "b", "m"))),
-            shadow_axiom="r4-compat",
+    for move_id, con in (("R4.1", _x("a", "t", "b", "m")), ("R4.10", _x("a", "m", "b", "t"))):
+        pairs.append(
+            LocalMovePair(
+                move_id,
+                ("a", "b", "m"),
+                before=_frag(constraints=(_v("a", "m", "b"),)),
+                after=_frag(("t",), (_v("a", "t", "b"), con)),
+                shadow_axiom="r4-compat",
+            )
         )
-    )
-    pairs.append(
-        LocalMovePair(
-            "R4.10",
-            ("a", "b", "m"),
-            before=_frag(constraints=(_v("a", "m", "b"),)),
-            after=_frag(("t",), (_v("a", "t", "b"), _x("a", "m", "b", "t"))),
-            shadow_axiom="r4-compat",
-        )
-    )
 
     # vertex slides past a strand, one variant per r5 family
-    pairs.append(
-        LocalMovePair(
-            "R5.7",
-            ("a", "b", "c", "p"),
-            before=_frag(("q",), (_x("a", "b", "c", "q"), _v("a", "p", "q"))),
-            after=_frag(("r",), (_v("b", "r", "c"), _x("a", "b", "r", "p"))),
-            shadow_axiom="r5-compat-1",
+    for family, (move_id, before, after) in enumerate((
+        ("R5.7", _frag(("q",), (_x("a", "b", "c", "q"), _v("a", "p", "q"))),
+         _frag(("r",), (_v("b", "r", "c"), _x("a", "b", "r", "p")))),
+        ("R5.10", _frag(("q",), (_x("a", "b", "c", "q"), _v("q", "p", "c"))),
+         _frag(("r",), (_v("a", "r", "b"), _x("r", "b", "c", "p")))),
+        ("R5.13", _frag(("r",), (_v("b", "r", "c"), _x("a", "b", "c", "p"))),
+         _frag(("r", "s"),
+               (_v("b", "r", "c"), _x("a", "b", "r", "s"), _x("s", "r", "c", "p")))),
+        ("R5.16", _frag(("r",), (_v("a", "r", "b"), _x("a", "b", "c", "p"))),
+         _frag(("r", "s"),
+               (_v("a", "r", "b"), _x("r", "b", "c", "s"), _x("a", "r", "s", "p")))),
+    ), 1):
+        pairs.append(
+            LocalMovePair(
+                move_id,
+                ("a", "b", "c", "p"),
+                before=before,
+                after=after,
+                shadow_axiom=f"r5-compat-{family}",
+            )
         )
-    )
-    pairs.append(
-        LocalMovePair(
-            "R5.10",
-            ("a", "b", "c", "p"),
-            before=_frag(("q",), (_x("a", "b", "c", "q"), _v("q", "p", "c"))),
-            after=_frag(("r",), (_v("a", "r", "b"), _x("r", "b", "c", "p"))),
-            shadow_axiom="r5-compat-2",
-        )
-    )
-    pairs.append(
-        LocalMovePair(
-            "R5.13",
-            ("a", "b", "c", "p"),
-            before=_frag(("r",), (_v("b", "r", "c"), _x("a", "b", "c", "p"))),
-            after=_frag(
-                ("r", "s"),
-                (_v("b", "r", "c"), _x("a", "b", "r", "s"), _x("s", "r", "c", "p")),
-            ),
-            shadow_axiom="r5-compat-3",
-        )
-    )
-    pairs.append(
-        LocalMovePair(
-            "R5.16",
-            ("a", "b", "c", "p"),
-            before=_frag(("r",), (_v("a", "r", "b"), _x("a", "b", "c", "p"))),
-            after=_frag(
-                ("r", "s"),
-                (_v("a", "r", "b"), _x("r", "b", "c", "s"), _x("a", "r", "s", "p")),
-            ),
-            shadow_axiom="r5-compat-4",
-        )
-    )
 
     # the H-to-I move on the edge joining two vertices
     pairs.append(
@@ -202,32 +177,25 @@ def builtin_move_pairs() -> list[LocalMovePair]:
     return pairs
 
 
+def _tally(
+    alg: TribracketAlgebra, boundary: tuple[str, ...], frag: MoveFragment
+) -> Counter[tuple[int, ...]]:
+    """The number of fragment colorings restricting to each boundary coloring."""
+    merged = {r2: r1 for r1, r2 in frag.merges}
+    names = [r for r in (*boundary, *frag.internal) if r not in merged]
+    index = {r: i for i, r in enumerate(names)}
+    for r2, r1 in merged.items():
+        index[r2] = index[r1]
+    system = [(c.kind, tuple(index[r] for r in c.refs)) for c in frag.constraints]
+    ends = [index[r] for r in boundary]
+    return Counter(
+        tuple(val[i] for i in ends) for val in _solutions(alg, len(names), system)
+    )
+
+
 def _extensions(alg: TribracketAlgebra, frag: MoveFragment, env: dict[str, int]) -> int:
-    for r1, r2 in frag.merges:
-        if env[r1] != env[r2]:
-            return 0
-    n = alg.n
-    br = alg.tribracket.bracket
-    mul = alg.product.mul
-    count = 0
-    for values in itertools.product(range(1, n + 1), repeat=len(frag.internal)):
-        full = dict(env)
-        full.update(zip(frag.internal, values))
-        ok = True
-        for con in frag.constraints:
-            if con.kind is _C:
-                a, b, c, d = (full[r] for r in con.refs)
-                if br(a, b, c) != d:
-                    ok = False
-                    break
-            else:
-                left, middle, right = (full[r] for r in con.refs)
-                if mul(left, right) != middle:
-                    ok = False
-                    break
-        if ok:
-            count += 1
-    return count
+    """Extensions of env (keys in boundary order) to the fragment's internal regions."""
+    return _tally(alg, tuple(env), frag)[tuple(env.values())]
 
 
 def check_move_invariance(alg: TribracketAlgebra, pair: LocalMovePair) -> MoveCheckReport:
@@ -236,11 +204,12 @@ def check_move_invariance(alg: TribracketAlgebra, pair: LocalMovePair) -> MoveCh
     Returns PASS when the counts agree everywhere, otherwise the first failing
     boundary coloring (lexicographic order) with both counts.
     """
-    n = alg.n
-    for values in itertools.product(range(1, n + 1), repeat=len(pair.boundary)):
-        env = dict(zip(pair.boundary, values))
-        before = _extensions(alg, pair.before, env)
-        after = _extensions(alg, pair.after, env)
-        if before != after:
-            return MoveCheckReport(pair.move_id, False, (env, before, after))
-    return MoveCheckReport(pair.move_id, True)
+    before = _tally(alg, pair.boundary, pair.before)
+    after = _tally(alg, pair.boundary, pair.after)
+    differ = [k for k in before.keys() | after.keys() if before[k] != after[k]]
+    if not differ:
+        return MoveCheckReport(pair.move_id, True)
+    first = min(differ)
+    return MoveCheckReport(
+        pair.move_id, False, (dict(zip(pair.boundary, first)), before[first], after[first])
+    )

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import strategies as st
 
 from tribrackets import (
     PartialProduct,
@@ -69,3 +70,13 @@ def z4_algebra():
 @pytest.fixture(scope="session")
 def diagrams():
     return {d.name: d for d in builtin_diagrams()}
+
+
+@st.composite
+def arbitrary_algebras(draw, sizes=(2, 3)):
+    """A tensor and a partial product with any entries, axioms unchecked."""
+    n = draw(st.sampled_from(sizes))
+    value = st.integers(min_value=1, max_value=n)
+    cube = [[[draw(value) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    square = [[draw(st.none() | value) for _ in range(n)] for _ in range(n)]
+    return TribracketAlgebra(Tribracket(n, cube), PartialProduct(n, square))

@@ -13,6 +13,7 @@ from tribrackets import (
     TribracketAlgebra,
     alexander_tribracket,
     is_idempotent,
+    load_bundled_algebra,
     parse_algebra,
     product_solve,
     recheck_violation,
@@ -191,6 +192,35 @@ class TestSolving:
 
     def test_product_solve_missing(self):
         assert product_solve(DIAG_PRODUCT, ProductSlot.LEFT, (1, 2)) is None
+
+    def test_several_preimages_raise(self):
+        constant = Tribracket(2, (((1, 1), (1, 1)), ((1, 1), (1, 1))))
+        with pytest.raises(LookupError):
+            tribracket_solve(constant, BracketSlot.A, (1, 1, 1))
+        with pytest.raises(LookupError):
+            tribracket_solve(constant, BracketSlot.C, (2, 1, 2))  # and none here
+        row = PartialProduct(2, ((1, 1), (None, None)))
+        with pytest.raises(LookupError):
+            product_solve(row, ProductSlot.RIGHT, (1, 1))
+        assert product_solve(row, ProductSlot.LEFT, (2, 1)) == 1
+
+    def test_out_of_range_known_values_are_refused(self, z3):
+        for slot, known in ((BracketSlot.A, (0, 1, 1)), (BracketSlot.RESULT, (4, 1, 1))):
+            with pytest.raises(ValueError):
+                tribracket_solve(z3, slot, known)
+        with pytest.raises(ValueError):
+            product_solve(FULL_PRODUCT, ProductSlot.LEFT, (1, 0))
+
+    def test_slot_tables_are_built_on_first_use(self, z3):
+        t, p = parse_algebra(serialize_algebra(z3, FULL_PRODUCT))
+        assert "slot_tables" not in vars(t) and "slot_tables" not in vars(p)
+        tables = t.slot_tables
+        assert tables[3] == tuple(v for m in z3.table for r in m for v in r)
+        assert "slot_tables" in vars(t)
+        assert p.slot_tables[2][2 * 3 + 0] == FULL_PRODUCT.mul(3, 1)
+
+    def test_bundled_algebra_loader(self, full_algebra):
+        assert load_bundled_algebra("z3_full") == full_algebra
 
 
 @st.composite

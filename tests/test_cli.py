@@ -89,6 +89,13 @@ class TestEnumerationVerbs:
         assert out.count("tribracket:") == 2
         assert out.strip().endswith("# 2 tribrackets on 2 elements")
 
+    @pytest.mark.parametrize("flag", ["--max-candidates", "--timeout"])
+    def test_zero_budget_is_a_usage_error(self, capsys, flag):
+        assert main(["enumerate-tribrackets", "3", flag, "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be positive" in captured.err
+
     def test_enumerate_products_stream(self, capsys, z3_full_path):
         assert main(["enumerate-products", z3_full_path]) == 0
         out = capsys.readouterr().out

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,8 @@ from tribrackets import (
     DiagramKind,
     HandlebodyModeError,
     PartialProduct,
+    ShapeError,
+    Tribracket,
     TribracketAlgebra,
     alexander_tribracket,
     count_colorings,
@@ -17,6 +21,8 @@ from tribrackets import (
     enumerate_colorings,
     verify_k2_obstruction,
 )
+from tribrackets.coloring import _satisfies
+from tests.conftest import arbitrary_algebras
 
 
 class TestBundledCounts:
@@ -162,11 +168,11 @@ class TestConstantColorings:
 
 
 @st.composite
-def random_diagrams(draw):
-    k = draw(st.integers(min_value=1, max_value=4))
+def random_diagrams(draw, max_regions=4, max_constraints=3):
+    k = draw(st.integers(min_value=1, max_value=max_regions))
     regions = tuple(f"r{i}" for i in range(k))
     cons = []
-    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+    for _ in range(draw(st.integers(min_value=0, max_value=max_constraints))):
         if draw(st.booleans()):
             refs = tuple(draw(st.sampled_from(regions)) for _ in range(4))
             cons.append(Constraint(ConstraintKind.CROSSING, refs))
@@ -184,6 +190,69 @@ class TestSolverDifferential:
     ):
         for alg in (full_algebra, diag_algebra, cyc_algebra, z4_algebra):
             assert count_colorings(alg, dia) == count_colorings_bruteforce(alg, dia)
+
+
+def _diagram(regions, constraints):
+    return Diagram("x", DiagramKind.SPATIAL_GRAPH, tuple(regions), tuple(constraints))
+
+
+class TestExactOnAnyInput:
+    """The solver is exact on tables that fail their axioms, and on any size."""
+
+    @given(alg=arbitrary_algebras(), dia=random_diagrams(max_regions=5, max_constraints=4))
+    @settings(max_examples=300, deadline=None)
+    def test_solver_matches_brute_force_on_arbitrary_tables(self, alg, dia):
+        assert count_colorings(alg, dia) == count_colorings_bruteforce(alg, dia)
+        listed = enumerate_colorings(alg, dia)
+        assert len(listed) == count_colorings(alg, dia)
+        assert all(
+            all(_satisfies(alg, con, c) for con in dia.constraints) for c in listed
+        )
+
+    def test_non_cancellative_product_is_not_forced(self):
+        # 1*1 = 1*2 = 1: with l and m colored, r has two preimages, not one
+        alg = TribracketAlgebra(
+            alexander_tribracket(2, 1, 1), PartialProduct(2, ((1, 1), (None, None)))
+        )
+        dia = _diagram(("l", "m", "r"), (Constraint(ConstraintKind.VERTEX, ("l", "m", "r")),))
+        assert count_colorings_bruteforce(alg, dia) == 2
+        assert count_colorings(alg, dia) == 2
+
+    def test_non_bijective_tensor_counts_instead_of_failing(self):
+        constant = Tribracket(2, (((1, 1), (1, 1)), ((1, 1), (1, 1))))
+        alg = TribracketAlgebra(constant, PartialProduct.diagonal(2))
+        # d comes first, so a slot other than the result is left to solve
+        dia = _diagram(
+            ("d", "a", "b", "c"), (Constraint(ConstraintKind.CROSSING, ("a", "b", "c", "d")),)
+        )
+        assert count_colorings(alg, dia) == count_colorings_bruteforce(alg, dia) == 8
+
+    def test_out_of_range_entry_is_a_shape_error(self):
+        bad = Tribracket(2, (((1, 2), (2, 1)), ((2, 1), (0, 2))))
+        alg = TribracketAlgebra(bad, PartialProduct.diagonal(2))
+        dia = _diagram(
+            ("a", "b", "c", "d"), (Constraint(ConstraintKind.CROSSING, ("a", "b", "c", "d")),)
+        )
+        with pytest.raises(ShapeError):
+            count_colorings(alg, dia)
+
+    def test_many_free_regions_need_no_recursion(self):
+        alg = TribracketAlgebra(alexander_tribracket(1, 1, 1), PartialProduct.diagonal(1))
+        assert count_colorings(alg, _diagram((f"r{i}" for i in range(1200)), ())) == 1
+
+    def test_long_shuffled_crossing_chain(self):
+        # each new region is the bracket of three earlier ones, so the three
+        # seed regions determine the rest: 3^3 colorings
+        rng = random.Random(3)
+        regions, cons = ["r0", "r1", "r2"], []
+        while len(regions) < 1200:
+            refs = tuple(rng.choice(regions) for _ in range(3)) + (f"r{len(regions)}",)
+            cons.append(Constraint(ConstraintKind.CROSSING, refs))
+            regions.append(refs[-1])
+        rng.shuffle(regions)
+        rng.shuffle(cons)
+        alg = TribracketAlgebra(alexander_tribracket(3, 1, 1), PartialProduct.diagonal(3))
+        assert count_colorings(alg, _diagram(regions, cons)) == 27
 
 
 @st.composite

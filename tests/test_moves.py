@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tribrackets import (
+    ConstraintKind,
+    MoveCheckReport,
     PartialProduct,
     Tribracket,
     TribracketAlgebra,
@@ -14,7 +16,7 @@ from tribrackets import (
     verify_algebra,
     verify_tribracket,
 )
-from tests.conftest import CYC_PRODUCT, FULL_PRODUCT, Z3_TENSOR
+from tests.conftest import CYC_PRODUCT, FULL_PRODUCT, Z3_TENSOR, arbitrary_algebras
 
 MOVE_IDS = [
     "R1a", "R1b", "R1c", "R1d",
@@ -235,3 +237,56 @@ class TestReports:
         assert check_move_invariance(full_algebra, pair) == check_move_invariance(
             full_algebra, pair
         )
+
+
+def oracle_extensions(alg, frag, env):
+    """Brute force: count the internal colorings that satisfy every constraint."""
+    for r1, r2 in frag.merges:
+        if env[r1] != env[r2]:
+            return 0
+    n = alg.n
+    br = alg.tribracket.bracket
+    mul = alg.product.mul
+    count = 0
+    for values in itertools.product(range(1, n + 1), repeat=len(frag.internal)):
+        full = dict(env)
+        full.update(zip(frag.internal, values))
+        ok = True
+        for con in frag.constraints:
+            if con.kind is ConstraintKind.CROSSING:
+                a, b, c, d = (full[r] for r in con.refs)
+                if br(a, b, c) != d:
+                    ok = False
+                    break
+            else:
+                left, middle, right = (full[r] for r in con.refs)
+                if mul(left, right) != middle:
+                    ok = False
+                    break
+        if ok:
+            count += 1
+    return count
+
+
+def oracle_check(alg, pair):
+    """The first boundary coloring, in product order, where the counts differ."""
+    for values in itertools.product(range(1, alg.n + 1), repeat=len(pair.boundary)):
+        env = dict(zip(pair.boundary, values))
+        before = oracle_extensions(alg, pair.before, env)
+        after = oracle_extensions(alg, pair.after, env)
+        if before != after:
+            return MoveCheckReport(pair.move_id, False, (env, before, after))
+    return MoveCheckReport(pair.move_id, True)
+
+
+class TestBruteForceOracle:
+    @given(alg=arbitrary_algebras())
+    @settings(max_examples=100, deadline=None)
+    def test_reports_match_the_oracle_on_arbitrary_tables(self, alg):
+        for pair in builtin_move_pairs():
+            assert check_move_invariance(alg, pair).summary() == oracle_check(alg, pair).summary()
+
+    def test_reports_match_the_oracle_on_verified_algebras(self, z4_algebra):
+        for alg in all_verified_z3_algebras() + [z4_algebra]:
+            for pair in builtin_move_pairs():
+                assert check_move_invariance(alg, pair) == oracle_check(alg, pair)
