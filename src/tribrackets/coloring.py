@@ -1,15 +1,17 @@
 """Counting and listing the region colorings of a diagram by a finite algebra.
 
 One exact search, :func:`_solutions`, serves the counter, the listing and
-the move harness.  Regions are integers, and constraints read the flat slot
-tables of the algebra.  Coloring a region revisits only the constraints that
-touch it: a constraint with every slot colored is checked against its forward
-table, and one with a single uncolored slot forces that slot only when the
-preimage is unique, kills the branch when there is none, and leaves the
-region to branching when there are several.  Branching takes the
-most-constrained region on an explicit stack, so no diagram is too deep for
-the recursion limit.  count_colorings_bruteforce provides the independent
-reference semantics.
+the move harness.  The counter multiplies the counts of the connected
+components of the region-constraint incidence graph; the listing and the
+move harness search the whole system jointly.  Regions are integers, and
+constraints read the flat slot tables of the algebra.  Coloring a region
+revisits only the constraints that touch it: a constraint with every slot
+colored is checked against its forward table, and one with a single
+uncolored slot forces that slot only when the preimage is unique, kills the
+branch when there is none, and leaves the region to branching when there are
+several.  Branching takes the most-constrained region on an explicit stack,
+so no diagram is too deep for the recursion limit.
+count_colorings_bruteforce provides the independent reference semantics.
 """
 from __future__ import annotations
 
@@ -20,7 +22,6 @@ from dataclasses import dataclass
 # the slot solvers stay importable from here; the search reads their tables
 from .algebra import (  # noqa: F401
     TribracketAlgebra,
-    is_idempotent,
     product_solve,
     tribracket_solve,
 )
@@ -39,7 +40,7 @@ class HandlebodyModeError(ValueError):
 
 
 def _check_mode(alg: TribracketAlgebra, dia: Diagram) -> None:
-    if dia.kind is DiagramKind.HANDLEBODY_LINK and not is_idempotent(alg):
+    if dia.kind is DiagramKind.HANDLEBODY_LINK and not alg.idempotent:
         raise HandlebodyModeError(
             f"diagram {dia.name!r} is a handlebody-link; the algebra must be idempotent"
         )
@@ -151,17 +152,46 @@ def _system(dia: Diagram) -> tuple[int, list[tuple[ConstraintKind, tuple[int, ..
     return len(index), [(c.kind, tuple(index[r] for r in c.refs)) for c in dia.constraints]
 
 
+def _components(regions: int, constraints: Sequence[tuple[ConstraintKind, tuple[int, ...]]]):
+    """Each connected component with a constraint: size, constraints over local indices."""
+    parent = list(range(regions))
+
+    def find(r: int) -> int:
+        while parent[r] != r:
+            parent[r] = r = parent[parent[r]]
+        return r
+
+    for _, refs in constraints:
+        for r in refs:
+            parent[find(r)] = find(refs[0])
+    local, sizes = [0] * regions, [0] * regions
+    for r in range(regions):
+        root = find(r)
+        local[r], sizes[root] = sizes[root], sizes[root] + 1
+    parts: dict[int, list] = {}
+    for kind, refs in constraints:
+        parts.setdefault(find(refs[0]), []).append((kind, tuple(local[r] for r in refs)))
+    return [(sizes[root], cons) for root, cons in parts.items()]
+
+
 def enumerate_colorings(alg: TribracketAlgebra, dia: Diagram) -> list[Coloring]:
-    """All valid colorings, sorted by their value tuple in region order."""
+    """All valid colorings from one joint search, sorted by value tuple in region order."""
     _check_mode(alg, dia)
     found = sorted(tuple(val) for val in _solutions(alg, *_system(dia)))
     return [dict(zip(dia.regions, values)) for values in found]
 
 
 def count_colorings(alg: TribracketAlgebra, dia: Diagram) -> int:
-    """The number of valid region colorings of dia by alg."""
+    """The number of valid region colorings of dia by alg: the product of the
+    components' counts, with n for each region that no constraint touches."""
     _check_mode(alg, dia)
-    return sum(1 for _ in _solutions(alg, *_system(dia)))
+    alg.tribracket.slot_tables, alg.product.slot_tables  # refuse bad entries first
+    comps = _components(*_system(dia))
+    count = alg.n ** (len(dia.regions) - sum(size for size, _ in comps))
+    for size, cons in comps:
+        if count:  # a factor 0 ends the search
+            count *= sum(1 for _ in _solutions(alg, size, cons))
+    return count
 
 
 class BruteForceCapError(ValueError):

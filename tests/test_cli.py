@@ -1,6 +1,15 @@
+from pathlib import Path
+
 import pytest
 
-from tribrackets import serialize_algebra, serialize_diagram
+from tribrackets import (
+    Constraint,
+    ConstraintKind,
+    Diagram,
+    DiagramKind,
+    serialize_algebra,
+    serialize_diagram,
+)
 from tribrackets.cli import main
 from tests.conftest import DIAG_PRODUCT, FULL_PRODUCT, Z3_TENSOR
 
@@ -81,6 +90,19 @@ class TestCount:
         bare.write_text(serialize_algebra(Z3_TENSOR))
         assert main(["count", str(bare), theta_path]) == 2
 
+    def test_oracle_on_a_disjoint_union(self, capsys, tmp_path, z3_full_path):
+        # three vertices, 9 colorings each, and one region no constraint touches
+        cons = tuple(
+            Constraint(ConstraintKind.VERTEX, (f"l{i}", f"m{i}", f"r{i}")) for i in range(3)
+        )
+        regions = tuple(r for c in cons for r in c.refs) + ("free",)
+        path = tmp_path / "union.dia"
+        path.write_text(
+            serialize_diagram(Diagram("union", DiagramKind.SPATIAL_GRAPH, regions, cons))
+        )
+        assert main(["count", z3_full_path, str(path), "--oracle"]) == 0
+        assert capsys.readouterr().out == f"{9**3 * 3}\n"
+
 
 class TestEnumerationVerbs:
     def test_enumerate_tribrackets_stream(self, capsys):
@@ -148,6 +170,11 @@ class TestDemo:
         assert main(["demo"]) == 0
         second = capsys.readouterr().out
         assert first == second
+
+    def test_demo_matches_the_committed_output(self, capsys):
+        golden = Path(__file__).parent / "data" / "demo.txt"
+        assert main(["demo"]) == 0
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
 class TestUsage:

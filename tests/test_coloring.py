@@ -240,6 +240,12 @@ class TestExactOnAnyInput:
         alg = TribracketAlgebra(alexander_tribracket(1, 1, 1), PartialProduct.diagonal(1))
         assert count_colorings(alg, _diagram((f"r{i}" for i in range(1200)), ())) == 1
 
+    def test_joint_listing_of_many_free_regions_needs_no_recursion(self):
+        # the listing still searches all 1200 regions at once
+        alg = TribracketAlgebra(alexander_tribracket(1, 1, 1), PartialProduct.diagonal(1))
+        regions = tuple(f"r{i}" for i in range(1200))
+        assert enumerate_colorings(alg, _diagram(regions, ())) == [dict.fromkeys(regions, 1)]
+
     def test_long_shuffled_crossing_chain(self):
         # each new region is the bracket of three earlier ones, so the three
         # seed regions determine the rest: 3^3 colorings
@@ -253,6 +259,86 @@ class TestExactOnAnyInput:
         rng.shuffle(cons)
         alg = TribracketAlgebra(alexander_tribracket(3, 1, 1), PartialProduct.diagonal(3))
         assert count_colorings(alg, _diagram(regions, cons)) == 27
+
+
+def _rename(dia, prefix):
+    return Diagram(
+        dia.name,
+        dia.kind,
+        tuple(prefix + r for r in dia.regions),
+        tuple(Constraint(c.kind, tuple(prefix + r for r in c.refs)) for c in dia.constraints),
+    )
+
+
+def _union(parts, free=(), kind=DiagramKind.SPATIAL_GRAPH):
+    """The parts renamed apart, then the regions no constraint touches."""
+    parts = [_rename(d, f"c{j}x") for j, d in enumerate(parts)]
+    return Diagram(
+        "union",
+        kind,
+        tuple(r for d in parts for r in d.regions) + tuple(free),
+        tuple(c for d in parts for c in d.constraints),
+    )
+
+
+def _vertex():
+    return _diagram(("l", "m", "r"), (Constraint(ConstraintKind.VERTEX, ("l", "m", "r")),))
+
+
+@st.composite
+def disjoint_unions(draw):
+    """2-3 random components and 0-2 free regions, shuffled together."""
+    parts = draw(st.lists(random_diagrams(max_regions=3), min_size=2, max_size=3))
+    free = [f"f{i}" for i in range(draw(st.integers(min_value=0, max_value=2)))]
+    union = _union(parts, free)
+    regions = draw(st.permutations(union.regions))
+    constraints = draw(st.permutations(union.constraints))
+    return parts, len(free), _diagram(regions, constraints)
+
+
+class TestDisjointUnions:
+    """Counts factor over the connected components of the constraint graph."""
+
+    @given(alg=arbitrary_algebras(), case=disjoint_unions())
+    @settings(max_examples=150, deadline=None)
+    def test_union_count_is_the_product_of_its_parts(self, alg, case):
+        parts, free, union = case
+        count = count_colorings(alg, union)
+        assert count == count_colorings_bruteforce(alg, union)
+        assert len(enumerate_colorings(alg, union)) == count
+        product = alg.n ** free
+        for part in parts:
+            product *= count_colorings(alg, part)
+        assert count == product
+
+    def test_forty_disjoint_vertices(self, full_algebra):
+        # l and r are free and fix m = l*r: 9 colorings per vertex
+        assert count_colorings(full_algebra, _union([_vertex()] * 40)) == 9**40
+
+    def test_bad_entry_refused_without_constraints(self):
+        bad = Tribracket(2, (((1, 2), (2, 1)), ((2, 1), (0, 2))))
+        alg = TribracketAlgebra(bad, PartialProduct.diagonal(2))
+        with pytest.raises(ShapeError):
+            count_colorings(alg, _diagram(("a", "b"), ()))
+
+    def test_bad_entry_refused_after_a_component_counting_zero(self):
+        # the empty product colors no vertex, so the first component counts 0
+        bad = Tribracket(2, (((1, 2), (2, 1)), ((2, 1), (3, 2))))
+        alg = TribracketAlgebra(bad, PartialProduct.empty(2))
+        crossing = _diagram(
+            ("a", "b", "c", "d"), (Constraint(ConstraintKind.CROSSING, ("a", "b", "c", "d")),)
+        )
+        with pytest.raises(ShapeError):
+            count_colorings(alg, _union([_vertex(), crossing]))
+
+    def test_handlebody_union_needs_an_idempotent_product(
+        self, full_algebra, diag_algebra, diagrams
+    ):
+        hopf = diagrams["hopf_handlebody"]
+        union = _union([hopf, hopf], kind=DiagramKind.HANDLEBODY_LINK)
+        with pytest.raises(HandlebodyModeError):
+            count_colorings(full_algebra, union)
+        assert count_colorings(diag_algebra, union) == 27 * 27
 
 
 @st.composite
