@@ -3,7 +3,9 @@
 Elements of a size-n carrier are plain integers 1..n.  A tribracket is an
 n x n x n operation tensor; the value of bracket(a, b, c) is found in matrix
 a, row b, column c.  A partial product is an n x n table whose cells may be
-undefined (stored as None).
+undefined (stored as None).  Both constructors check the shape and every
+entry, raising ShapeError for an entry outside 1..n, so nothing later checks
+entries again.
 
 Every axiom checker returns an :class:`AxiomReport` whose violations carry a
 witness tuple; re-evaluating the witness against the structure reproduces the
@@ -106,6 +108,10 @@ class Tribracket:
             for mat in tab
         ):
             raise ShapeError(f"table is not {self.n}x{self.n}x{self.n}")
+        for a, b, c in itertools.product(range(1, self.n + 1), repeat=3):
+            v = tab[a - 1][b - 1][c - 1]
+            if not isinstance(v, int) or not 1 <= v <= self.n:
+                raise ShapeError(f"entry ({a},{b},{c}) = {v!r} is not in 1..{self.n}")
         object.__setattr__(self, "table", tab)
 
     def bracket(self, a: int, b: int, c: int) -> int:
@@ -116,9 +122,8 @@ class Tribracket:
     def slot_tables(self) -> tuple[tuple[int, ...], ...]:
         """Flat tables for the slots (a, b, c, result) of bracket(a, b, c) = d.
 
-        See :func:`_slot_tables`; raises ShapeError for an entry outside 1..n.
+        See :func:`_slot_tables`.
         """
-        _check_entries(self)
         return _slot_tables(tuple(v for mat in self.table for row in mat for v in row), self.n, 3)
 
 
@@ -138,6 +143,10 @@ class PartialProduct:
             raise ShapeError("table must be nested n x n sequences") from None
         if len(tab) != self.n or any(len(row) != self.n for row in tab):
             raise ShapeError(f"table is not {self.n}x{self.n}")
+        for a, b in itertools.product(range(1, self.n + 1), repeat=2):
+            v = tab[a - 1][b - 1]
+            if v is not None and (not isinstance(v, int) or not 1 <= v <= self.n):
+                raise ShapeError(f"product entry ({a},{b}) = {v!r} is not in 1..{self.n}")
         object.__setattr__(self, "table", tab)
 
     @classmethod
@@ -162,9 +171,8 @@ class PartialProduct:
         """Flat tables for the slots (left, right, result) of a*b = c.
 
         See :func:`_slot_tables`; an undefined cell reads 0 in the result
-        table.  Raises ShapeError for an entry outside 1..n.
+        table.
         """
-        _check_product_entries(self)
         return _slot_tables(tuple(v or 0 for row in self.table for v in row), self.n, 2)
 
     def defined_cells(self) -> list[tuple[int, int]]:
@@ -199,16 +207,6 @@ class TribracketAlgebra:
         return is_idempotent(self)
 
 
-def _check_entries(t: Tribracket) -> None:
-    n = t.n
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            for c in range(1, n + 1):
-                v = t.table[a - 1][b - 1][c - 1]
-                if not isinstance(v, int) or not 1 <= v <= n:
-                    raise ShapeError(f"entry ({a},{b},{c}) = {v!r} is not in 1..{n}")
-
-
 def _repeats(axiom: str, lines) -> list[Violation]:
     """Repeated values along lines of (fixed inputs, values in input order).
 
@@ -232,11 +230,9 @@ def _repeats(axiom: str, lines) -> list[Violation]:
 def verify_tribracket(t: Tribracket) -> AxiomReport:
     """Check slot bijectivity and both coherence identities, with witnesses.
 
-    Raises ShapeError for out-of-range entries; axiom failures go into the
-    report.  Violation order: slot-a, slot-b, slot-c bijectivity, then
-    coherence-1, coherence-2, each family in lexicographic witness order.
+    Violation order: slot-a, slot-b, slot-c bijectivity, then coherence-1,
+    coherence-2, each family in lexicographic witness order.
     """
-    _check_entries(t)
     n, tab = t.n, t.table
     viol: list[Violation] = []
 
@@ -276,14 +272,6 @@ def verify_tribracket(t: Tribracket) -> AxiomReport:
     return AxiomReport(tuple(viol))
 
 
-def _check_product_entries(p: PartialProduct) -> None:
-    for a in range(1, p.n + 1):
-        for b in range(1, p.n + 1):
-            v = p.table[a - 1][b - 1]
-            if v is not None and (not isinstance(v, int) or not 1 <= v <= p.n):
-                raise ShapeError(f"product entry ({a},{b}) = {v!r} is not in 1..{p.n}")
-
-
 def verify_algebra(alg: TribracketAlgebra) -> AxiomReport:
     """Check cancellation and all bracket/product compatibility conditions.
 
@@ -291,7 +279,6 @@ def verify_algebra(alg: TribracketAlgebra) -> AxiomReport:
     a violation whose lhs or rhs is None records a definedness mismatch.
     Assumes the tribracket itself already passes verify_tribracket.
     """
-    _check_product_entries(alg.product)
     n = alg.n
     t, p = alg.tribracket, alg.product
     br = t.bracket

@@ -185,7 +185,6 @@ def count_colorings(alg: TribracketAlgebra, dia: Diagram) -> int:
     """The number of valid region colorings of dia by alg: the product of the
     components' counts, with n for each region that no constraint touches."""
     _check_mode(alg, dia)
-    alg.tribracket.slot_tables, alg.product.slot_tables  # refuse bad entries first
     comps = _components(*_system(dia))
     count = alg.n ** (len(dia.regions) - sum(size for size, _ in comps))
     for size, cons in comps:

@@ -15,6 +15,7 @@ so call it with a budget.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
@@ -63,26 +64,6 @@ class EnumerationResult:
         return self.items[i]
 
 
-class _BudgetTracker:
-    def __init__(self, budget: Optional[EnumerationBudget]):
-        self.max_candidates = budget.max_candidates if budget else None
-        self.deadline = (
-            time.monotonic() + budget.timeout
-            if budget and budget.timeout is not None
-            else None
-        )
-        self.candidates = 0
-
-    def expired(self) -> bool:
-        """True once the deadline has passed."""
-        return self.deadline is not None and time.monotonic() > self.deadline
-
-    def spend(self) -> bool:
-        """Account for one complete table; False once max_candidates is passed."""
-        self.candidates += 1
-        return self.max_candidates is None or self.candidates <= self.max_candidates
-
-
 _UNDECIDED = -1
 
 
@@ -90,7 +71,7 @@ def _search(
     candidates: Sequence[Sequence[int]],
     consistent: Callable[[list, int], bool],
     leaf: Callable[[list], None],
-    tracker: _BudgetTracker,
+    budget: Optional[EnumerationBudget],
 ) -> bool:
     """Depth-first search over a flat table, cell 0 first.
 
@@ -99,11 +80,14 @@ def _search(
     cell decided and every later one _UNDECIDED.  ``leaf`` sees each complete
     table that passes.  Returns False when the budget stopped the search.
     """
+    budget = budget or EnumerationBudget()
+    deadline = None if budget.timeout is None else time.monotonic() + budget.timeout
+    left = budget.max_candidates or math.inf  # complete tables leaf may still see
     size = len(candidates)
     table = [_UNDECIDED] * size
     todo = [iter(candidates[0])]
     while todo:
-        if tracker.expired():
+        if deadline is not None and time.monotonic() > deadline:
             return False
         i = len(todo) - 1
         for v in todo[i]:
@@ -116,7 +100,8 @@ def _search(
             continue
         if i + 1 < size:
             todo.append(iter(candidates[i + 1]))
-        elif tracker.spend():
+        elif left:
+            left -= 1
             leaf(table)
         else:
             return False
@@ -193,7 +178,7 @@ def enumerate_tribrackets(
             out.append(t)
 
     cells = [range(n)] * (n * nn)
-    complete = _search(cells, consistent, leaf, _BudgetTracker(budget))
+    complete = _search(cells, consistent, leaf, budget)
     return EnumerationResult(out, complete)
 
 
@@ -267,7 +252,7 @@ def enumerate_products(t: Tribracket) -> list[PartialProduct]:
         if verify_algebra(TribracketAlgebra(t, p)).passed:
             out.append(p)
 
-    _search(candidates, consistent, leaf, _BudgetTracker(None))
+    _search(candidates, consistent, leaf, None)
     return out
 
 

@@ -44,7 +44,6 @@ class LocalMovePair:
     before: MoveFragment
     after: MoveFragment
     requires_idempotent: bool = False
-    shadow_axiom: str = ""
 
 
 @dataclass(frozen=True)
@@ -84,15 +83,7 @@ def builtin_move_pairs() -> list[LocalMovePair]:
         ("R1c", _x("e", "w", "w", "l")),
         ("R1d", _x("l", "w", "w", "e")),
     ):
-        pairs.append(
-            LocalMovePair(
-                move_id,
-                ("w", "e"),
-                before=_frag(("l",), (con,)),
-                after=_frag(),
-                shadow_axiom="slot bijectivity",
-            )
-        )
+        pairs.append(LocalMovePair(move_id, ("w", "e"), _frag(("l",), (con,)), _frag()))
 
     # pokes: two crossings sharing the bigon p; removing them merges the gaps
     for move_id, c1, c2 in (
@@ -107,7 +98,6 @@ def builtin_move_pairs() -> list[LocalMovePair]:
                 ("w", "e", "s", "n"),
                 before=_frag(("p",), (c1, c2)),
                 after=_frag(merges=(("s", "n"),)),
-                shadow_axiom="slot bijectivity",
             )
         )
 
@@ -124,7 +114,6 @@ def builtin_move_pairs() -> list[LocalMovePair]:
                 ("u",),
                 (_x("a", "b", "c", "u"), _x("u", "c", "d", "y"), _x("a", "u", "y", "x")),
             ),
-            shadow_axiom="coherence-1 / coherence-2",
         )
     )
 
@@ -136,12 +125,11 @@ def builtin_move_pairs() -> list[LocalMovePair]:
                 ("a", "b", "m"),
                 before=_frag(constraints=(_v("a", "m", "b"),)),
                 after=_frag(("t",), (_v("a", "t", "b"), con)),
-                shadow_axiom="r4-compat",
             )
         )
 
     # vertex slides past a strand, one variant per r5 family
-    for family, (move_id, before, after) in enumerate((
+    for move_id, before, after in (
         ("R5.7", _frag(("q",), (_x("a", "b", "c", "q"), _v("a", "p", "q"))),
          _frag(("r",), (_v("b", "r", "c"), _x("a", "b", "r", "p")))),
         ("R5.10", _frag(("q",), (_x("a", "b", "c", "q"), _v("q", "p", "c"))),
@@ -152,16 +140,8 @@ def builtin_move_pairs() -> list[LocalMovePair]:
         ("R5.16", _frag(("r",), (_v("a", "r", "b"), _x("a", "b", "c", "p"))),
          _frag(("r", "s"),
                (_v("a", "r", "b"), _x("r", "b", "c", "s"), _x("a", "r", "s", "p")))),
-    ), 1):
-        pairs.append(
-            LocalMovePair(
-                move_id,
-                ("a", "b", "c", "p"),
-                before=before,
-                after=after,
-                shadow_axiom=f"r5-compat-{family}",
-            )
-        )
+    ):
+        pairs.append(LocalMovePair(move_id, ("a", "b", "c", "p"), before, after))
 
     # the H-to-I move on the edge joining two vertices
     pairs.append(
@@ -171,7 +151,6 @@ def builtin_move_pairs() -> list[LocalMovePair]:
             before=_frag(constraints=(_v("w", "n", "s"), _v("s", "n", "e"))),
             after=_frag(constraints=(_v("w", "s", "e"), _v("w", "n", "e"))),
             requires_idempotent=True,
-            shadow_axiom="idempotency",
         )
     )
     return pairs

@@ -85,8 +85,8 @@ class TestTribracket:
         assert any(v.witness[:2] == (1, 1) for v in slot_c)
 
     def test_shape_error_distinct_from_axiom_failure(self, z3):
-        bad = mutate(z3, 1, 1, 1, 9)
         with pytest.raises(ShapeError):
+            bad = mutate(z3, 1, 1, 1, 9)
             verify_tribracket(bad)
         with pytest.raises(ShapeError):
             Tribracket(3, ((1,),))
@@ -94,6 +94,34 @@ class TestTribracket:
     def test_report_is_deterministic(self, z3):
         t = mutate(z3, 2, 2, 2, 3)
         assert verify_tribracket(t) == verify_tribracket(t)
+
+
+class TestConstructorsCheckEntries:
+    @pytest.mark.parametrize("value", [0, 4, 1.0, "1", None])
+    def test_bad_tensor_entry_is_refused(self, z3, value):
+        with pytest.raises(ShapeError) as err:
+            mutate(z3, 2, 3, 1, value)
+        assert str(err.value) == f"entry (2,3,1) = {value!r} is not in 1..3"
+
+    def test_first_bad_tensor_entry_is_reported(self, z3):
+        table = [[list(row) for row in mat] for mat in z3.table]
+        table[1][0][0], table[0][2][1] = 0, 5
+        with pytest.raises(ShapeError, match=r"^entry \(1,3,2\) = 5 is not in 1\.\.3$"):
+            Tribracket(3, table)
+
+    @pytest.mark.parametrize("value", [0, 4, 1.0, "1"])
+    def test_bad_product_entry_is_refused(self, value):
+        table = [list(row) for row in FULL_PRODUCT.table]
+        table[2][1] = value
+        with pytest.raises(ShapeError) as err:
+            PartialProduct(3, table)
+        assert str(err.value) == f"product entry (3,2) = {value!r} is not in 1..3"
+
+    def test_tensor_with_a_zero_cannot_be_built(self, z3):
+        # the brute-force oracle reads entries unchecked: given this tensor and
+        # the diagonal product it would count 26 colorings of hopf_handlebody
+        with pytest.raises(ShapeError, match=r"^entry \(1,1,1\) = 0 is not in 1\.\.3$"):
+            mutate(z3, 1, 1, 1, 0)
 
 
 class TestVerifyAlgebra:

@@ -228,12 +228,12 @@ class TestExactOnAnyInput:
         assert count_colorings(alg, dia) == count_colorings_bruteforce(alg, dia) == 8
 
     def test_out_of_range_entry_is_a_shape_error(self):
-        bad = Tribracket(2, (((1, 2), (2, 1)), ((2, 1), (0, 2))))
-        alg = TribracketAlgebra(bad, PartialProduct.diagonal(2))
         dia = _diagram(
             ("a", "b", "c", "d"), (Constraint(ConstraintKind.CROSSING, ("a", "b", "c", "d")),)
         )
         with pytest.raises(ShapeError):
+            bad = Tribracket(2, (((1, 2), (2, 1)), ((2, 1), (0, 2))))
+            alg = TribracketAlgebra(bad, PartialProduct.diagonal(2))
             count_colorings(alg, dia)
 
     def test_many_free_regions_need_no_recursion(self):
@@ -316,19 +316,19 @@ class TestDisjointUnions:
         assert count_colorings(full_algebra, _union([_vertex()] * 40)) == 9**40
 
     def test_bad_entry_refused_without_constraints(self):
-        bad = Tribracket(2, (((1, 2), (2, 1)), ((2, 1), (0, 2))))
-        alg = TribracketAlgebra(bad, PartialProduct.diagonal(2))
         with pytest.raises(ShapeError):
+            bad = Tribracket(2, (((1, 2), (2, 1)), ((2, 1), (0, 2))))
+            alg = TribracketAlgebra(bad, PartialProduct.diagonal(2))
             count_colorings(alg, _diagram(("a", "b"), ()))
 
     def test_bad_entry_refused_after_a_component_counting_zero(self):
         # the empty product colors no vertex, so the first component counts 0
-        bad = Tribracket(2, (((1, 2), (2, 1)), ((2, 1), (3, 2))))
-        alg = TribracketAlgebra(bad, PartialProduct.empty(2))
         crossing = _diagram(
             ("a", "b", "c", "d"), (Constraint(ConstraintKind.CROSSING, ("a", "b", "c", "d")),)
         )
         with pytest.raises(ShapeError):
+            bad = Tribracket(2, (((1, 2), (2, 1)), ((2, 1), (3, 2))))
+            alg = TribracketAlgebra(bad, PartialProduct.empty(2))
             count_colorings(alg, _union([_vertex(), crossing]))
 
     def test_handlebody_union_needs_an_idempotent_product(

@@ -173,6 +173,14 @@ class TestEnumerateTribrackets:
         full = enumerate_tribrackets(3)
         assert capped.items == full.items[: len(capped.items)]
 
+    @pytest.mark.parametrize("cap", [1, 11, 12, 13])
+    def test_max_candidates_caps_the_complete_tables(self, cap):
+        # every complete order-3 table that reaches the verifier passes, and
+        # there are 12 of them: the search stops only if a 13th would be needed
+        capped = enumerate_tribrackets(3, EnumerationBudget(max_candidates=cap))
+        assert len(capped) == min(cap, 12)
+        assert capped.complete == (cap >= 12)
+
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             EnumerationBudget(max_candidates=0)
