@@ -3,9 +3,9 @@
 Elements of a size-n carrier are plain integers 1..n.  A tribracket is an
 n x n x n operation tensor; the value of bracket(a, b, c) is found in matrix
 a, row b, column c.  A partial product is an n x n table whose cells may be
-undefined (stored as None).  Both constructors check the shape and every
-entry, raising ShapeError for an entry outside 1..n, so nothing later checks
-entries again.
+undefined (stored as None).  Both constructors check the carrier size, the
+shape and every entry, raising ShapeError for a size that is not a positive
+int or an entry outside 1..n, so nothing later checks entries again.
 
 Every axiom checker returns an :class:`AxiomReport` whose violations carry a
 witness tuple; re-evaluating the witness against the structure reproduces the
@@ -89,6 +89,13 @@ def _fmt(value: Optional[int]) -> str:
     return "undefined" if value is None else str(value)
 
 
+def _check_size(n) -> None:
+    if not isinstance(n, int):
+        raise ShapeError(f"carrier size must be an int, got {n!r}")
+    if n < 1:
+        raise ShapeError(f"carrier size must be positive, got {n}")
+
+
 @dataclass(frozen=True)
 class Tribracket:
     """An n x n x n operation tensor with entries in 1..n."""
@@ -97,8 +104,7 @@ class Tribracket:
     table: tuple[tuple[tuple[int, ...], ...], ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ShapeError(f"carrier size must be positive, got {self.n}")
+        _check_size(self.n)
         try:
             tab = tuple(tuple(tuple(row) for row in mat) for mat in self.table)
         except TypeError:
@@ -135,8 +141,7 @@ class PartialProduct:
     table: tuple[tuple[Optional[int], ...], ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ShapeError(f"carrier size must be positive, got {self.n}")
+        _check_size(self.n)
         try:
             tab = tuple(tuple(row) for row in self.table)
         except TypeError:
@@ -367,14 +372,21 @@ def _slot_tables(fwd: tuple[int, ...], n: int, arity: int) -> tuple[tuple[int, .
     tables come in slot order, inputs first and fwd last; table i is indexed
     the same way by the other slots' values in slot order and holds the
     unique value of slot i, 0 when there is none and -1 when there are several.
+
+    Input j of fwd index i has stride s = n**(arity-1-j), so its 0-based value
+    is i // s % n, and the index of the other inputs followed by d - 1 is
+    (i // (s*n) * s + i % s) * n + d - 1.
     """
-    inv = [[0] * len(fwd) for _ in range(arity)]
-    for args, d in zip(itertools.product(range(n), repeat=arity), fwd):
-        if d:
-            for j in range(arity):
-                i = _index((*args[:j], *args[j + 1:], d - 1), n)
-                inv[j][i] = args[j] + 1 if inv[j][i] == 0 else -1
-    return (*map(tuple, inv), fwd)
+    tables = []
+    for j in range(arity):
+        s = n ** (arity - 1 - j)
+        inv = [0] * len(fwd)
+        for i, d in enumerate(fwd):
+            if d:
+                k = (i // (s * n) * s + i % s) * n + d - 1
+                inv[k] = i // s % n + 1 if inv[k] == 0 else -1
+        tables.append(tuple(inv))
+    return (*tables, fwd)
 
 
 def _index(values, n: int) -> int:

@@ -8,6 +8,7 @@ meant for scripting is byte-stable across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .algebra import (
@@ -209,7 +210,9 @@ def _cmd_demo(_args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="tribrackets",
         description="Region-coloring counting invariants of trivalent spatial-graph "

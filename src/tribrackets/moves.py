@@ -19,6 +19,7 @@ admit no extension on that side.
 """
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -73,7 +74,16 @@ def _frag(internal=(), constraints=(), merges=()) -> MoveFragment:
 
 
 def builtin_move_pairs() -> list[LocalMovePair]:
-    """One pair per generating move, plus the oriented kink/poke variants."""
+    """One pair per generating move, plus the oriented kink/poke variants.
+
+    Each call returns a new list of the same frozen pairs, in the same order;
+    the pairs are built on the first call.
+    """
+    return list(_move_pairs())
+
+
+@functools.cache
+def _move_pairs() -> tuple[LocalMovePair, ...]:
     pairs = []
 
     # kinks: the loop region sits opposite the doubled outer region
@@ -153,7 +163,7 @@ def builtin_move_pairs() -> list[LocalMovePair]:
             requires_idempotent=True,
         )
     )
-    return pairs
+    return tuple(pairs)
 
 
 def _tally(

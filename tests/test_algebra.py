@@ -1,7 +1,9 @@
+import itertools
 import math
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from tribrackets import (
@@ -116,6 +118,14 @@ class TestConstructorsCheckEntries:
         with pytest.raises(ShapeError) as err:
             PartialProduct(3, table)
         assert str(err.value) == f"product entry (3,2) = {value!r} is not in 1..3"
+
+    @pytest.mark.parametrize("n", [2.0, "2", None])
+    def test_carrier_size_that_is_not_an_int_is_refused(self, n):
+        message = f"^carrier size must be an int, got {re.escape(repr(n))}$"
+        with pytest.raises(ShapeError, match=message):
+            Tribracket(n, (((1, 2), (2, 1)), ((2, 1), (1, 2))))
+        with pytest.raises(ShapeError, match=message):
+            PartialProduct(n, ((1, 2), (2, 1)))
 
     def test_tensor_with_a_zero_cannot_be_built(self, z3):
         # the brute-force oracle reads entries unchecked: given this tensor and
@@ -249,6 +259,83 @@ class TestSolving:
 
     def test_bundled_algebra_loader(self, full_algebra):
         assert load_bundled_algebra("z3_full") == full_algebra
+
+
+def reference_slot_tables(fwd, n, arity):
+    """Slot tables built entry by entry from tuples of 0-based values.
+
+    The construction ``_slot_tables`` used before it switched to stride
+    arithmetic, kept as the reference for the differential test.
+    """
+
+    def index(values):
+        i = 0
+        for v in values:
+            i = i * n + v
+        return i
+
+    inv = [[0] * len(fwd) for _ in range(arity)]
+    for args, d in zip(itertools.product(range(n), repeat=arity), fwd):
+        if d:
+            for j in range(arity):
+                i = index((*args[:j], *args[j + 1:], d - 1))
+                inv[j][i] = args[j] + 1 if inv[j][i] == 0 else -1
+    return (*map(tuple, inv), fwd)
+
+
+@st.composite
+def flat_operations(draw, arity, undefined):
+    """(n, fwd): a flat operation table at n = 1..5 with arbitrary entries.
+
+    Half the draws start from a table with a unique preimage in every slot
+    and overwrite a few cells, so unique, missing and several preimages all
+    occur; the rest draw every entry from a few values.  With ``undefined``
+    an entry may be 0, an undefined product cell.
+    """
+    n = draw(st.integers(1, 5))
+    size = n**arity
+    low = 0 if undefined else 1
+    if draw(st.booleans()):
+        fwd = [sum(args) % n + 1 for args in itertools.product(range(n), repeat=arity)]
+        for _ in range(draw(st.integers(0, 3))):
+            fwd[draw(st.integers(0, size - 1))] = draw(st.integers(low, n))
+    else:
+        top = draw(st.integers(1, n))
+        fwd = draw(st.lists(st.integers(low, top), min_size=size, max_size=size))
+    return n, tuple(fwd)
+
+
+def preimage_kinds(tables):
+    """The kinds of inverse entry: 1 unique, 0 missing, -1 several preimages."""
+    return {min(v, 1) for inv in tables[:-1] for v in inv}
+
+
+class TestSlotTablesDifferential:
+    @given(flat_operations(arity=3, undefined=False))
+    @settings(max_examples=150, deadline=None)
+    def test_tensor_tables_match_the_reference(self, operation):
+        n, fwd = operation
+        cube = [[fwd[(a * n + b) * n:(a * n + b + 1) * n] for b in range(n)] for a in range(n)]
+        tables = Tribracket(n, cube).slot_tables
+        event(f"preimage kinds {sorted(preimage_kinds(tables))}")
+        assert tables == reference_slot_tables(fwd, n, 3)
+
+    @given(flat_operations(arity=2, undefined=True))
+    @settings(max_examples=150, deadline=None)
+    def test_product_tables_match_the_reference(self, operation):
+        n, fwd = operation
+        square = [[fwd[a * n + b] or None for b in range(n)] for a in range(n)]
+        tables = PartialProduct(n, square).slot_tables
+        event(f"preimage kinds {sorted(preimage_kinds(tables))}, undefined cell {0 in fwd}")
+        assert tables == reference_slot_tables(fwd, n, 2)
+
+    def test_every_kind_of_preimage_is_compared(self, z3):
+        # mixed has unique, missing and several preimages; row adds undefined cells
+        mixed = mutate(z3, 2, 3, 1, 1)
+        row = PartialProduct(2, ((1, 1), (None, None)))
+        assert preimage_kinds(mixed.slot_tables) == preimage_kinds(row.slot_tables) == {-1, 0, 1}
+        for op, arity in ((z3, 3), (mixed, 3), (row, 2), (FULL_PRODUCT, 2), (CYC_PRODUCT, 2)):
+            assert op.slot_tables == reference_slot_tables(op.slot_tables[-1], op.n, arity)
 
 
 @st.composite

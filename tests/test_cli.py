@@ -1,16 +1,21 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import tribrackets
 from tribrackets import (
     Constraint,
     ConstraintKind,
     Diagram,
     DiagramKind,
+    builtin_move_pairs,
     serialize_algebra,
     serialize_diagram,
 )
-from tribrackets.cli import main
+from tribrackets.cli import _build_parser, main
 from tests.conftest import DIAG_PRODUCT, FULL_PRODUCT, Z3_TENSOR
 
 
@@ -186,3 +191,67 @@ class TestUsage:
 
     def test_no_verb_exits_2(self, capsys):
         assert main([]) == 2
+
+
+def run_alone(argv):
+    """Exit code and stdout of one command-line call in a fresh process."""
+    env = dict(os.environ, PYTHONPATH=str(Path(tribrackets.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "tribrackets", *argv], capture_output=True, text=True, env=env
+    )
+    return done.returncode, done.stdout
+
+
+class TestNoStateBetweenCalls:
+    """One process reuses the parser and the move catalogue across main() calls."""
+
+    def run_in_sequence(self, capsys, calls):
+        results = []
+        for argv in calls:
+            code = main(argv)
+            results.append((code, capsys.readouterr().out))
+        return results
+
+    def test_the_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_each_call_equals_the_same_call_run_alone(
+        self, capsys, z3_full_path, theta_path
+    ):
+        calls = [
+            ["check-moves", z3_full_path, "--moves", "R1a", "--include-ih"],
+            ["check-moves", z3_full_path],
+            ["enumerate-products", z3_full_path, "--idempotent"],
+            ["enumerate-products", z3_full_path],
+            ["count", z3_full_path, theta_path, "--oracle", "--enumerate"],
+            ["count", z3_full_path, theta_path, "--oracle"],
+            ["count", z3_full_path, theta_path],
+        ]
+        assert self.run_in_sequence(capsys, calls) == [run_alone(argv) for argv in calls]
+
+    def test_a_usage_error_changes_no_later_call(self, capsys, z3_full_path, theta_path):
+        calls = [
+            ["check-moves", z3_full_path, "--moves", "R2a", "--include-ih"],
+            ["count", z3_full_path, theta_path, "--oracle", "--enumerate"],
+            ["enumerate-products", z3_full_path, "--idempotent"],
+        ]
+        first = self.run_in_sequence(capsys, calls)
+        usage_errors = [
+            ["check-moves", z3_full_path, "--frob"],
+            ["count", z3_full_path],
+            ["enumerate-tribrackets", "three"],
+        ]
+        for bad in usage_errors:
+            assert main(bad) == 2
+            assert capsys.readouterr().out == ""
+            assert self.run_in_sequence(capsys, calls) == first
+
+    def test_mutating_the_move_list_changes_no_later_check(self, capsys, z3_full_path):
+        argv = ["check-moves", z3_full_path, "--include-ih"]
+        before = self.run_in_sequence(capsys, [argv])
+        pairs = builtin_move_pairs()
+        expected = list(pairs)
+        pairs.reverse()
+        del pairs[3:]
+        assert builtin_move_pairs() == expected
+        assert self.run_in_sequence(capsys, [argv]) == before

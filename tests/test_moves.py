@@ -40,6 +40,12 @@ class TestCatalog:
     def test_move_ids(self):
         assert [p.move_id for p in builtin_move_pairs()] == MOVE_IDS
 
+    def test_each_call_returns_a_new_equal_list(self):
+        first, second = builtin_move_pairs(), builtin_move_pairs()
+        assert first == second and first is not second
+        first.clear()
+        assert builtin_move_pairs() == second
+
     def test_only_ih_requires_idempotency(self):
         flags = {p.move_id: p.requires_idempotent for p in builtin_move_pairs()}
         assert flags.pop("IH") is True
