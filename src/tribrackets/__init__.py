@@ -17,7 +17,6 @@ from .algebra import (
     TribracketAlgebra,
     Violation,
     alexander_tribracket,
-    is_idempotent,
     load_bundled_algebra,
     parse_algebra,
     product_solve,
@@ -99,7 +98,6 @@ __all__ = [
     "enumerate_idempotent_products",
     "enumerate_products",
     "enumerate_tribrackets",
-    "is_idempotent",
     "load_bundled_algebra",
     "load_bundled_diagram",
     "parse_algebra",

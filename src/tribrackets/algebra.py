@@ -7,12 +7,14 @@ undefined (stored as None).  Both constructors check the carrier size, the
 shape and every entry, raising ShapeError for a size that is not a positive
 int or an entry outside 1..n, so nothing later checks entries again.
 
-Every axiom checker returns an :class:`AxiomReport` whose violations carry a
-witness tuple; re-evaluating the witness against the structure reproduces the
-reported mismatch, so reports are self-certifying.  Checks run in a fixed
-order (shape, slot bijectivity, coherence, cancellation, vertex/crossing
-compatibility) and witnesses are emitted in lexicographic order, so reports
-are byte-stable across runs.
+Each axiom is written once, as an entry of one ordered table: its name, the
+number of leading witness coordinates it ranges over, its witness length,
+whether it reads the product, and a generator of its failures.
+verify_tribracket and verify_algebra run the tensor and the product entries
+over 1..n into an :class:`AxiomReport`, in table order and lexicographic
+witness order, so reports are byte-stable; recheck_violation runs one entry
+over a witness's own coordinates, so reports are self-certifying.  The
+enumerators keep compiled forms of the entries for partial tables.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from importlib import resources
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 
 class ShapeError(ValueError):
@@ -180,14 +182,6 @@ class PartialProduct:
         """
         return _slot_tables(tuple(v or 0 for row in self.table for v in row), self.n, 2)
 
-    def defined_cells(self) -> list[tuple[int, int]]:
-        return [
-            (a, b)
-            for a in range(1, self.n + 1)
-            for b in range(1, self.n + 1)
-            if self.table[a - 1][b - 1] is not None
-        ]
-
 
 @dataclass(frozen=True)
 class TribracketAlgebra:
@@ -209,27 +203,167 @@ class TribracketAlgebra:
 
     @cached_property
     def idempotent(self) -> bool:
-        return is_idempotent(self)
+        """True iff the product is defined exactly on the diagonal with aa = a."""
+        return self.product == PartialProduct.diagonal(self.n)
 
 
-def _repeats(axiom: str, lines) -> list[Violation]:
-    """Repeated values along lines of (fixed inputs, values in input order).
+# ---------------------------------------------------------------------------
+# the axiom table
+#
+# Each generator reads 1-based tables padded at index 0: T[a][b][c] is
+# bracket(a, b, c) and P[a][b] is a*b or None.  Given one range per leading
+# witness coordinate, it yields (witness, lhs, rhs) for each failure in
+# lexicographic witness order.
 
-    Each witness is the fixed inputs, then the first input that gave the
-    value and the input that repeated it; witnesses come out sorted.
-    Undefined (None) values never repeat.
+@dataclass(frozen=True)
+class _Axiom:
+    name: str
+    ranges: int  # leading witness coordinates the generator ranges over
+    width: int  # witness length
+    reads_product: bool
+    failures: Callable[..., Iterator[tuple]]
+
+
+def _repeats(line: Callable[..., list]) -> Callable[..., Iterator[tuple]]:
+    """The generator of an axiom that no value repeats along ``line(T, P, *fixed)``.
+
+    A witness is the fixed coordinates, then the input that gave a value first
+    and an input that gave it again; both sides are that value.  None never repeats.
     """
-    fam: list[Violation] = []
-    for fixed, line in lines:
-        seen: dict[int, int] = {}
-        for z, v in enumerate(line, 1):
-            if v is None:
-                continue
-            if v in seen:
-                fam.append(Violation(axiom, (*fixed, seen[v], z), v, v))
-            else:
-                seen[v] = z
-    return sorted(fam, key=lambda x: x.witness)
+
+    def failures(T, P, *ranges):
+        for fixed in itertools.product(*ranges):
+            values = line(T, P, *fixed)
+            if len(set(values)) == len(values):
+                continue  # nothing repeats
+            seen: dict[int, int] = {}
+            found = []
+            for z, v in enumerate(values, 1):
+                if v in seen:
+                    found.append((seen[v], z, v))
+                elif v is not None:
+                    seen[v] = z
+            for first, repeat, v in sorted(found):
+                yield (*fixed, first, repeat), v, v
+
+    return failures
+
+
+def _coherence_1(T, P, ra, rb, rc, rd):
+    """[a, b, [b, c, d]] = [a, u, [u, c, d]] with u = [a, b, c]."""
+    for a, b in itertools.product(ra, rb):
+        row_ab = T[a][b]
+        for c in rc:
+            u = row_ab[c]
+            row_bc, row_au, row_uc = T[b][c], T[a][u], T[u][c]
+            for d in rd:
+                lhs, rhs = row_ab[row_bc[d]], row_au[row_uc[d]]
+                if lhs != rhs:
+                    yield (a, b, c, d), lhs, rhs
+
+
+def _coherence_2(T, P, ra, rb, rc, rd):
+    """[u, c, d] = [[a, b, w], w, d] with u = [a, b, c] and w = [b, c, d]."""
+    for a, b in itertools.product(ra, rb):
+        row_ab = T[a][b]
+        for c in rc:
+            row_bc, row_uc = T[b][c], T[row_ab[c]][c]
+            for d in rd:
+                w = row_bc[d]
+                lhs, rhs = row_uc[d], T[row_ab[w]][w][d]
+                if lhs != rhs:
+                    yield (a, b, c, d), lhs, rhs
+
+
+def _r4_compat(T, P, ra, rb):
+    """[a, a*b, b] = a*b wherever a*b is defined."""
+    for a, b in itertools.product(ra, rb):
+        ab = P[a][b]
+        if ab is not None and T[a][ab][b] != ab:
+            yield (a, b), T[a][ab][b], ab
+
+
+def _r5_compat_1(T, P, ra, rb, rc):
+    """a*[a, b, c] = [a, b, b*c], each side defined exactly when the other is."""
+    for a, b in itertools.product(ra, rb):
+        row_ab, pa, pb = T[a][b], P[a], P[b]
+        for c in rc:
+            bc = pb[c]
+            lhs, rhs = pa[row_ab[c]], None if bc is None else row_ab[bc]
+            if lhs != rhs:
+                yield (a, b, c), lhs, rhs
+
+
+def _r5_compat_2(T, P, ra, rb, rc):
+    """[a, b, c]*c = [a*b, b, c], each side defined exactly when the other is."""
+    for a, b in itertools.product(ra, rb):
+        row_ab, ab = T[a][b], P[a][b]
+        for c in rc:
+            lhs, rhs = P[row_ab[c]][c], None if ab is None else T[ab][b][c]
+            if lhs != rhs:
+                yield (a, b, c), lhs, rhs
+
+
+def _r5_compat_3(T, P, ra, rb, rc):
+    """[a, b, c] = [[a, b, b*c], b*c, c] wherever b*c is defined."""
+    for a, b in itertools.product(ra, rb):
+        row_ab, pb = T[a][b], P[b]
+        for c in rc:
+            bc = pb[c]
+            if bc is not None:
+                rhs = T[row_ab[bc]][bc][c]
+                if row_ab[c] != rhs:
+                    yield (a, b, c), row_ab[c], rhs
+
+
+def _r5_compat_4(T, P, ra, rb, rc):
+    """[a, b, c] = [a, a*b, [a*b, b, c]] wherever a*b is defined."""
+    for a, b in itertools.product(ra, rb):
+        ab = P[a][b]
+        if ab is not None:
+            row_ab, row_a_ab, row_ab_b = T[a][b], T[a][ab], T[ab][b]
+            for c in rc:
+                rhs = row_a_ab[row_ab_b[c]]
+                if row_ab[c] != rhs:
+                    yield (a, b, c), row_ab[c], rhs
+
+
+# report order: the tensor axioms, then the product axioms
+_AXIOMS = (
+    # bracket(a, b, c) takes each value once as a, b or c varies
+    _Axiom("slot-a-bijection", 2, 4, False, _repeats(lambda T, P, b, c: [m[b][c] for m in T[1:]])),
+    _Axiom("slot-b-bijection", 2, 4, False, _repeats(lambda T, P, a, c: [r[c] for r in T[a][1:]])),
+    _Axiom("slot-c-bijection", 2, 4, False, _repeats(lambda T, P, a, b: T[a][b][1:])),
+    _Axiom("coherence-1", 4, 4, False, _coherence_1),
+    _Axiom("coherence-2", 4, 4, False, _coherence_2),
+    # a*b takes each value at most once as b or a varies
+    _Axiom("left-cancellation", 1, 3, True, _repeats(lambda T, P, a: P[a][1:])),
+    _Axiom("right-cancellation", 1, 3, True, _repeats(lambda T, P, b: [r[b] for r in P[1:]])),
+    _Axiom("r4-compat", 2, 2, True, _r4_compat),
+    _Axiom("r5-compat-1", 3, 3, True, _r5_compat_1),
+    _Axiom("r5-compat-2", 3, 3, True, _r5_compat_2),
+    _Axiom("r5-compat-3", 3, 3, True, _r5_compat_3),
+    _Axiom("r5-compat-4", 3, 3, True, _r5_compat_4),
+)
+_AXIOM_BY_NAME = {ax.name: ax for ax in _AXIOMS}
+
+
+def _padded(t: Tribracket, p: Optional[PartialProduct]) -> tuple:
+    """The 1-based tables T and P the axiom generators read (P None without p)."""
+    T = (None, *((None, *((None, *row) for row in mat)) for mat in t.table))
+    P = None if p is None else (None, *((None, *row) for row in p.table))
+    return T, P
+
+
+def _report(t: Tribracket, p: Optional[PartialProduct], reads_product: bool) -> AxiomReport:
+    T, P = _padded(t, p)
+    full = range(1, t.n + 1)
+    return AxiomReport(tuple(
+        Violation(ax.name, witness, lhs, rhs)
+        for ax in _AXIOMS
+        if ax.reads_product == reads_product
+        for witness, lhs, rhs in ax.failures(T, P, *[full] * ax.ranges)
+    ))
 
 
 def verify_tribracket(t: Tribracket) -> AxiomReport:
@@ -238,106 +372,40 @@ def verify_tribracket(t: Tribracket) -> AxiomReport:
     Violation order: slot-a, slot-b, slot-c bijectivity, then coherence-1,
     coherence-2, each family in lexicographic witness order.
     """
-    n, tab = t.n, t.table
-    viol: list[Violation] = []
-
-    rng = range(n)
-    pairs = [(x, y) for x in rng for y in rng]
-    viol.extend(_repeats(
-        "slot-a-bijection", (((b + 1, c + 1), [m[b][c] for m in tab]) for b, c in pairs)))
-    viol.extend(_repeats(
-        "slot-b-bijection", (((a + 1, c + 1), [r[c] for r in tab[a]]) for a, c in pairs)))
-    viol.extend(_repeats("slot-c-bijection", (((a + 1, b + 1), tab[a][b]) for a, b in pairs)))
-
-    coh1: list[Violation] = []
-    coh2: list[Violation] = []
-    rng = range(1, n + 1)
-    for a in rng:
-        mat_a = tab[a - 1]
-        for b in rng:
-            mat_b = tab[b - 1]
-            row_ab = mat_a[b - 1]
-            for c in rng:
-                u = row_ab[c - 1]  # bracket(a, b, c)
-                mat_u = tab[u - 1]
-                row_bc = mat_b[c - 1]
-                row_uc = mat_u[c - 1]
-                for d in rng:
-                    w = row_bc[d - 1]  # bracket(b, c, d)
-                    lhs1 = row_ab[w - 1]  # bracket(a, b, w)
-                    rhs1 = mat_a[u - 1][row_uc[d - 1] - 1]
-                    if lhs1 != rhs1:
-                        coh1.append(Violation("coherence-1", (a, b, c, d), lhs1, rhs1))
-                    lhs2 = row_uc[d - 1]  # bracket(u, c, d)
-                    rhs2 = tab[lhs1 - 1][w - 1][d - 1]
-                    if lhs2 != rhs2:
-                        coh2.append(Violation("coherence-2", (a, b, c, d), lhs2, rhs2))
-    viol.extend(coh1)
-    viol.extend(coh2)
-    return AxiomReport(tuple(viol))
+    return _report(t, None, reads_product=False)
 
 
 def verify_algebra(alg: TribracketAlgebra) -> AxiomReport:
     """Check cancellation and all bracket/product compatibility conditions.
 
-    The four r5-compat families pair each side's definedness with the other:
-    a violation whose lhs or rhs is None records a definedness mismatch.
-    Assumes the tribracket itself already passes verify_tribracket.
+    Violation order: left and right cancellation, r4-compat, then
+    r5-compat-1..4.  r5-compat-1/2 pair each side's definedness with the
+    other's: a violation whose lhs or rhs is None records a definedness
+    mismatch.  Assumes the tribracket itself already passes verify_tribracket.
     """
-    n = alg.n
-    t, p = alg.tribracket, alg.product
-    br = t.bracket
-    mul = p.mul
-    viol: list[Violation] = []
-
-    rows = p.table
-    viol.extend(_repeats("left-cancellation", (((a + 1,), rows[a]) for a in range(n))))
-    viol.extend(_repeats(
-        "right-cancellation", (((b + 1,), [r[b] for r in rows]) for b in range(n))))
-
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            ab = mul(a, b)
-            if ab is not None and br(a, ab, b) != ab:
-                viol.append(Violation("r4-compat", (a, b), br(a, ab, b), ab))
-
-    fam1: list[Violation] = []
-    fam2: list[Violation] = []
-    fam3: list[Violation] = []
-    fam4: list[Violation] = []
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            ab = mul(a, b)
-            for c in range(1, n + 1):
-                u = br(a, b, c)
-                bc = mul(b, c)
-                # both sides must be defined together and then agree
-                lhs = mul(a, u)
-                rhs = None if bc is None else br(a, b, bc)
-                if lhs != rhs:
-                    fam1.append(Violation("r5-compat-1", (a, b, c), lhs, rhs))
-                lhs = mul(u, c)
-                rhs = None if ab is None else br(ab, b, c)
-                if lhs != rhs:
-                    fam2.append(Violation("r5-compat-2", (a, b, c), lhs, rhs))
-                if bc is not None:
-                    rhs = br(br(a, b, bc), bc, c)
-                    if u != rhs:
-                        fam3.append(Violation("r5-compat-3", (a, b, c), u, rhs))
-                if ab is not None:
-                    rhs = br(a, ab, br(ab, b, c))
-                    if u != rhs:
-                        fam4.append(Violation("r5-compat-4", (a, b, c), u, rhs))
-    viol.extend(fam1)
-    viol.extend(fam2)
-    viol.extend(fam3)
-    viol.extend(fam4)
-    return AxiomReport(tuple(viol))
+    return _report(alg.tribracket, alg.product, reads_product=True)
 
 
-def is_idempotent(alg: TribracketAlgebra) -> bool:
-    """True iff the product is defined exactly on the diagonal with aa = a."""
-    return alg.product == PartialProduct.diagonal(alg.n)
+def recheck_violation(v: Violation, t: Tribracket, p: Optional[PartialProduct] = None) -> bool:
+    """Re-evaluate a violation witness; True iff the failure reproduces.
+
+    Runs the axiom over the witness's own leading coordinates and looks for
+    the witness with both reported sides among the failures.  Raises
+    ValueError for an unknown axiom id, a product axiom without ``p``, or a
+    witness of the wrong length or with a value outside 1..n.
+    """
+    ax = _AXIOM_BY_NAME.get(v.axiom)
+    if ax is None:
+        raise ValueError(f"unknown axiom id {v.axiom!r}")
+    if ax.reads_product and p is None:
+        raise ValueError(f"{ax.name} needs the product table")
+    if len(v.witness) != ax.width:
+        raise ValueError(f"{ax.name} witness {v.witness} does not have {ax.width} values")
+    if not all(isinstance(x, int) and 1 <= x <= t.n for x in v.witness):
+        raise ValueError(f"{ax.name} witness {v.witness} has a value outside 1..{t.n}")
+    T, P = _padded(t, p)
+    leading = [range(x, x + 1) for x in v.witness[: ax.ranges]]
+    return (v.witness, v.lhs, v.rhs) in ax.failures(T, P, *leading)
 
 
 def alexander_tribracket(n: int, x: int, y: int) -> Tribracket:
@@ -345,8 +413,7 @@ def alexander_tribracket(n: int, x: int, y: int) -> Tribracket:
 
     x and y must be units mod n; residue 0 is written as the label n.
     """
-    if n < 1:
-        raise ValueError(f"carrier size must be positive, got {n}")
+    _check_size(n)
     if math.gcd(x, n) != 1:
         raise ValueError(f"x = {x} is not a unit mod {n}")
     if math.gcd(y, n) != 1:
@@ -431,78 +498,6 @@ def product_solve(
     if v < 0:
         raise LookupError(f"several {slot.value} values fit {known} in a*b=c")
     return v or None
-
-
-def recheck_violation(
-    v: Violation, t: Tribracket, p: Optional[PartialProduct] = None
-) -> bool:
-    """Re-evaluate a violation witness; True iff the failure reproduces."""
-    br = t.bracket
-    if v.axiom == "slot-a-bijection":
-        b, c, a1, a2 = v.witness
-        return a1 != a2 and br(a1, b, c) == br(a2, b, c) == v.lhs
-    if v.axiom == "slot-b-bijection":
-        a, c, b1, b2 = v.witness
-        return b1 != b2 and br(a, b1, c) == br(a, b2, c) == v.lhs
-    if v.axiom == "slot-c-bijection":
-        a, b, c1, c2 = v.witness
-        return c1 != c2 and br(a, b, c1) == br(a, b, c2) == v.lhs
-    if v.axiom == "coherence-1":
-        a, b, c, d = v.witness
-        u = br(a, b, c)
-        lhs = br(a, b, br(b, c, d))
-        rhs = br(a, u, br(u, c, d))
-        return lhs != rhs and lhs == v.lhs and rhs == v.rhs
-    if v.axiom == "coherence-2":
-        a, b, c, d = v.witness
-        u = br(a, b, c)
-        w = br(b, c, d)
-        lhs = br(u, c, d)
-        rhs = br(br(a, b, w), w, d)
-        return lhs != rhs and lhs == v.lhs and rhs == v.rhs
-    assert p is not None, f"product violation {v.axiom} needs the product table"
-    mul = p.mul
-    if v.axiom == "left-cancellation":
-        a, b1, b2 = v.witness
-        return b1 != b2 and mul(a, b1) == mul(a, b2) == v.lhs
-    if v.axiom == "right-cancellation":
-        b, a1, a2 = v.witness
-        return a1 != a2 and mul(a1, b) == mul(a2, b) == v.lhs
-    if v.axiom == "r4-compat":
-        a, b = v.witness
-        ab = mul(a, b)
-        return ab is not None and br(a, ab, b) != ab and v.lhs == br(a, ab, b)
-    if v.axiom == "r5-compat-1":
-        a, b, c = v.witness
-        u = br(a, b, c)
-        bc, au = mul(b, c), mul(a, u)
-        lhs = au
-        rhs = None if bc is None else br(a, b, bc)
-        return lhs != rhs and lhs == v.lhs and rhs == v.rhs
-    if v.axiom == "r5-compat-2":
-        a, b, c = v.witness
-        u = br(a, b, c)
-        ab, uc = mul(a, b), mul(u, c)
-        lhs = uc
-        rhs = None if ab is None else br(ab, b, c)
-        return lhs != rhs and lhs == v.lhs and rhs == v.rhs
-    if v.axiom == "r5-compat-3":
-        a, b, c = v.witness
-        bc = mul(b, c)
-        if bc is None:
-            return False
-        lhs = br(a, b, c)
-        rhs = br(br(a, b, bc), bc, c)
-        return lhs != rhs and lhs == v.lhs and rhs == v.rhs
-    if v.axiom == "r5-compat-4":
-        a, b, c = v.witness
-        ab = mul(a, b)
-        if ab is None:
-            return False
-        lhs = br(a, b, c)
-        rhs = br(a, ab, br(ab, b, c))
-        return lhs != rhs and lhs == v.lhs and rhs == v.rhs
-    raise ValueError(f"unknown axiom id {v.axiom!r}")
 
 
 # ---------------------------------------------------------------------------

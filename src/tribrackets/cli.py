@@ -138,13 +138,20 @@ def _cmd_count(args) -> int:
 def _cmd_check_moves(args) -> int:
     tribracket, product = _load_algebra_file(args.algebra)
     algebra = TribracketAlgebra(tribracket, _require_product(args.algebra, product))
-    wanted = set(args.moves.split(",")) if args.moves else None
+    pairs = builtin_move_pairs()
+    if args.moves:
+        wanted = args.moves.split(",")
+        unknown = [m for m in wanted if m not in {pair.move_id for pair in pairs}]
+        if unknown:
+            raise _CliError(f"unknown move ids: {', '.join(unknown)}")
+        pairs = [pair for pair in pairs if pair.move_id in wanted]
+        gated = [pair.move_id for pair in pairs if pair.requires_idempotent]
+        if gated and not args.include_ih:
+            raise _CliError(f"{', '.join(gated)} needs --include-ih")
+    elif not args.include_ih:
+        pairs = [pair for pair in pairs if not pair.requires_idempotent]
     failures = 0
-    for pair in builtin_move_pairs():
-        if wanted is not None and pair.move_id not in wanted:
-            continue
-        if pair.requires_idempotent and not args.include_ih:
-            continue
+    for pair in pairs:
         report = check_move_invariance(algebra, pair)
         print(report.summary())
         if not report.passed:

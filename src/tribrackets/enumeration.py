@@ -24,6 +24,7 @@ from .algebra import (
     PartialProduct,
     Tribracket,
     TribracketAlgebra,
+    _check_size,
     verify_algebra,
     verify_tribracket,
 )
@@ -122,13 +123,14 @@ def enumerate_tribrackets(
 ) -> EnumerationResult:
     """All n-element tribrackets, in lexicographic tensor order.
 
-    Each cell must differ from the earlier cells on its three lines (slot
-    bijectivity), and each coherence witness (a, b, c, d) is tested once
-    every cell its two sides read is filled.  Complete for n <= 4 in well
-    under a second; n = 5 takes minutes and wants a budget.
+    The pruning is a compiled form of the algebra module's axiom table
+    entries for a tensor on partial tables: each cell must differ from the
+    earlier cells on its three lines (slot-a/b/c-bijection), and each witness
+    (a, b, c, d) of coherence-1 and coherence-2 is tested once every cell
+    its two sides read is filled.  Complete for n <= 4 in well under a
+    second; n = 5 takes minutes and wants a budget.
     """
-    if n < 1:
-        raise ValueError("carrier size must be positive")
+    _check_size(n)
     nn = n * n
     before = _lines_before(n, 3)
     # A witness joins the search once its static cells [a,b,c] and [b,c,d]
@@ -190,11 +192,12 @@ def _require_tribracket(t: Tribracket) -> None:
 def enumerate_products(t: Tribracket) -> list[PartialProduct]:
     """Every partial product compatible with t, empty table included.
 
-    Cells are tried undefined-first then in ascending value order.  A defined
-    cell must be a vertex fixpoint (r4), pass r5-compat-3/4 (which read that
-    cell alone) and differ from the earlier defined cells on its row and
-    column (cancellation); r5-compat-1/2 are tested once both cells they read
-    are decided.
+    Cells are tried undefined-first then in ascending value order.  The
+    pruning is a compiled form of the axiom table's product entries on
+    partial tables: a defined cell must pass r4-compat, r5-compat-3 and
+    r5-compat-4 (which read that cell alone) and differ from the earlier
+    defined cells on its row and column (left- and right-cancellation);
+    r5-compat-1/2 are tested once both cells they read are decided.
     """
     _require_tribracket(t)
     n = t.n

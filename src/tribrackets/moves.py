@@ -182,11 +182,6 @@ def _tally(
     )
 
 
-def _extensions(alg: TribracketAlgebra, frag: MoveFragment, env: dict[str, int]) -> int:
-    """Extensions of env (keys in boundary order) to the fragment's internal regions."""
-    return _tally(alg, tuple(env), frag)[tuple(env.values())]
-
-
 def check_move_invariance(alg: TribracketAlgebra, pair: LocalMovePair) -> MoveCheckReport:
     """Compare extension counts of both fragments over every boundary coloring.
 

@@ -1,6 +1,9 @@
+import dataclasses
 import itertools
 import math
+import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import event, given, settings
@@ -13,8 +16,9 @@ from tribrackets import (
     ShapeError,
     Tribracket,
     TribracketAlgebra,
+    Violation,
     alexander_tribracket,
-    is_idempotent,
+    enumerate_tribrackets,
     load_bundled_algebra,
     parse_algebra,
     product_solve,
@@ -24,7 +28,7 @@ from tribrackets import (
     verify_algebra,
     verify_tribracket,
 )
-from tests.conftest import CYC_PRODUCT, DIAG_PRODUCT, FULL_PRODUCT
+from tests.conftest import CYC_PRODUCT, DIAG_PRODUCT, FULL_PRODUCT, arbitrary_algebras
 
 
 def units(n):
@@ -127,6 +131,16 @@ class TestConstructorsCheckEntries:
         with pytest.raises(ShapeError, match=message):
             PartialProduct(n, ((1, 2), (2, 1)))
 
+    @pytest.mark.parametrize("n", [0, -1, 2.0, "3", None])
+    @pytest.mark.parametrize(
+        "build",
+        [lambda n: alexander_tribracket(n, 1, 1), enumerate_tribrackets],
+        ids=["alexander_tribracket", "enumerate_tribrackets"],
+    )
+    def test_sized_builders_refuse_a_bad_carrier_size(self, build, n):
+        with pytest.raises(ShapeError, match="^carrier size must be "):
+            build(n)
+
     def test_tensor_with_a_zero_cannot_be_built(self, z3):
         # the brute-force oracle reads entries unchecked: given this tensor and
         # the diagonal product it would count 26 colorings of hopf_handlebody
@@ -182,17 +196,101 @@ class TestVerifyAlgebra:
             assert recheck_violation(v, bad), v
 
 
+GOLDEN_REPORTS = Path(__file__).parent / "data" / "axiom_reports.txt"
+
+
+def golden_cases(seed=7, count=200):
+    """Seeded algebras at n = 1..4 whose reports axiom_reports.txt pins.
+
+    Each tensor is a linear one with a random share of its entries redrawn,
+    from none to nearly all, and each product leaves a random share of its
+    cells undefined, so every axiom both passes and fails somewhere and
+    verify_algebra also sees tensors that fail their own axioms.
+    """
+    rng = random.Random(seed)
+    for i in range(count):
+        n = (1, 2, 3, 4, 2, 3)[i % 6]
+        linear = alexander_tribracket(n, rng.choice(units(n)), rng.choice(units(n)))
+        noise = rng.random() ** 4
+        cube = [
+            [[rng.randint(1, n) if rng.random() < noise else v for v in row] for row in mat]
+            for mat in linear.table
+        ]
+        undefined = rng.random() ** 0.5
+        square = [
+            [None if rng.random() < undefined else rng.randint(1, n) for _ in range(n)]
+            for _ in range(n)
+        ]
+        yield TribracketAlgebra(Tribracket(n, cube), PartialProduct(n, square))
+
+
+def golden_reports() -> str:
+    lines = []
+    for i, alg in enumerate(golden_cases()):
+        lines.append(f"case {i} n={alg.n} verify_tribracket: "
+                     + verify_tribracket(alg.tribracket).summary())
+        lines.append(f"case {i} n={alg.n} verify_algebra: " + verify_algebra(alg).summary())
+    return "\n".join(lines) + "\n"
+
+
+class TestGoldenReports:
+    def test_reports_equal_the_committed_file(self):
+        # the file was written by the hand-written verifiers that the axiom
+        # table replaced; violation order, witnesses and both sides must match
+        want = GOLDEN_REPORTS.read_text(encoding="utf-8").splitlines()
+        got = golden_reports().splitlines()
+        first = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), None)
+        assert first is None, f"line {first + 1}: {got[first]!r} != {want[first]!r}"
+        assert len(got) == len(want)
+
+
+def altered(v: Violation) -> Violation:
+    return dataclasses.replace(v, lhs=1 if v.lhs is None else None)
+
+
+class TestRecheckViolation:
+    @given(alg=arbitrary_algebras(sizes=(1, 2, 3)))
+    @settings(max_examples=60, deadline=None)
+    def test_reported_violations_recheck_and_altered_ones_do_not(self, alg):
+        t, p = alg.tribracket, alg.product
+        for v in verify_tribracket(t).violations + verify_algebra(alg).violations:
+            assert recheck_violation(v, t, p), v
+            assert not recheck_violation(altered(v), t, p), v
+
+    @pytest.mark.parametrize(
+        "violation, product, message",
+        [
+            (Violation("r4-compat", (1, 1), 1, 2), None, "r4-compat needs the product"),
+            (Violation("coherence-1", (1, 2, 3, 4), 1, 2), FULL_PRODUCT,
+             r"coherence-1 witness \(1, 2, 3, 4\) has a value outside 1\.\.3"),
+            (Violation("left-cancellation", (0, 1, 2), 1, 1), FULL_PRODUCT,
+             "left-cancellation witness .* outside 1..3"),
+            (Violation("r5-compat-3", (1.0, 1, 1), 1, 2), FULL_PRODUCT,
+             "r5-compat-3 witness .* outside 1..3"),
+            (Violation("slot-a-bijection", (1, 2, 3), 1, 1), None,
+             r"slot-a-bijection witness \(1, 2, 3\) does not have 4 values"),
+            (Violation("r5-compat-2", (1, 2, 3, 1), 1, 2), FULL_PRODUCT,
+             "r5-compat-2 witness .* does not have 3 values"),
+            (Violation("no-such-axiom", (1,), 1, 1), FULL_PRODUCT, "unknown axiom id"),
+        ],
+        ids=["no-product", "value-too-big", "value-zero", "value-not-int", "too-short",
+             "too-long", "unknown-axiom"],
+    )
+    def test_malformed_violations_are_refused(self, z3, violation, product, message):
+        with pytest.raises(ValueError, match=message):
+            recheck_violation(violation, z3, product)
+
+
 class TestIdempotent:
     def test_diagonal_product_is_idempotent(self, diag_algebra):
-        assert is_idempotent(diag_algebra)
         assert diag_algebra.idempotent
 
     def test_full_product_is_not(self, full_algebra):
-        assert not is_idempotent(full_algebra)
+        assert not full_algebra.idempotent
 
     def test_empty_product_is_not(self, empty_algebra):
         # the whole diagonal must be present, not just absent off-diagonal cells
-        assert not is_idempotent(empty_algebra)
+        assert not empty_algebra.idempotent
 
 
 class TestSolving:

@@ -153,6 +153,23 @@ class TestCheckMoves:
         assert main(["check-moves", z3_full_path, "--moves", "R4.1,R5.7"]) == 0
         assert capsys.readouterr().out == "R4.1  PASS\nR5.7  PASS\n"
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--moves", "R9,r1a"], "unknown move ids: R9, r1a\n"),
+            (["--moves", "R1a,", "--include-ih"], "unknown move ids: \n"),
+            (["--moves", "IH"], "IH needs --include-ih\n"),
+            (["--moves", "R1a,IH"], "IH needs --include-ih\n"),
+        ],
+    )
+    def test_a_filter_naming_a_move_it_would_skip_is_refused(
+        self, capsys, z3_full_path, flags, message
+    ):
+        assert main(["check-moves", z3_full_path, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message
+
 
 class TestDemo:
     def test_demo_passes(self, capsys):

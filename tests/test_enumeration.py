@@ -12,7 +12,6 @@ from tribrackets import (
     enumerate_idempotent_products,
     enumerate_products,
     enumerate_tribrackets,
-    is_idempotent,
     verify_algebra,
     verify_tribracket,
 )
@@ -118,8 +117,10 @@ class TestIdempotentProducts:
     def test_domain_is_exactly_the_diagonal(self, z3):
         for t in (z3, Z4_TENSOR):
             for p in enumerate_idempotent_products(t):
-                assert is_idempotent(TribracketAlgebra(t, p))
-                assert all(a == b for a, b in p.defined_cells())
+                assert TribracketAlgebra(t, p).idempotent
+                assert all(
+                    v is None or a == b for a, row in enumerate(p.table) for b, v in enumerate(row)
+                )
 
 
 def brute_force_tribrackets(n):
@@ -282,7 +283,7 @@ class TestAgainstLeafOnlyOracle:
     )
     def test_idempotent_shortcut_equals_filter(self, t):
         want = [
-            p for p in enumerate_products(t) if is_idempotent(TribracketAlgebra(t, p))
+            p for p in enumerate_products(t) if TribracketAlgebra(t, p).idempotent
         ]
         assert enumerate_idempotent_products(t) == want
 
