@@ -3,8 +3,8 @@
 
 Counts the tribrackets on n elements for n <= 4 (the whole run takes about a
 second), then the compatible partial products of each, split by idempotency.
-With --large it also attempts n = 5, which takes about 17 minutes to find
-all 480 tribrackets and so runs under the --timeout budget.
+With --large it also attempts n = 5, which finds all 480 tribrackets in about
+5 seconds, under the --timeout budget.
 Useful for spotting how fast the product lattice thins out as tensors get
 less symmetric.
 """

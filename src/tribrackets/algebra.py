@@ -392,13 +392,16 @@ def recheck_violation(v: Violation, t: Tribracket, p: Optional[PartialProduct] =
     Runs the axiom over the witness's own leading coordinates and looks for
     the witness with both reported sides among the failures.  Raises
     ValueError for an unknown axiom id, a product axiom without ``p``, or a
-    witness of the wrong length or with a value outside 1..n.
+    witness of the wrong length or with a value outside 1..n, and ShapeError
+    for a product on a different number of elements than ``t``.
     """
     ax = _AXIOM_BY_NAME.get(v.axiom)
     if ax is None:
         raise ValueError(f"unknown axiom id {v.axiom!r}")
     if ax.reads_product and p is None:
         raise ValueError(f"{ax.name} needs the product table")
+    if p is not None and p.n != t.n:
+        raise ShapeError(f"size mismatch: tribracket on {t.n} elements, product on {p.n}")
     if len(v.witness) != ax.width:
         raise ValueError(f"{ax.name} witness {v.witness} does not have {ax.width} values")
     if not all(isinstance(x, int) and 1 <= x <= t.n for x in v.witness):
@@ -411,9 +414,12 @@ def recheck_violation(v: Violation, t: Tribracket, p: Optional[PartialProduct] =
 def alexander_tribracket(n: int, x: int, y: int) -> Tribracket:
     """The linear tribracket a, b, c -> x*a - x*y*b + y*c over Z/n.
 
-    x and y must be units mod n; residue 0 is written as the label n.
+    x and y must be int units mod n; residue 0 is written as the label n.
     """
     _check_size(n)
+    for name, m in (("x", x), ("y", y)):
+        if not isinstance(m, int):
+            raise ValueError(f"{name} must be an int, got {m!r}")
     if math.gcd(x, n) != 1:
         raise ValueError(f"x = {x} is not a unit mod {n}")
     if math.gcd(y, n) != 1:

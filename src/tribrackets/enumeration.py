@@ -1,19 +1,31 @@
 """Exhaustive search for small tribrackets and compatible partial products.
 
-Both enumerators run one backtracking search over a flat table: cells are
-filled in lexicographic order and candidate values ascend, so output arrives
-sorted by flattened table (undefined cells sorting before 1).  Every axiom
-witness is tested as soon as all the cells it reads are decided, so a branch
-is cut at the first cell that makes some witness fail, and every complete
-table that reaches the verifier passes.  Everything returned has passed its
-verifier.
+Both enumerators run one backtracking search over a flat table: it branches
+on the first undecided cell in lexicographic order and tries candidate values
+in ascending order, so output arrives sorted by flattened table (undefined
+cells sorting before 1).  Every axiom witness is tested as soon as all the
+cells it reads are decided, so a branch is cut at the first cell that makes
+some witness fail, and every complete table that reaches the verifier passes.
+Everything returned has passed its verifier.
 
-With this pruning the 168 tribrackets of order 4 take well under a second.
-Order 5 (480 tribrackets) takes about 17 minutes on one Intel Xeon core,
-so call it with a budget.
+The tensor search also decides cells ahead of the branching cell, and undoes
+them on backtrack.  Two rules do this:
+
+* Latin rule: when a line of the tensor (a, b or c varying) has one
+  undecided cell left, that cell takes the one value the line is missing.
+* Coherence rule: for a witness (a, b, c, d) with u = [a,b,c] and
+  x = [b,c,d] decided, if one side of coherence-1 ([a,b,x] = [a,u,[u,c,d]])
+  or of coherence-2 ([u,c,d] = [[a,b,x],x,d]) is decided and the other is
+  not, the undecided cell takes the decided value.
+
+A forced value is the only one any completion can take, so forcing keeps the
+output order, and a forced value that breaks a line or a witness cuts the
+branch at once.  The 168 tribrackets of order 4 take about 0.1 s and all
+480 of order 5 about 5 s on one Intel Xeon core; order 6 wants a budget.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -35,7 +47,8 @@ class EnumerationBudget:
     """Caps for a search: complete tables verified and wall-clock seconds.
 
     ``max_candidates`` counts the complete tables handed to the verifier,
-    not the partial tables visited; ``timeout`` is checked at every node.
+    not the partial tables visited; ``timeout`` is checked before every value
+    the search tries.
     """
 
     max_candidates: Optional[int] = None
@@ -70,37 +83,58 @@ _UNDECIDED = -1
 
 def _search(
     candidates: Sequence[Sequence[int]],
-    consistent: Callable[[list, int], bool],
+    consistent: Callable[[list, int, list], bool],
     leaf: Callable[[list], None],
     budget: Optional[EnumerationBudget],
 ) -> bool:
     """Depth-first search over a flat table, cell 0 first.
 
     ``candidates[i]`` lists the values cell i may take, in output order.
-    ``consistent(table, i)`` is asked after cell i is set, with every earlier
-    cell decided and every later one _UNDECIDED.  ``leaf`` sees each complete
-    table that passes.  Returns False when the budget stopped the search.
+    ``consistent(table, i, trail)`` is asked after cell i is set, with every
+    earlier cell decided.  It may decide later cells as well: it appends each
+    such cell to ``trail``, and may also append a list it has just appended
+    to.  Before the next value of cell i is tried, and when cell i is given
+    up, the search undoes the trail back to where it stood: it makes each
+    trailed cell _UNDECIDED again and pops each trailed list.  Descent skips
+    the cells already decided.  ``leaf`` sees each complete table that
+    passes.  Returns False when the budget stopped the search.
     """
     budget = budget or EnumerationBudget()
     deadline = None if budget.timeout is None else time.monotonic() + budget.timeout
     left = budget.max_candidates or math.inf  # complete tables leaf may still see
     size = len(candidates)
     table = [_UNDECIDED] * size
-    todo = [iter(candidates[0])]
-    while todo:
-        if deadline is not None and time.monotonic() > deadline:
-            return False
-        i = len(todo) - 1
-        for v in todo[i]:
+    trail: list = []
+    frames = [(0, iter(candidates[0]), 0)]  # (cell, values left, trail length)
+
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            entry = trail.pop()
+            if type(entry) is int:
+                table[entry] = _UNDECIDED
+            else:
+                entry.pop()
+
+    while frames:
+        i, values, mark = frames[-1]
+        for v in values:
+            if deadline is not None and time.monotonic() > deadline:
+                return False
+            if len(trail) > mark:
+                undo(mark)
             table[i] = v
-            if consistent(table, i):
+            if consistent(table, i, trail):
                 break
         else:
+            undo(mark)
             table[i] = _UNDECIDED
-            todo.pop()
+            frames.pop()
             continue
-        if i + 1 < size:
-            todo.append(iter(candidates[i + 1]))
+        j = i + 1
+        while j < size and table[j] != _UNDECIDED:
+            j += 1
+        if j < size:
+            frames.append((j, iter(candidates[j]), len(trail)))
         elif left:
             left -= 1
             leaf(table)
@@ -109,13 +143,17 @@ def _search(
     return True
 
 
-def _lines_before(n: int, dims: int) -> list[tuple[int, ...]]:
-    """For each cell of a flat n^dims table, the earlier cells sharing a line."""
+@functools.cache
+def _lines(n: int, dims: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """For each cell of a flat n^dims table, the other cells of each of its lines."""
     strides = [n**k for k in range(dims)]
-    return [
-        tuple(i - j * s for s in strides for j in range(1, (i // s) % n + 1))
+    return tuple(
+        tuple(
+            tuple(i + (j - (i // s) % n) * s for j in range(n) if j != (i // s) % n)
+            for s in strides
+        )
         for i in range(n**dims)
-    ]
+    )
 
 
 def enumerate_tribrackets(
@@ -124,46 +162,93 @@ def enumerate_tribrackets(
     """All n-element tribrackets, in lexicographic tensor order.
 
     The pruning is a compiled form of the algebra module's axiom table
-    entries for a tensor on partial tables: each cell must differ from the
-    earlier cells on its three lines (slot-a/b/c-bijection), and each witness
-    (a, b, c, d) of coherence-1 and coherence-2 is tested once every cell
-    its two sides read is filled.  Complete for n <= 4 in well under a
-    second; n = 5 takes minutes and wants a budget.
+    entries for a tensor on partial tables, with forcing: each cell must
+    differ from the other decided cells on its three lines, and the last
+    undecided cell of a line takes the missing value (slot-a/b/c-bijection);
+    each witness (a, b, c, d) of coherence-1 and coherence-2 is tested once
+    both sides are decided, and when one side is decided and the other is
+    not, the other takes its value.  Complete for n <= 5 in seconds; n = 6
+    wants a budget.
     """
     _check_size(n)
     nn = n * n
-    before = _lines_before(n, 3)
-    # A witness joins the search once its static cells [a,b,c] and [b,c,d]
-    # are filled; the cells it reads after that depend on their values.  It
-    # is stored as those two cells, the offsets of matrix a and of row
-    # [a,b], the offset c*n + d of [x,c,d] within matrix x, and d.  It stays
-    # pending while any cell it reads is still undecided (negative).
-    enter: list[list[tuple[int, ...]]] = [[] for _ in range(n * nn)]
+    lines = _lines(n, 3)
+    line_sum = n * (n - 1) // 2
+    # A witness is stored as its cells [a,b,c] and [b,c,d], the offsets of
+    # matrix a and of row [a,b], the offset c*n + d of [u,c,d] within matrix
+    # u, and d.  It waits in the watch list of an undecided cell it needs,
+    # and is looked at again once that cell is decided.
+    watch: list[list[tuple[int, ...]]] = [[] for _ in range(n * nn)]
     for a, b, c, d in itertools.product(range(n), repeat=4):
         abc, bcd = a * nn + b * n + c, b * nn + c * n + d
-        enter[max(abc, bcd)].append((abc, bcd, a * nn, a * nn + b * n, c * n + d, d))
-    pending: list[list[tuple[int, ...]]] = [[] for _ in range(n * nn + 1)]
+        watch[max(abc, bcd)].append((abc, bcd, a * nn, a * nn + b * n, c * n + d, d))
 
-    def consistent(T: list, i: int) -> bool:
-        v = T[i]
-        for j in before[i]:
-            if T[j] == v:
-                return False
-        still = []
-        for w in itertools.chain(pending[i], enter[i]):
-            abc, bcd, am, ab, cd, d = w
-            u, x = T[abc], T[bcd]
-            ucd, abx = T[u * nn + cd], T[ab + x]  # [u,c,d] and [a,b,[b,c,d]]
-            if ucd < 0 or abx < 0:
-                still.append(w)
-                continue
-            rhs1 = T[am + u * n + ucd]  # coherence-1: [a,b,x] = [a,u,[u,c,d]]
-            rhs2 = T[abx * nn + x * n + d]  # coherence-2: [u,c,d] = [[a,b,x],x,d]
-            if (rhs1 >= 0 and rhs1 != abx) or (rhs2 >= 0 and rhs2 != ucd):
-                return False
-            if rhs1 < 0 or rhs2 < 0:
-                still.append(w)
-        pending[i + 1] = still
+    def consistent(T: list, i: int, trail: list) -> bool:
+        queue = [i]  # decided cells whose lines and witnesses are still to see
+
+        def force(cell: int, value: int) -> None:
+            T[cell] = value
+            trail.append(cell)
+            queue.append(cell)
+
+        for k in queue:
+            v = T[k]
+            for line in lines[k]:
+                # the line's one undecided cell (-1: none, -2: several), and
+                # the value it lacks if the decided cells are distinct
+                hole, rest = -1, line_sum - v
+                for j in line:
+                    other = T[j]
+                    if other < 0:
+                        hole = j if hole == -1 else -2
+                    elif other == v:
+                        return False
+                    else:
+                        rest -= other
+                if hole >= 0:
+                    if not 0 <= rest < n:  # two decided cells repeat a value
+                        return False
+                    force(hole, rest)
+            for w in watch[k]:
+                abc, bcd, am, ab, cd, d = w
+                while True:
+                    u, x = T[abc], T[bcd]
+                    if u < 0 or x < 0:
+                        block = abc if u < 0 else bcd
+                        break
+                    ax, ud = ab + x, u * nn + cd  # cells [a,b,x] and [u,c,d]
+                    abx, ucd = T[ax], T[ud]
+                    if ucd >= 0:  # coherence-1: [a,b,x] = [a,u,[u,c,d]]
+                        r1 = am + u * n + ucd
+                        if abx < 0:
+                            if T[r1] < 0:
+                                block = ax
+                                break
+                            force(ax, T[r1])
+                            continue
+                        if T[r1] < 0:
+                            force(r1, abx)
+                        elif T[r1] != abx:
+                            return False
+                    elif abx < 0:
+                        block = ax
+                        break
+                    r2 = abx * nn + x * n + d  # coherence-2: [u,c,d] = [[a,b,x],x,d]
+                    if ucd < 0:
+                        if T[r2] < 0:
+                            block = ud
+                            break
+                        force(ud, T[r2])
+                        continue
+                    if T[r2] < 0:
+                        force(r2, ucd)
+                    elif T[r2] != ucd:
+                        return False
+                    block = -1  # both laws hold for good
+                    break
+                if block >= 0:
+                    watch[block].append(w)
+                    trail.append(watch[block])
         return True
 
     out: list[Tribracket] = []
@@ -229,9 +314,9 @@ def enumerate_products(t: Tribracket) -> list[PartialProduct]:
             (u * n + c, a * n + b, [br(v, b, c) for v in range(n)]),  # r5-compat-2
         ):
             due[max(p, q)].add((p, q, tuple(image) + (undefined,)))
-    before = _lines_before(n, 2)
+    before = [tuple(j for line in ls for j in line if j < i) for i, ls in enumerate(_lines(n, 2))]
 
-    def consistent(P: list, i: int) -> bool:
+    def consistent(P: list, i: int, trail: list) -> bool:
         v = P[i]
         if v != undefined:
             for j in before[i]:

@@ -75,6 +75,13 @@ class TestTribracket:
         with pytest.raises(ValueError):
             alexander_tribracket(6, 1, 3)
 
+    @pytest.mark.parametrize("bad", [1.0, "1", None], ids=["float", "str", "none"])
+    @pytest.mark.parametrize("slot", ["x", "y"])
+    def test_alexander_rejects_non_int_multipliers(self, slot, bad):
+        args = {"x": 1, "y": 1, slot: bad}
+        with pytest.raises(ValueError, match=f"^{slot} must be an int"):
+            alexander_tribracket(3, **args)
+
     def test_constant_table_fails_every_slot(self):
         t = Tribracket(3, tuple(tuple((1, 1, 1) for _ in range(3)) for _ in range(3)))
         report = verify_tribracket(t)
@@ -279,6 +286,14 @@ class TestRecheckViolation:
     def test_malformed_violations_are_refused(self, z3, violation, product, message):
         with pytest.raises(ValueError, match=message):
             recheck_violation(violation, z3, product)
+
+    @pytest.mark.parametrize(
+        "axiom, witness", [("r5-compat-1", (3, 3, 3)), ("coherence-1", (1, 1, 1, 1))]
+    )
+    def test_product_of_another_size_is_refused(self, axiom, witness):
+        t = alexander_tribracket(3, 1, 1)
+        with pytest.raises(ShapeError, match="size mismatch"):
+            recheck_violation(Violation(axiom, witness, 1, 2), t, PartialProduct.diagonal(2))
 
 
 class TestIdempotent:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import time
 
@@ -357,3 +358,44 @@ class TestBudgetAtInteriorNodes:
         result = enumerate_tribrackets(5, EnumerationBudget(timeout=1000))
         assert not result.complete and len(result) == 0
         assert next(ticks) < 2000  # stopped soon after the deadline
+
+
+class TestMaxCandidatesAtOrder4:
+    @pytest.fixture(scope="class")
+    def census(self):
+        return enumerate_tribrackets(4).items
+
+    @pytest.mark.parametrize("cap", [1, 40, 167, 168, 169])
+    def test_cap_returns_a_prefix(self, census, cap):
+        # every complete table reaching the verifier passes, so a cap of k
+        # returns the first k members and stops only if a 169th is needed
+        capped = enumerate_tribrackets(4, EnumerationBudget(max_candidates=cap))
+        assert capped.items == census[:cap]
+        assert capped.complete == (cap >= 168)
+
+
+# sha256 of the order-5 census written one tensor a line, entries joined by
+# commas, from a complete run of an enumerator that forced no cells
+ORDER5_DIGEST = "9da7221b49c6e40889d19dce6820bcfdaf5bf3da441fb5e2b666f44ff05c87e1"
+
+
+class TestOrder5Census:
+    @pytest.fixture(scope="class")
+    def census(self):
+        result = enumerate_tribrackets(5, EnumerationBudget(timeout=120))
+        assert result.complete
+        return result.items
+
+    def test_count(self, census):
+        assert len(census) == 480
+
+    def test_strictly_sorted(self, census):
+        keys = [flat(t) for t in census]
+        assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
+
+    def test_everything_emitted_passes_the_verifier(self, census):
+        assert all(verify_tribracket(t).passed for t in census)
+
+    def test_digest(self, census):
+        text = "".join(",".join(map(str, flat(t))) + "\n" for t in census)
+        assert hashlib.sha256(text.encode()).hexdigest() == ORDER5_DIGEST
