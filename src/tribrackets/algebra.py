@@ -14,7 +14,9 @@ verify_tribracket and verify_algebra run the tensor and the product entries
 over 1..n into an :class:`AxiomReport`, in table order and lexicographic
 witness order, so reports are byte-stable; recheck_violation runs one entry
 over a witness's own coordinates, so reports are self-certifying.  The
-enumerators keep compiled forms of the entries for partial tables.
+enumerators keep compiled forms of entries for partial tables: the tensor
+search of every tensor entry, the product search of r4-compat and
+r5-compat-1/2 alone, which on a tribracket imply the other product entries.
 """
 from __future__ import annotations
 

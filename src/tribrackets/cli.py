@@ -24,8 +24,6 @@ from .algebra import (
     verify_tribracket,
 )
 from .coloring import (
-    BruteForceCapError,
-    HandlebodyModeError,
     count_colorings,
     count_colorings_bruteforce,
     enumerate_colorings,
@@ -119,19 +117,16 @@ def _cmd_count(args) -> int:
     tribracket, product = _load_algebra_file(args.algebra)
     algebra = TribracketAlgebra(tribracket, _require_product(args.algebra, product))
     diagram = _load_diagram_file(args.diagram)
-    try:
-        count = count_colorings(algebra, diagram)
-        if args.oracle:
-            reference = count_colorings_bruteforce(algebra, diagram)
-            if reference != count:
-                print(f"oracle mismatch: solver {count}, brute force {reference}")
-                return MATH_FAILURE
-        if args.enumerate:
-            for coloring in enumerate_colorings(algebra, diagram):
-                print(" ".join(f"{r}={coloring[r]}" for r in diagram.regions))
-        print(count)
-    except (HandlebodyModeError, BruteForceCapError) as exc:
-        raise _CliError(str(exc)) from exc
+    count = count_colorings(algebra, diagram)
+    if args.oracle:
+        reference = count_colorings_bruteforce(algebra, diagram)
+        if reference != count:
+            print(f"oracle mismatch: solver {count}, brute force {reference}")
+            return MATH_FAILURE
+    if args.enumerate:
+        for coloring in enumerate_colorings(algebra, diagram):
+            print(" ".join(f"{r}={coloring[r]}" for r in diagram.regions))
+    print(count)
     return 0
 
 
@@ -274,7 +269,7 @@ def main(argv: list[str] | None = None) -> int:
     except _CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
-    except (ShapeError, ValueError) as exc:
+    except ValueError as exc:  # refused input: ShapeError, HandlebodyModeError, ...
         print(str(exc), file=sys.stderr)
         return USAGE_ERROR
 

@@ -65,6 +65,9 @@ def _solutions(
     :class:`Constraint` refs.  The same list is yielded each time and changes
     as the search goes on: copy it to keep a coloring.
     """
+    if not regions:  # nothing to color: the empty coloring is the only one
+        yield []
+        return
     n = alg.n
     tri, prod = alg.tribracket.slot_tables, alg.product.slot_tables
     # each constraint as its regions in slot order, that order's tables, its

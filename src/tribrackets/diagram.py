@@ -116,22 +116,20 @@ def parse_diagram(text: str) -> Diagram:
             regions = tuple(m.group(1).split())
             if not regions:
                 raise DiagramParseError("empty region list", lineno)
+            declared = set(regions)
             continue
         m = re.fullmatch(r"(crossing|vertex)\s*:\s*(.*)", line)
         if m:
-            ckind = ConstraintKind(m.group(1))
-            refs = tuple(m.group(2).split())
-            if len(refs) != _ARITY[ckind]:
-                raise DiagramParseError(
-                    f"{ckind.value} constraint needs {_ARITY[ckind]} regions, got {len(refs)}",
-                    lineno,
-                )
+            try:
+                con = Constraint(ConstraintKind(m.group(1)), tuple(m.group(2).split()))
+            except DiagramParseError as exc:  # wrong arity
+                raise DiagramParseError(exc.args[0], lineno) from None
             if regions is None:
                 raise DiagramParseError("constraint before regions line", lineno)
-            for r in refs:
-                if r not in regions:
+            for r in con.refs:
+                if r not in declared:
                     raise DiagramParseError(f"undeclared region {r!r}", lineno)
-            constraints.append(Constraint(ckind, refs))
+            constraints.append(con)
             continue
         raise DiagramParseError(f"unrecognized line {line!r}", lineno)
     if name is None:

@@ -3,10 +3,11 @@
 Both enumerators run one backtracking search over a flat table: it branches
 on the first undecided cell in lexicographic order and tries candidate values
 in ascending order, so output arrives sorted by flattened table (undefined
-cells sorting before 1).  Every axiom witness is tested as soon as all the
-cells it reads are decided, so a branch is cut at the first cell that makes
-some witness fail, and every complete table that reaches the verifier passes.
-Everything returned has passed its verifier.
+cells sorting before 1).  Every axiom witness is tested, directly or through
+an implication, so every complete table reaching the verifier passes it, and
+everything returned has passed it.  The tensor search tests each witness as
+soon as the cells it reads are decided; the product search tests only the
+generating set r4-compat, r5-compat-1/2 (see enumerate_products).
 
 The tensor search also decides cells ahead of the branching cell, and undoes
 them on backtrack.  Two rules do this:
@@ -28,6 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
@@ -48,17 +50,22 @@ class EnumerationBudget:
 
     ``max_candidates`` counts the complete tables handed to the verifier,
     not the partial tables visited; ``timeout`` is checked before every value
-    the search tries.
+    the search tries.  Anything but a positive int cap (not a bool) and a
+    positive finite real timeout raises ValueError.
     """
 
     max_candidates: Optional[int] = None
     timeout: Optional[float] = None
 
     def __post_init__(self):
-        if self.max_candidates is not None and self.max_candidates < 1:
-            raise ValueError("max_candidates must be positive")
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError("timeout must be positive")
+        cap, timeout = self.max_candidates, self.timeout
+        if cap is not None and (type(cap) is bool or not isinstance(cap, int) or cap < 1):
+            raise ValueError(f"max_candidates must be positive and an int, got {cap!r}")
+        if timeout is not None and (
+            type(timeout) is bool or not isinstance(timeout, numbers.Real)
+            or not math.isfinite(timeout) or timeout <= 0
+        ):
+            raise ValueError(f"timeout must be positive and finite, got {timeout!r}")
 
 
 @dataclass
@@ -144,15 +151,15 @@ def _search(
 
 
 @functools.cache
-def _lines(n: int, dims: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """For each cell of a flat n^dims table, the other cells of each of its lines."""
-    strides = [n**k for k in range(dims)]
+def _lines(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """For each cell of a flat n^3 tensor, the other cells of each of its lines."""
+    strides = (1, n, n * n)
     return tuple(
         tuple(
             tuple(i + (j - (i // s) % n) * s for j in range(n) if j != (i // s) % n)
             for s in strides
         )
-        for i in range(n**dims)
+        for i in range(n**3)
     )
 
 
@@ -172,7 +179,7 @@ def enumerate_tribrackets(
     """
     _check_size(n)
     nn = n * n
-    lines = _lines(n, 3)
+    lines = _lines(n)
     line_sum = n * (n - 1) // 2
     # A witness is stored as its cells [a,b,c] and [b,c,d], the offsets of
     # matrix a and of row [a,b], the offset c*n + d of [u,c,d] within matrix
@@ -278,11 +285,22 @@ def enumerate_products(t: Tribracket) -> list[PartialProduct]:
     """Every partial product compatible with t, empty table included.
 
     Cells are tried undefined-first then in ascending value order.  The
-    pruning is a compiled form of the axiom table's product entries on
-    partial tables: a defined cell must pass r4-compat, r5-compat-3 and
-    r5-compat-4 (which read that cell alone) and differ from the earlier
-    defined cells on its row and column (left- and right-cancellation);
-    r5-compat-1/2 are tested once both cells they read are decided.
+    pruning is a compiled form of the generating set of the product axioms:
+    r4-compat, on each defined cell alone, and r5-compat-1/2, once both
+    cells they read are decided.  On a tribracket it implies the other
+    product axioms, as follows (m is a defined product, bij-a/c bijectivity
+    in slot a or c), so every table reaching the verifier passes it.
+
+    * Cancellation.  If a*b = a*b' = m, r4 gives [a,m,b] = m = [a,m,b'],
+      and bij-c gives b = b'.  The right-hand case is the same with bij-a.
+    * r5-compat-3.  Let m = b*c and u = [a,b,m].  By r4, [b,m,c] = m, so
+      coherence-1 at (a,b,m,c) gives [a,u,[u,m,c]] = u.  By r5-compat-1,
+      a*[a,b,c] = u, so r4 gives [a,u,[a,b,c]] = u.  Then bij-c gives
+      [u,m,c] = [a,b,c].
+    * r5-compat-4.  Let m = a*b and w = [m,b,c].  By r4, [a,m,b] = m, so
+      coherence-2 at (a,m,b,c) gives [[a,m,w],w,c] = w.  By r5-compat-2,
+      [a,b,c]*c = w, so r4 gives [[a,b,c],w,c] = w.  Then bij-a gives
+      [a,m,w] = [a,b,c].
     """
     _require_tribracket(t)
     n = t.n
@@ -293,14 +311,7 @@ def enumerate_products(t: Tribracket) -> list[PartialProduct]:
         return t.table[a][b][c] - 1
 
     candidates = [
-        [undefined]
-        + [
-            v
-            for v in range(n)
-            if br(x, v, y) == v
-            and all(br(br(a, x, v), v, y) == br(a, x, y) for a in range(n))
-            and all(br(x, v, br(v, y, c)) == br(x, y, c) for c in range(n))
-        ]
+        [undefined] + [v for v in range(n) if br(x, v, y) == v]
         for x in range(n)
         for y in range(n)
     ]
@@ -314,14 +325,8 @@ def enumerate_products(t: Tribracket) -> list[PartialProduct]:
             (u * n + c, a * n + b, [br(v, b, c) for v in range(n)]),  # r5-compat-2
         ):
             due[max(p, q)].add((p, q, tuple(image) + (undefined,)))
-    before = [tuple(j for line in ls for j in line if j < i) for i, ls in enumerate(_lines(n, 2))]
 
     def consistent(P: list, i: int, trail: list) -> bool:
-        v = P[i]
-        if v != undefined:
-            for j in before[i]:
-                if P[j] == v:
-                    return False
         for p, q, image in due[i]:
             if P[p] != image[P[q]]:
                 return False
@@ -330,13 +335,9 @@ def enumerate_products(t: Tribracket) -> list[PartialProduct]:
     out: list[PartialProduct] = []
 
     def leaf(P: list) -> None:
-        p = PartialProduct(
-            n,
-            tuple(
-                tuple(None if v == undefined else v + 1 for v in P[r : r + n])
-                for r in range(0, nn, n)
-            ),
-        )
+        rows = (P[r : r + n] for r in range(0, nn, n))
+        table = tuple(tuple(None if v == undefined else v + 1 for v in r) for r in rows)
+        p = PartialProduct(n, table)
         if verify_algebra(TribracketAlgebra(t, p)).passed:
             out.append(p)
 

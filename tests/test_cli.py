@@ -11,6 +11,7 @@ from tribrackets import (
     ConstraintKind,
     Diagram,
     DiagramKind,
+    Tribracket,
     builtin_move_pairs,
     serialize_algebra,
     serialize_diagram,
@@ -85,10 +86,32 @@ class TestCount:
         assert len(lines) == 10 and lines[-1] == "9"
         assert lines[0] == "o=1 p=1 q=1"
 
-    def test_handlebody_gating_exits_2(self, tmp_path, z3_full_path, diagrams):
+    def test_handlebody_gating_exits_2(self, capsys, tmp_path, z3_full_path, diagrams):
         path = tmp_path / "hopf.dia"
         path.write_text(serialize_diagram(diagrams["hopf_handlebody"]))
         assert main(["count", z3_full_path, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "diagram 'hopf_handlebody' is a handlebody-link; the algebra must be idempotent\n"
+        )
+
+    def test_oracle_over_its_cap_is_refused(self, capsys, tmp_path, z3_full_path):
+        # five vertices, 15 regions: 3^15 = 14,348,907 assignments
+        cons = tuple(
+            Constraint(ConstraintKind.VERTEX, (f"l{i}", f"m{i}", f"r{i}")) for i in range(5)
+        )
+        regions = tuple(r for c in cons for r in c.refs)
+        path = tmp_path / "five.dia"
+        path.write_text(
+            serialize_diagram(Diagram("five", DiagramKind.SPATIAL_GRAPH, regions, cons))
+        )
+        assert main(["count", z3_full_path, str(path), "--oracle"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "14348907 assignments exceed the cap of 10000000; use count_colorings\n"
+        )
 
     def test_product_required(self, tmp_path, theta_path):
         bare = tmp_path / "bare.alg"
@@ -122,6 +145,21 @@ class TestEnumerationVerbs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "must be positive" in captured.err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_a_timeout_that_is_not_finite_is_a_usage_error(self, capsys, value):
+        assert main(["enumerate-tribrackets", "3", "--timeout", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "timeout must be positive and finite" in captured.err
+
+    def test_enumerate_products_refuses_a_tensor_failing_its_axioms(self, capsys, tmp_path):
+        path = tmp_path / "bad.alg"
+        path.write_text(serialize_algebra(Tribracket(2, (((1, 1), (1, 1)), ((1, 1), (1, 1))))))
+        assert main(["enumerate-products", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{path}: tensor fails its axioms\n"
 
     def test_enumerate_products_stream(self, capsys, z3_full_path):
         assert main(["enumerate-products", z3_full_path]) == 0

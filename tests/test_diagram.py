@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -74,6 +76,32 @@ class TestParse:
         with pytest.raises(DiagramParseError) as err:
             parse_diagram(text)
         assert err.value.line == 4
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("regions: a b\nvertex: a b\n", "line 4: vertex constraint needs 3 regions, got 2"),
+            ("crossing: a b c d e\n", "line 3: crossing constraint needs 4 regions, got 5"),
+            ("crossing: a b c d\n", "line 3: constraint before regions line"),
+            ("regions: a b\ncrossing: a b c a\n", "line 4: undeclared region 'c'"),
+        ],
+    )
+    def test_constraint_errors_keep_message_and_line(self, body, message):
+        with pytest.raises(DiagramParseError) as err:
+            parse_diagram("name = t\nkind = spatial-graph\n" + body)
+        assert str(err.value) == message
+        assert err.value.line == int(message.split(":")[0].split()[1])
+
+    def test_a_long_chain_parses_in_linear_time(self):
+        # each crossing reads the next four regions of a 60,000-region chain
+        k = 60_000
+        text = "name = chain\nkind = spatial-graph\nregions: " + " ".join(
+            f"r{i}" for i in range(k)
+        ) + "\n" + "".join(f"crossing: r{i} r{i+1} r{i+2} r{i+3}\n" for i in range(k - 3))
+        start = time.perf_counter()
+        d = parse_diagram(text)
+        assert time.perf_counter() - start < 10.0
+        assert len(d.regions) == k and len(d.constraints) == k - 3
 
     def test_comments_and_blanks_ignored(self):
         text = (

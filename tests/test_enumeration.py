@@ -189,6 +189,29 @@ class TestEnumerateTribrackets:
         with pytest.raises(ValueError):
             EnumerationBudget(timeout=-1.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_candidates", 2.5),
+            ("max_candidates", True),
+            ("max_candidates", "2"),
+            ("max_candidates", -3),
+            ("timeout", float("nan")),
+            ("timeout", float("inf")),
+            ("timeout", "1"),
+            ("timeout", True),
+            ("timeout", 0),
+        ],
+    )
+    def test_a_bad_cap_or_timeout_is_refused_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            EnumerationBudget(**{field: value})
+
+    @pytest.mark.parametrize("cap, timeout", [(1, 0.5), (168, 2), (None, 1e-9)])
+    def test_good_caps_and_timeouts_are_kept(self, cap, timeout):
+        budget = EnumerationBudget(cap, timeout)
+        assert (budget.max_candidates, budget.timeout) == (cap, timeout)
+
 
 # Leaf-only reference enumerators.  They prune only on slot bijectivity
 # (tensors) or on cancellation and the vertex fixpoint (products) and leave
@@ -377,6 +400,10 @@ class TestMaxCandidatesAtOrder4:
 # sha256 of the order-5 census written one tensor a line, entries joined by
 # commas, from a complete run of an enumerator that forced no cells
 ORDER5_DIGEST = "9da7221b49c6e40889d19dce6820bcfdaf5bf3da441fb5e2b666f44ff05c87e1"
+# sha256 of repr(p.table) for every compatible product p of every tensor of
+# orders 1-5 in census order, b"|" after each tensor, from a product search
+# that tested cancellation and all four r5-compat families
+PRODUCTS_DIGEST = "054b4bd5841dcd50316f6cfe0e46a9a6cd77d88290935c4776a9c858492a740e"
 
 
 class TestOrder5Census:
@@ -399,3 +426,27 @@ class TestOrder5Census:
     def test_digest(self, census):
         text = "".join(",".join(map(str, flat(t))) + "\n" for t in census)
         assert hashlib.sha256(text.encode()).hexdigest() == ORDER5_DIGEST
+
+    def test_product_lists_of_orders_1_to_5(self, census, monkeypatch):
+        # the product search prunes by a generating set of the product axioms
+        # only; its lists must equal those of a search that tested all of
+        # them, and the leaf verifier must never reject a table
+        import tribrackets.enumeration as enumeration
+
+        verdicts = []
+
+        def recording(alg):
+            report = verify_algebra(alg)
+            verdicts.append(report.passed)
+            return report
+
+        monkeypatch.setattr(enumeration, "verify_algebra", recording)
+        digest, count = hashlib.sha256(), 0
+        for tensors in [*(enumerate_tribrackets(n) for n in range(1, 5)), census]:
+            for t in tensors:
+                for p in enumerate_products(t):
+                    digest.update(repr(p.table).encode())
+                    count += 1
+                digest.update(b"|")
+        assert count == 899 and all(verdicts) and len(verdicts) == 899
+        assert digest.hexdigest() == PRODUCTS_DIGEST

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from tribrackets import (
     ConstraintKind,
+    LocalMovePair,
     MoveCheckReport,
+    MoveFragment,
     PartialProduct,
     Tribracket,
     TribracketAlgebra,
@@ -129,6 +131,14 @@ class TestIH:
         pair = pairs_by_id()["IH"]
         assert check_move_invariance(empty_algebra, pair).passed
         assert not empty_algebra.idempotent
+
+
+class TestEmptyFragments:
+    def test_a_pair_with_no_regions_passes(self, full_algebra):
+        empty = MoveFragment((), ())
+        pair = LocalMovePair("X", (), empty, empty)
+        assert _tally(full_algebra, (), empty) == {(): 1}
+        assert check_move_invariance(full_algebra, pair) == MoveCheckReport("X", True)
 
 
 class TestMutationDetection:
