@@ -50,6 +50,7 @@ from .diagram import (
 from .enumeration import (
     EnumerationBudget,
     EnumerationResult,
+    UnverifiedTribracketError,
     enumerate_idempotent_products,
     enumerate_products,
     enumerate_tribrackets,
@@ -87,6 +88,7 @@ __all__ = [
     "ShapeError",
     "Tribracket",
     "TribracketAlgebra",
+    "UnverifiedTribracketError",
     "Violation",
     "alexander_tribracket",
     "builtin_diagrams",

@@ -129,12 +129,12 @@ class Tribracket:
         return self.table[a - 1][b - 1][c - 1]
 
     @cached_property
-    def slot_tables(self) -> tuple[tuple[int, ...], ...]:
-        """Flat tables for the slots (a, b, c, result) of bracket(a, b, c) = d.
+    def keyed_table(self) -> tuple[int, ...]:
+        """The keyed table of the slots (a, b, c, d) of bracket(a, b, c) = d.
 
-        See :func:`_slot_tables`.
+        See :func:`_keyed_table`; it has (n+1)**4 entries, 28,561 at n = 12.
         """
-        return _slot_tables(tuple(v for mat in self.table for row in mat for v in row), self.n, 3)
+        return _keyed_table(tuple(v for mat in self.table for row in mat for v in row), self.n, 3)
 
 
 @dataclass(frozen=True)
@@ -176,13 +176,13 @@ class PartialProduct:
         return self.table[a - 1][b - 1]
 
     @cached_property
-    def slot_tables(self) -> tuple[tuple[int, ...], ...]:
-        """Flat tables for the slots (left, right, result) of a*b = c.
+    def keyed_table(self) -> tuple[int, ...]:
+        """The keyed table of the slots (a, b, c) of a*b = c.
 
-        See :func:`_slot_tables`; an undefined cell reads 0 in the result
-        table.
+        See :func:`_keyed_table`; it has (n+1)**3 entries, and a key whose
+        a*b is undefined has no value in slot c.
         """
-        return _slot_tables(tuple(v or 0 for row in self.table for v in row), self.n, 2)
+        return _keyed_table(tuple(v or 0 for row in self.table for v in row), self.n, 2)
 
 
 @dataclass(frozen=True)
@@ -439,43 +439,61 @@ def alexander_tribracket(n: int, x: int, y: int) -> Tribracket:
     return Tribracket(n, tuple(tuple(tuple(r) for r in m) for m in table))
 
 
-def _slot_tables(fwd: tuple[int, ...], n: int, arity: int) -> tuple[tuple[int, ...], ...]:
-    """Lookup tables for every slot of an operation given as a flat table.
+def _keyed_table(fwd: tuple[int, ...], n: int, arity: int) -> tuple[int, ...]:
+    """One table for every slot of an operation given as a flat table.
 
     ``fwd`` holds the result of inputs x, y, ... (values 1..n, 0 where
     undefined) at index (x-1)*n**(arity-1) + (y-1)*n**(arity-2) + ...  The
-    tables come in slot order, inputs first and fwd last; table i is indexed
-    the same way by the other slots' values in slot order and holds the
-    unique value of slot i, 0 when there is none and -1 when there are several.
+    keyed table is indexed by the base-(n+1) number whose digits are all
+    arity + 1 slots in slot order, inputs first and the result last, each a
+    value 1..n or 0 for an open slot.  Its entry is
 
-    Input j of fwd index i has stride s = n**(arity-1-j), so its 0-based value
-    is i // s % n, and the index of the other inputs followed by d - 1 is
-    (i // (s*n) * s + i % s) * n + d - 1.
+    - 4*w + g when slot g is the only open slot and w its only value;
+    - -1 when the only open slot has no value, or when no slot is open and
+      the values fail the operation (an undefined cell included);
+    - 0 otherwise: several values, two or more open slots, or no open slot
+      and values that hold.
+
+    The table has (n+1)**(arity+1) entries, against (arity+1)*n**arity for
+    one flat table per slot.  It is built by one pass over fwd for the
+    closed and result-open keys, then one per input slot.
     """
-    tables = []
-    for j in range(arity):
-        s = n ** (arity - 1 - j)
-        inv = [0] * len(fwd)
-        for i, d in enumerate(fwd):
-            if d:
-                k = (i // (s * n) * s + i % s) * n + d - 1
-                inv[k] = i // s % n + 1 if inv[k] == 0 else -1
-        tables.append(tuple(inv))
-    return (*tables, fwd)
+    m = n + 1
+    # every key starts at its default, -1 with at most one open slot and 0
+    # with more: rows[z] lists the defaults over the trailing digits when
+    # the leading digits hold z open slots (2 standing for two or more)
+    rows = ([-1], [-1], [0])
+    for _ in range(arity + 1):
+        rows = (rows[1] + rows[0] * n, rows[2] + rows[1] * n, rows[2] * m)
+    table = rows[0]
+    strides = [m ** (arity - j) for j in range(arity)]
+    keys = [0]  # per fwd index: the key of its inputs with the result open
+    for s in strides:
+        keys = [k + v for k in keys for v in range(s, m * s, s)]
+    for k, d in zip(keys, fwd):
+        if d:
+            table[k] = 4 * d + arity
+            table[k + d] = 0
+    for j, s in enumerate(strides):
+        xs = [x for x in range(1, m) for _ in range(n ** (arity - 1 - j))] * n**j
+        for k, x, d in zip(keys, xs, fwd):
+            if d:  # the key with input j open and the result d
+                k += d - x * s
+                table[k] = 4 * x + j if table[k] < 0 else 0
+    return tuple(table)
 
 
-def _index(values, n: int) -> int:
-    """Flat table index of 0-based values."""
-    i = 0
-    for v in values:
-        i = i * n + v
-    return i
-
-
-def _slot_read(tables, slot, known: tuple[int, ...], n: int) -> int:
+def _slot_read(table: tuple[int, ...], slot, known: tuple[int, ...], n: int) -> int:
+    """The keyed-table entry of ``known`` with the named slot open."""
+    if len(known) != len(type(slot)) - 1:
+        raise ValueError(f"{known} does not give the {len(type(slot)) - 1} other slots")
     if not all(1 <= v <= n for v in known):
         raise ValueError(f"{known} has a value outside 1..{n}")
-    return tables[list(type(slot)).index(slot)][_index((v - 1 for v in known), n)]
+    g = list(type(slot)).index(slot)
+    key = 0
+    for v in (*known[:g], 0, *known[g:]):
+        key = key * (n + 1) + v
+    return table[key]
 
 
 def tribracket_solve(t: Tribracket, slot: BracketSlot, known: tuple[int, int, int]) -> int:
@@ -485,12 +503,12 @@ def tribracket_solve(t: Tribracket, slot: BracketSlot, known: tuple[int, int, in
     unknown omitted.  Raises LookupError when no value, or more than one,
     fills the slot; on a tensor passing verify_tribracket exactly one does.
     """
-    v = _slot_read(t.slot_tables, slot, known, t.n)
-    if v < 1:
+    e = _slot_read(t.keyed_table, slot, known, t.n)
+    if e <= 0:
         raise LookupError(
-            f"{'no' if v == 0 else 'several'} {slot.value} values fit {known} in bracket(a,b,c)=d"
+            f"{'no' if e < 0 else 'several'} {slot.value} values fit {known} in bracket(a,b,c)=d"
         )
-    return v
+    return e >> 2
 
 
 def product_solve(
@@ -502,10 +520,10 @@ def product_solve(
     LookupError when several values fill LEFT or RIGHT, which cancellation
     rules out.
     """
-    v = _slot_read(p.slot_tables, slot, known, p.n)
-    if v < 0:
+    e = _slot_read(p.keyed_table, slot, known, p.n)
+    if e == 0:
         raise LookupError(f"several {slot.value} values fit {known} in a*b=c")
-    return v or None
+    return e >> 2 if e > 0 else None
 
 
 # ---------------------------------------------------------------------------

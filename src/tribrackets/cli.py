@@ -32,6 +32,7 @@ from .coloring import (
 from .diagram import Diagram, DiagramParseError, builtin_diagrams, parse_diagram
 from .enumeration import (
     EnumerationBudget,
+    UnverifiedTribracketError,
     enumerate_idempotent_products,
     enumerate_products,
     enumerate_tribrackets,
@@ -99,13 +100,11 @@ def _cmd_enumerate_tribrackets(args) -> int:
 
 def _cmd_enumerate_products(args) -> int:
     tribracket, _ = _load_algebra_file(args.algebra)
-    if not verify_tribracket(tribracket).passed:
-        raise _CliError(f"{args.algebra}: tensor fails its axioms", MATH_FAILURE)
-    products = (
-        enumerate_idempotent_products(tribracket)
-        if args.idempotent
-        else enumerate_products(tribracket)
-    )
+    search = enumerate_idempotent_products if args.idempotent else enumerate_products
+    try:
+        products = search(tribracket)
+    except UnverifiedTribracketError:
+        raise _CliError(f"{args.algebra}: tensor fails its axioms", MATH_FAILURE) from None
     for p in products:
         print(serialize_algebra(tribracket, p))
     kind = "idempotent products" if args.idempotent else "products"
@@ -117,12 +116,12 @@ def _cmd_count(args) -> int:
     tribracket, product = _load_algebra_file(args.algebra)
     algebra = TribracketAlgebra(tribracket, _require_product(args.algebra, product))
     diagram = _load_diagram_file(args.diagram)
+    # the oracle runs first, so that a space over its cap is refused at once
+    reference = count_colorings_bruteforce(algebra, diagram) if args.oracle else None
     count = count_colorings(algebra, diagram)
-    if args.oracle:
-        reference = count_colorings_bruteforce(algebra, diagram)
-        if reference != count:
-            print(f"oracle mismatch: solver {count}, brute force {reference}")
-            return MATH_FAILURE
+    if args.oracle and reference != count:
+        print(f"oracle mismatch: solver {count}, brute force {reference}")
+        return MATH_FAILURE
     if args.enumerate:
         for coloring in enumerate_colorings(algebra, diagram):
             print(" ".join(f"{r}={coloring[r]}" for r in diagram.regions))

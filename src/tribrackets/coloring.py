@@ -4,12 +4,13 @@ One exact search, :func:`_solutions`, serves the counter, the listing and
 the move harness.  The counter multiplies the counts of the connected
 components of the region-constraint incidence graph; the listing and the
 move harness search the whole system jointly.  Regions are integers, and
-constraints read the flat slot tables of the algebra.  Coloring a region
-revisits only the constraints that touch it: a constraint with every slot
-colored is checked against its forward table, and one with a single
-uncolored slot forces that slot only when the preimage is unique, kills the
-branch when there is none, and leaves the region to branching when there are
-several.  Branching takes the most-constrained region on an explicit stack,
+each constraint keeps one key, the values of its slots as base-(n+1) digits
+(0 for an uncolored slot), into the keyed table of its operation.  Coloring a
+region updates the keys of the constraints it fills and revisits only those
+constraints, reading one entry each: one uncolored slot with a unique value
+forces that slot, no value or a failing closed constraint kills the branch,
+and anything else (several values, or two uncolored slots) waits for
+branching.  Branching takes the most-constrained region on an explicit stack,
 so no diagram is too deep for the recursion limit.
 count_colorings_bruteforce provides the independent reference semantics.
 """
@@ -69,57 +70,44 @@ def _solutions(
         yield []
         return
     n = alg.n
-    tri, prod = alg.tribracket.slot_tables, alg.product.slot_tables
-    # each constraint as its regions in slot order, that order's tables, its
-    # arity and the index offset of its arity-1 1-based values
-    cons = []
-    for kind, refs in constraints:
-        if kind is ConstraintKind.CROSSING:
-            cons.append((refs, tri, 4, n * n + n + 1))
-        else:
-            left, middle, right = refs
-            cons.append(((left, right, middle), prod, 3, n + 1))
+    m = n + 1
+    tri, prod = alg.tribracket.keyed_table, alg.product.keyed_table
+    # each constraint as its regions in slot order and its operation's table;
+    # a vertex (left, middle, right) reads left*right = middle
+    crossing = ConstraintKind.CROSSING
+    refs_of = [
+        refs if kind is crossing else (refs[0], refs[2], refs[1]) for kind, refs in constraints
+    ]
+    tables = [tri if kind is crossing else prod for kind, _ in constraints]
     touch: list[list[int]] = [[] for _ in range(regions)]  # constraints per region
-    slots: list[list[int]] = [[] for _ in range(regions)]  # ... once per slot
-    for i, (refs, *_) in enumerate(cons):
-        for r in refs:
-            slots[r].append(i)
+    slots: list[list[tuple[int, int]]] = [[] for _ in range(regions)]  # (constraint, place)
+    for i, refs in enumerate(refs_of):
+        for g, r in enumerate(refs):
+            slots[r].append((i, m ** (len(refs) - 1 - g)))
             if touch[r][-1:] != [i]:
                 touch[r].append(i)
     val = [0] * regions  # 0 = uncolored
-    filled = [0] * len(cons)  # colored slots per constraint
+    keys = [0] * len(refs_of)  # per constraint: its slots' values as base-m digits
     trail: list[int] = []
-
-    def color(r: int, v: int) -> None:
-        val[r] = v
-        trail.append(r)
-        for i in slots[r]:
-            filled[i] += 1
 
     def assign(r: int, v: int) -> bool:
         """Color r with v and propagate; False on a dead branch."""
-        color(r, v)
+        val[r] = v
+        trail.append(r)
+        for i, place in slots[r]:
+            keys[i] += v * place
         queue = [r]
         while queue:
             for i in touch[queue.pop()]:
-                refs, tables, k, off = cons[i]
-                missing = k - filled[i]
-                if missing > 1:
-                    continue
-                vals = [val[x] for x in refs]
-                gap = vals.index(0) if missing else k - 1
-                want = vals.pop(gap)
-                index = 0
-                for x in vals:
-                    index = index * n + x
-                w = tables[gap][index - off]
-                if not missing:
-                    if w != want:
-                        return False
-                elif w > 0:
-                    color(refs[gap], w)
-                    queue.append(refs[gap])
-                elif w == 0:
+                e = tables[i][keys[i]]
+                if e > 0:  # one open slot, one value: force it
+                    x, w = refs_of[i][e & 3], e >> 2
+                    val[x] = w
+                    trail.append(x)
+                    for j, place in slots[x]:
+                        keys[j] += w * place
+                    queue.append(x)
+                elif e:  # no value fits, or the constraint fails
                     return False
         return True
 
@@ -127,7 +115,7 @@ def _solutions(
         """Most-constrained uncolored region, lowest index breaking ties."""
         return max(
             (r for r in range(regions) if not val[r]),
-            key=lambda r: (sum(1 for i in touch[r] if filled[i]), len(touch[r])),
+            key=lambda r: (sum(1 for i in touch[r] if keys[i]), len(touch[r])),
         )
 
     stack = [[pick(), 1, 0]]  # frames: region, next value, trail length on entry
@@ -136,9 +124,9 @@ def _solutions(
         r, v, mark = frame
         while len(trail) > mark:
             x = trail.pop()
-            val[x] = 0
-            for i in slots[x]:
-                filled[i] -= 1
+            w, val[x] = val[x], 0
+            for i, place in slots[x]:
+                keys[i] -= w * place
         if v > n:
             stack.pop()
             continue
@@ -203,13 +191,18 @@ class BruteForceCapError(ValueError):
 def count_colorings_bruteforce(
     alg: TribracketAlgebra, dia: Diagram, cap: int = 10_000_000
 ) -> int:
-    """Reference count: test every one of the n^regions assignments."""
+    """Reference count: test every one of the n^regions assignments.
+
+    Raises BruteForceCapError, before testing any, when there are more than
+    ``cap``; a space too long to print in full is written as n^regions.
+    """
     _check_mode(alg, dia)
     n = alg.n
     space = n ** len(dia.regions)
     if space > cap:
+        shown = space if space.bit_length() <= 64 else f"{n}^{len(dia.regions)}"
         raise BruteForceCapError(
-            f"{space} assignments exceed the cap of {cap}; use count_colorings"
+            f"{shown} assignments exceed the cap of {cap}; use count_colorings"
         )
     count = 0
     for values in itertools.product(range(1, n + 1), repeat=len(dia.regions)):

@@ -276,9 +276,13 @@ def enumerate_tribrackets(
     return EnumerationResult(out, complete)
 
 
+class UnverifiedTribracketError(ValueError):
+    """A product search was asked for on a tensor failing its axioms."""
+
+
 def _require_tribracket(t: Tribracket) -> None:
     if not verify_tribracket(t).passed:
-        raise ValueError("tribracket must pass its axioms before product search")
+        raise UnverifiedTribracketError("tribracket must pass its axioms before product search")
 
 
 def enumerate_products(t: Tribracket) -> list[PartialProduct]:

@@ -362,13 +362,24 @@ class TestSolving:
         with pytest.raises(ValueError):
             product_solve(FULL_PRODUCT, ProductSlot.LEFT, (1, 0))
 
-    def test_slot_tables_are_built_on_first_use(self, z3):
+    def test_known_values_of_the_wrong_length_are_refused(self, z3):
+        for known in ((1, 2), (1, 2, 3, 1)):
+            with pytest.raises(ValueError, match="other slots"):
+                tribracket_solve(z3, BracketSlot.A, known)
+        for known in ((1,), (1, 2, 3)):
+            with pytest.raises(ValueError, match="other slots"):
+                product_solve(FULL_PRODUCT, ProductSlot.RESULT, known)
+
+    def test_keyed_tables_are_built_on_first_use(self, z3):
         t, p = parse_algebra(serialize_algebra(z3, FULL_PRODUCT))
-        assert "slot_tables" not in vars(t) and "slot_tables" not in vars(p)
-        tables = t.slot_tables
-        assert tables[3] == tuple(v for m in z3.table for r in m for v in r)
-        assert "slot_tables" in vars(t)
-        assert p.slot_tables[2][2 * 3 + 0] == FULL_PRODUCT.mul(3, 1)
+        assert "keyed_table" not in vars(t) and "keyed_table" not in vars(p)
+        table = t.keyed_table
+        # with a, b, c closed and the result open the entry is 4 * [a, b, c] + 3
+        cells = itertools.product((1, 2, 3), repeat=3)
+        results = [table[((a * 4 + b) * 4 + c) * 4] for a, b, c in cells]
+        assert results == [4 * v + 3 for m in z3.table for r in m for v in r]
+        assert "keyed_table" in vars(t)
+        assert p.keyed_table[(3 * 4 + 1) * 4] == 4 * FULL_PRODUCT.mul(3, 1) + 2
 
     def test_bundled_algebra_loader(self, full_algebra):
         assert load_bundled_algebra("z3_full") == full_algebra
@@ -377,8 +388,8 @@ class TestSolving:
 def reference_slot_tables(fwd, n, arity):
     """Slot tables built entry by entry from tuples of 0-based values.
 
-    The construction ``_slot_tables`` used before it switched to stride
-    arithmetic, kept as the reference for the differential test.
+    The construction of the per-slot tables the package kept before its
+    keyed tables, kept as the reference for the differential test.
     """
 
     def index(values):
@@ -418,37 +429,90 @@ def flat_operations(draw, arity, undefined):
     return n, tuple(fwd)
 
 
+def reference_keyed_table(fwd, n, arity):
+    """The keyed table derived entry by entry from ``reference_slot_tables``.
+
+    A key with one open slot g reads slot table g at the other slots' values:
+    a unique value w gives 4*w + g, none gives -1 and several give 0.  A key
+    with no open slot gives 0 when fwd holds at its inputs and -1 otherwise;
+    a key with two or more open slots gives 0.
+    """
+    tables = reference_slot_tables(fwd, n, arity)
+
+    def index(values):
+        i = 0
+        for v in values:
+            i = i * n + v - 1
+        return i
+
+    table = []
+    for digits in itertools.product(range(n + 1), repeat=arity + 1):
+        open_slots = [g for g, v in enumerate(digits) if v == 0]
+        if not open_slots:
+            table.append(0 if fwd[index(digits[:-1])] == digits[-1] else -1)
+        elif len(open_slots) == 1:
+            g = open_slots[0]
+            w = tables[g][index(digits[:g] + digits[g + 1:])]
+            table.append(4 * w + g if w > 0 else -1 if w == 0 else 0)
+        else:
+            table.append(0)
+    return tuple(table)
+
+
 def preimage_kinds(tables):
     """The kinds of inverse entry: 1 unique, 0 missing, -1 several preimages."""
     return {min(v, 1) for inv in tables[:-1] for v in inv}
 
 
-class TestSlotTablesDifferential:
+def keyed_preimage_kinds(table, n, arity):
+    """The kinds of entry at keys with one open input slot, named as in preimage_kinds."""
+    kinds = set()
+    for digits in itertools.product(range(n + 1), repeat=arity + 1):
+        if digits.count(0) == 1 and digits[-1]:
+            e = table[sum(v * (n + 1) ** (arity - g) for g, v in enumerate(digits))]
+            kinds.add(1 if e > 0 else 0 if e < 0 else -1)
+    return kinds
+
+
+def forward(op):
+    """The flat forward table of a tensor or product, 0 for an undefined cell."""
+    rows = op.table if isinstance(op, PartialProduct) else (r for m in op.table for r in m)
+    return tuple(v or 0 for r in rows for v in r)
+
+
+class TestKeyedTableDifferential:
     @given(flat_operations(arity=3, undefined=False))
     @settings(max_examples=150, deadline=None)
-    def test_tensor_tables_match_the_reference(self, operation):
+    def test_tensor_table_matches_the_reference(self, operation):
         n, fwd = operation
         cube = [[fwd[(a * n + b) * n:(a * n + b + 1) * n] for b in range(n)] for a in range(n)]
-        tables = Tribracket(n, cube).slot_tables
-        event(f"preimage kinds {sorted(preimage_kinds(tables))}")
-        assert tables == reference_slot_tables(fwd, n, 3)
+        table = Tribracket(n, cube).keyed_table
+        event(f"preimage kinds {sorted(preimage_kinds(reference_slot_tables(fwd, n, 3)))}")
+        assert table == reference_keyed_table(fwd, n, 3)
 
     @given(flat_operations(arity=2, undefined=True))
     @settings(max_examples=150, deadline=None)
-    def test_product_tables_match_the_reference(self, operation):
+    def test_product_table_matches_the_reference(self, operation):
         n, fwd = operation
         square = [[fwd[a * n + b] or None for b in range(n)] for a in range(n)]
-        tables = PartialProduct(n, square).slot_tables
-        event(f"preimage kinds {sorted(preimage_kinds(tables))}, undefined cell {0 in fwd}")
-        assert tables == reference_slot_tables(fwd, n, 2)
+        table = PartialProduct(n, square).keyed_table
+        kinds = sorted(preimage_kinds(reference_slot_tables(fwd, n, 2)))
+        event(f"preimage kinds {kinds}, undefined cell {0 in fwd}")
+        assert table == reference_keyed_table(fwd, n, 2)
 
     def test_every_kind_of_preimage_is_compared(self, z3):
         # mixed has unique, missing and several preimages; row adds undefined cells
         mixed = mutate(z3, 2, 3, 1, 1)
         row = PartialProduct(2, ((1, 1), (None, None)))
-        assert preimage_kinds(mixed.slot_tables) == preimage_kinds(row.slot_tables) == {-1, 0, 1}
+        assert (
+            keyed_preimage_kinds(mixed.keyed_table, 3, 3)
+            == keyed_preimage_kinds(row.keyed_table, 2, 2)
+            == preimage_kinds(reference_slot_tables(forward(mixed), 3, 3))
+            == preimage_kinds(reference_slot_tables(forward(row), 2, 2))
+            == {-1, 0, 1}
+        )
         for op, arity in ((z3, 3), (mixed, 3), (row, 2), (FULL_PRODUCT, 2), (CYC_PRODUCT, 2)):
-            assert op.slot_tables == reference_slot_tables(op.slot_tables[-1], op.n, arity)
+            assert op.keyed_table == reference_keyed_table(forward(op), op.n, arity)
 
 
 @st.composite

@@ -113,6 +113,30 @@ class TestCount:
             "14348907 assignments exceed the cap of 10000000; use count_colorings\n"
         )
 
+    def test_oracle_refuses_a_large_diagram_before_the_solver(
+        self, capsys, monkeypatch, tmp_path, z3_full_path
+    ):
+        # a 10,000-region crossing chain: 3^10000 has 4772 digits
+        regions = tuple(f"r{i}" for i in range(10_000))
+        cons = tuple(
+            Constraint(ConstraintKind.CROSSING, regions[i:i + 4]) for i in range(len(regions) - 3)
+        )
+        path = tmp_path / "chain.dia"
+        path.write_text(
+            serialize_diagram(Diagram("chain", DiagramKind.SPATIAL_GRAPH, regions, cons))
+        )
+
+        def solver(*_):
+            raise AssertionError("the solver ran before the oracle refused")
+
+        monkeypatch.setattr(tribrackets.cli, "count_colorings", solver)
+        assert main(["count", z3_full_path, str(path), "--oracle"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "3^10000 assignments exceed the cap of 10000000; use count_colorings\n"
+        )
+
     def test_product_required(self, tmp_path, theta_path):
         bare = tmp_path / "bare.alg"
         bare.write_text(serialize_algebra(Z3_TENSOR))
@@ -160,6 +184,19 @@ class TestEnumerationVerbs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"{path}: tensor fails its axioms\n"
+
+    @pytest.mark.parametrize("flag", [[], ["--idempotent"]])
+    def test_enumerate_products_verifies_the_tensor_once(self, monkeypatch, z3_full_path, flag):
+        calls = []
+
+        def counting(t):
+            calls.append(t)
+            return tribrackets.algebra.verify_tribracket(t)
+
+        monkeypatch.setattr(tribrackets.cli, "verify_tribracket", counting)
+        monkeypatch.setattr(tribrackets.enumeration, "verify_tribracket", counting)
+        assert main(["enumerate-products", z3_full_path, *flag]) == 0
+        assert calls == [Z3_TENSOR]
 
     def test_enumerate_products_stream(self, capsys, z3_full_path):
         assert main(["enumerate-products", z3_full_path]) == 0

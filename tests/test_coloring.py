@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -16,12 +17,14 @@ from tribrackets import (
     Tribracket,
     TribracketAlgebra,
     alexander_tribracket,
+    builtin_move_pairs,
     count_colorings,
     count_colorings_bruteforce,
     enumerate_colorings,
+    load_bundled_algebra,
     verify_k2_obstruction,
 )
-from tribrackets.coloring import _satisfies
+from tribrackets.coloring import _satisfies, _solutions, _system
 from tests.conftest import arbitrary_algebras
 
 
@@ -106,6 +109,15 @@ class TestOracle:
     def test_cap_refusal(self, full_algebra, diagrams):
         with pytest.raises(BruteForceCapError):
             count_colorings_bruteforce(full_algebra, diagrams["theta"], cap=10)
+
+    def test_cap_refusal_writes_a_large_space_as_a_power(self, full_algebra):
+        regions = [f"r{i}" for i in range(10_000)]
+        cons = [Constraint(ConstraintKind.VERTEX, (r, r, r)) for r in regions]
+        with pytest.raises(BruteForceCapError) as err:
+            count_colorings_bruteforce(full_algebra, _diagram(regions, cons))
+        assert str(err.value) == (
+            "3^10000 assignments exceed the cap of 10000000; use count_colorings"
+        )
 
 
 class TestHandlebodyGating:
@@ -383,3 +395,79 @@ class TestK2Obstruction:
         )
         with pytest.raises(ValueError):
             verify_k2_obstruction(alg)
+
+
+def _yields(alg, dia):
+    """Every raw yield of the search on dia, in yield order."""
+    regions, system = _system(dia)
+    return [tuple(val) for val in _solutions(alg, regions, system)]
+
+
+def _fragment_yields(alg, frag, boundary):
+    """Every raw yield of the search on a move fragment, as ``moves._tally`` sets it up."""
+    merged = {r2: r1 for r1, r2 in frag.merges}
+    names = [r for r in (*boundary, *frag.internal) if r not in merged]
+    index = {r: i for i, r in enumerate(names)}
+    for r2, r1 in merged.items():
+        index[r2] = index[r1]
+    system = [(c.kind, tuple(index[r] for r in c.refs)) for c in frag.constraints]
+    return [tuple(val) for val in _solutions(alg, len(names), system)]
+
+
+def _mixed_algebra():
+    """An order-3 algebra with unique, missing and several preimages in every operation."""
+    rng = random.Random(10)
+    cube = [[[rng.randint(1, 2) for _ in range(3)] for _ in range(3)] for _ in range(3)]
+    square = [[rng.choice((None, 1, 1, 2, 3)) for _ in range(3)] for _ in range(3)]
+    return TribracketAlgebra(Tribracket(3, cube), PartialProduct(3, square))
+
+
+class TestSearchOrder:
+    """The raw yield sequences of ``_solutions``, pinned by a digest.
+
+    The digest was taken before the search moved from per-slot tables to one
+    keyed table per operation; the search tree and the yield order must not
+    change with the table layout.
+    """
+
+    DIGEST = "a28872d04bf3b248122cc34e1bac7b8be4ef074fb8ae498fecc2f264a6f5c756"
+
+    def test_yield_sequences_match_the_pinned_digest(self, diagrams):
+        algebras = {name: load_bundled_algebra(name)
+                    for name in ("z3_full", "z3_diag", "z3_cyc", "z4_half")}
+        runs = []
+        for dia in diagrams.values():
+            for name, alg in algebras.items():
+                if dia.kind is DiagramKind.SPATIAL_GRAPH or name == "z3_diag":
+                    runs.append((dia.name, name, _yields(alg, dia)))
+        for pair in builtin_move_pairs():
+            for name, alg in algebras.items():
+                for side, frag in (("before", pair.before), ("after", pair.after)):
+                    runs.append((pair.move_id, side, name,
+                                 _fragment_yields(alg, frag, pair.boundary)))
+        kink = _diagram(
+            ("w", "e", "l"), (Constraint(ConstraintKind.CROSSING, ("w", "e", "e", "l")),)
+        )
+        for name, alg in algebras.items():
+            runs.append(("kink", name, _yields(alg, kink)))
+        chain = _diagram(
+            [f"r{i}" for i in range(12)],
+            [Constraint(ConstraintKind.CROSSING, tuple(f"r{i + j}" for j in range(4)))
+             for i in range(9)] + [Constraint(ConstraintKind.VERTEX, ("r0", "r11", "r5"))],
+        )
+        one = TribracketAlgebra(alexander_tribracket(1, 1, 1), PartialProduct.diagonal(1))
+        runs.append(("chain", "n=1", _yields(one, chain)))
+        mixed = _mixed_algebra()
+        for dia in diagrams.values():
+            runs.append((dia.name, "mixed", _yields(mixed, dia)))
+        runs.append(("kink", "mixed", _yields(mixed, kink)))
+        # two hubs: once h is colored, the pick score prefers a, b, c, d to x
+        hubs = _diagram(
+            "h x a b c d e f g k".split(),
+            [Constraint(ConstraintKind.VERTEX, refs) for refs in
+             (("h", "a", "b"), ("h", "c", "d"), ("x", "e", "f"), ("x", "g", "k"))],
+        )
+        runs.append(("hubs", "z3_full", _yields(algebras["z3_full"], hubs)))
+        assert sum(len(run[-1]) for run in runs) > 1000
+        digest = hashlib.sha256(repr(runs).encode()).hexdigest()
+        assert digest == self.DIGEST

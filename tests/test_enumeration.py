@@ -9,6 +9,7 @@ from tribrackets import (
     PartialProduct,
     Tribracket,
     TribracketAlgebra,
+    UnverifiedTribracketError,
     alexander_tribracket,
     enumerate_idempotent_products,
     enumerate_products,
@@ -315,6 +316,12 @@ class TestAgainstLeafOnlyOracle:
         t = Tribracket(2, (((1, 1), (1, 1)), ((1, 1), (1, 1))))
         with pytest.raises(ValueError, match="must pass its axioms"):
             enumerate_idempotent_products(t)
+
+    @pytest.mark.parametrize("search", [enumerate_products, enumerate_idempotent_products])
+    def test_a_tensor_failing_its_axioms_raises_a_typed_error(self, search):
+        t = Tribracket(2, (((1, 1), (1, 1)), ((1, 1), (1, 1))))
+        with pytest.raises(UnverifiedTribracketError, match="must pass its axioms"):
+            search(t)
 
 
 def flat(t):
