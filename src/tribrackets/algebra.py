@@ -14,9 +14,10 @@ verify_tribracket and verify_algebra run the tensor and the product entries
 over 1..n into an :class:`AxiomReport`, in table order and lexicographic
 witness order, so reports are byte-stable; recheck_violation runs one entry
 over a witness's own coordinates, so reports are self-certifying.  The
-enumerators keep compiled forms of entries for partial tables: the tensor
-search of every tensor entry, the product search of r4-compat and
-r5-compat-1/2 alone, which on a tribracket imply the other product entries.
+enumerators read the table too: the tensor search keeps a compiled form of
+every tensor entry for partial tables, and the product census runs the
+r5-compat-1/2 entries on each table it derives, behind a compiled r4-compat
+filter; on a tribracket these imply the other product entries.
 """
 from __future__ import annotations
 
@@ -205,7 +206,10 @@ class TribracketAlgebra:
 
     @cached_property
     def idempotent(self) -> bool:
-        """True iff the product is defined exactly on the diagonal with aa = a."""
+        """True iff the product is defined exactly on the diagonal with aa = a.
+
+        The handlebody gate: IH also holds over the empty product, vacuously,
+        but the gate refuses it, since it asks for aa = a for every a."""
         return self.product == PartialProduct.diagonal(self.n)
 
 

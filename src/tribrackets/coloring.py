@@ -34,9 +34,9 @@ Coloring = dict[str, int]
 class HandlebodyModeError(ValueError):
     """Raised when a handlebody-link diagram meets a non-idempotent algebra.
 
-    Coloring counts of handlebody-link diagrams are only meaningful for
-    idempotent algebras, so the computation is refused rather than returning
-    a number that the moves do not preserve.
+    Counts of handlebody-link diagrams need the IH move, so they are refused
+    unless the product is the diagonal.  IH also holds over the empty product,
+    vacuously, but the gate refuses it: it asks for aa = a for every a.
     """
 
 
@@ -226,15 +226,17 @@ class ObstructionCase:
 
 
 def verify_k2_obstruction(alg: TribracketAlgebra) -> list[ObstructionCase]:
-    """Evaluate the k2 closing condition on the three vertex-admissible triples.
+    """Evaluate the k2 closing condition on the vertex-admissible triples.
 
-    For each triple (a, b, c) the k2 clasp needs bracket(a, bracket(a,c,b), b)
-    to return to a; the listing records the actual value next to a.
+    These are (a, b, a*b) over the defined product cells in row-major order.
+    The k2 clasp needs bracket(a, bracket(a,c,b), b) to return to a; the
+    listing records the actual value next to a.  Each satisfied case is one
+    coloring of k2.
     """
     if alg.n != 3:
         raise ValueError("the k2 obstruction concerns the order-3 algebra")
     br = alg.tribracket.bracket
-    cases = []
-    for a, b, c in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-        cases.append(ObstructionCase((a, b, c), br(a, br(a, c, b), b), a))
-    return cases
+    return [
+        ObstructionCase((a, b, c), br(a, br(a, c, b), b), a)
+        for a, row in enumerate(alg.product.table, 1) for b, c in enumerate(row, 1) if c
+    ]

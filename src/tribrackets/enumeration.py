@@ -1,13 +1,13 @@
 """Exhaustive search for small tribrackets and compatible partial products.
 
-Both enumerators run one backtracking search over a flat table: it branches
-on the first undecided cell in lexicographic order and tries candidate values
-in ascending order, so output arrives sorted by flattened table (undefined
-cells sorting before 1).  Every axiom witness is tested, directly or through
-an implication, so every complete table reaching the verifier passes it, and
-everything returned has passed it.  The tensor search tests each witness as
-soon as the cells it reads are decided; the product search tests only the
-generating set r4-compat, r5-compat-1/2 (see enumerate_products).
+Both censuses return tables sorted by flattened table (undefined product
+cells sorting before 1), and everything returned has passed its verifier.
+The product census tries each first row and derives the other rows from it
+(see enumerate_products).  The tensor census runs a backtracking search over
+a flat table: it branches on the first undecided cell in lexicographic order,
+tries values in ascending order, and tests each axiom witness as soon as the
+cells it reads are decided, so every complete table reaching the verifier
+passes it.
 
 The tensor search also decides cells ahead of the branching cell, and undoes
 them on backtrack.  Two rules do this:
@@ -32,13 +32,15 @@ import math
 import numbers
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional
 
 from .algebra import (
+    _AXIOM_BY_NAME,
     PartialProduct,
     Tribracket,
     TribracketAlgebra,
     _check_size,
+    _padded,
     verify_algebra,
     verify_tribracket,
 )
@@ -89,14 +91,15 @@ _UNDECIDED = -1
 
 
 def _search(
-    candidates: Sequence[Sequence[int]],
+    size: int,
+    n: int,
     consistent: Callable[[list, int, list], bool],
     leaf: Callable[[list], None],
     budget: Optional[EnumerationBudget],
 ) -> bool:
-    """Depth-first search over a flat table, cell 0 first.
+    """Depth-first search over a flat table of ``size`` cells, cell 0 first.
 
-    ``candidates[i]`` lists the values cell i may take, in output order.
+    Each cell takes the values 0..n-1 in ascending order.
     ``consistent(table, i, trail)`` is asked after cell i is set, with every
     earlier cell decided.  It may decide later cells as well: it appends each
     such cell to ``trail``, and may also append a list it has just appended
@@ -109,10 +112,9 @@ def _search(
     budget = budget or EnumerationBudget()
     deadline = None if budget.timeout is None else time.monotonic() + budget.timeout
     left = budget.max_candidates or math.inf  # complete tables leaf may still see
-    size = len(candidates)
     table = [_UNDECIDED] * size
     trail: list = []
-    frames = [(0, iter(candidates[0]), 0)]  # (cell, values left, trail length)
+    frames = [(0, iter(range(n)), 0)]  # (cell, values left, trail length)
 
     def undo(mark: int) -> None:
         while len(trail) > mark:
@@ -141,7 +143,7 @@ def _search(
         while j < size and table[j] != _UNDECIDED:
             j += 1
         if j < size:
-            frames.append((j, iter(candidates[j]), len(trail)))
+            frames.append((j, iter(range(n)), len(trail)))
         elif left:
             left -= 1
             leaf(table)
@@ -271,8 +273,7 @@ def enumerate_tribrackets(
         if verify_tribracket(t).passed:
             out.append(t)
 
-    cells = [range(n)] * (n * nn)
-    complete = _search(cells, consistent, leaf, budget)
+    complete = _search(n * nn, n, consistent, leaf, budget)
     return EnumerationResult(out, complete)
 
 
@@ -288,12 +289,18 @@ def _require_tribracket(t: Tribracket) -> None:
 def enumerate_products(t: Tribracket) -> list[PartialProduct]:
     """Every partial product compatible with t, empty table included.
 
-    Cells are tried undefined-first then in ascending value order.  The
-    pruning is a compiled form of the generating set of the product axioms:
-    r4-compat, on each defined cell alone, and r5-compat-1/2, once both
-    cells they read are decided.  On a tribracket it implies the other
-    product axioms, as follows (m is a defined product, bij-a/c bijectivity
-    in slot a or c), so every table reaching the verifier passes it.
+    r5-compat-1 at b = 1 reads a*[a,1,c] = [a,1,1*c], and c -> [a,1,c] is a
+    bijection, so a compatible product is fixed by its first row.  The search
+    tries each first row (cells undefined first, then ascending), derives rows
+    2..n, and keeps a table when the axiom table's r5-compat-1/2 find no
+    failure; distinct first rows keep the output sorted by flattened table.
+    A value v of 1*c is tried only when r4-compat holds at each cell it fixes,
+    [a, [a,1,v], [a,1,c]] = [a,1,v] for every a.  A compatible product passes
+    there, so none is lost; a kept table passes r4-compat at every cell, as
+    row 1 is its own derivation by r5-compat-1 at a = b = 1.  On a tribracket
+    these imply the other product axioms, as follows (m is a defined product,
+    bij-a/c bijectivity in slot a or c), so every kept table passes the
+    verifier.
 
     * Cancellation.  If a*b = a*b' = m, r4 gives [a,m,b] = m = [a,m,b'],
       and bij-c gives b = b'.  The right-hand case is the same with bij-a.
@@ -308,44 +315,26 @@ def enumerate_products(t: Tribracket) -> list[PartialProduct]:
     """
     _require_tribracket(t)
     n = t.n
-    nn = n * n
-    undefined = n  # decided, but undefined; distinct from _UNDECIDED
-
-    def br(a: int, b: int, c: int) -> int:
-        return t.table[a][b][c] - 1
-
-    candidates = [
-        [undefined] + [v for v in range(n) if br(x, v, y) == v]
-        for x in range(n)
-        for y in range(n)
+    T, _ = _padded(t, None)
+    full = range(1, n + 1)
+    laws = [_AXIOM_BY_NAME[name].failures for name in ("r5-compat-1", "r5-compat-2")]
+    firsts = [
+        [None] + [v for v in full if all(T[a][T[a][1][v]][T[a][1][c]] == T[a][1][v] for a in full)]
+        for c in full
     ]
-    # (p, q, image): cell p must hold image[value of cell q], tested at the
-    # later of the two cells; image maps undefined to undefined
-    due: list[set[tuple]] = [set() for _ in range(nn)]
-    for a, b, c in itertools.product(range(n), repeat=3):
-        u = br(a, b, c)
-        for p, q, image in (
-            (a * n + u, b * n + c, [br(a, b, v) for v in range(n)]),  # r5-compat-1
-            (u * n + c, a * n + b, [br(v, b, c) for v in range(n)]),  # r5-compat-2
-        ):
-            due[max(p, q)].add((p, q, tuple(image) + (undefined,)))
-
-    def consistent(P: list, i: int, trail: list) -> bool:
-        for p, q, image in due[i]:
-            if P[p] != image[P[q]]:
-                return False
-        return True
-
     out: list[PartialProduct] = []
-
-    def leaf(P: list) -> None:
-        rows = (P[r : r + n] for r in range(0, nn, n))
-        table = tuple(tuple(None if v == undefined else v + 1 for v in r) for r in rows)
-        p = PartialProduct(n, table)
+    for first in itertools.product(*firsts):
+        P = [None, (None, *first)]  # padded 1-based, as the axiom table reads it
+        for a in range(2, n + 1):
+            row_a1, row = T[a][1], [None] * (n + 1)
+            for c, v in zip(full, first):
+                row[row_a1[c]] = None if v is None else row_a1[v]
+            P.append(row)
+        if any(next(law(T, P, full, full, full), None) for law in laws):
+            continue
+        p = PartialProduct(n, tuple(tuple(row[1:]) for row in P[1:]))
         if verify_algebra(TribracketAlgebra(t, p)).passed:
             out.append(p)
-
-    _search(candidates, consistent, leaf, None)
     return out
 
 

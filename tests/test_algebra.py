@@ -589,3 +589,67 @@ class TestAlgebraFiles:
         with pytest.raises(AlgebraParseError) as err:
             parse_algebra(text)
         assert err.value.line is not None
+
+
+class TestRefusalMessages:
+    """Each refusal of a malformed table or file, with its exact message and line."""
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Tribracket(2, 5), "table must be nested n x n x n sequences"),
+            (lambda: Tribracket(2, (((1, 2), (2, 1)),)), "table is not 2x2x2"),
+            (lambda: PartialProduct(2, 5), "table must be nested n x n sequences"),
+            (lambda: PartialProduct(2, ((1, 2),)), "table is not 2x2"),
+        ],
+        ids=["tensor-not-nested", "tensor-shape", "product-not-nested", "product-shape"],
+    )
+    def test_shape_errors(self, build, message):
+        with pytest.raises(ShapeError) as err:
+            build()
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "text, message, line",
+        [
+            (
+                "n = 2\ntribracket:\n1 2\n",
+                "line 3: expected 2 rows separated by '/', got 1",
+                3,
+            ),
+            (
+                "n = 2\ntribracket:\n1 - / 2 1\n",
+                "line 3: undefined entry '-' is not allowed in a tribracket",
+                3,
+            ),
+            ("n = 2\ntribracket:\n1 x / 2 1\n", "line 3: bad entry 'x'", 3),
+            ("", "empty algebra file", None),
+            ("# only a comment\n\n", "empty algebra file", None),
+            ("n = 0\n", "line 1: size must be positive", 1),
+            ("n = 2\ntribracket:\n1 2 / 2 1\n", "line 3: expected 2 tribracket matrices", 3),
+            (
+                "n = 1\ntribracket:\n1\nproducts:\n1\n",
+                "line 4: expected 'product:' or end of file, got 'products:'",
+                4,
+            ),
+            ("n = 1\ntribracket:\n1\nproduct:\n# none\n", "line 5: missing product table", 5),
+        ],
+        ids=[
+            "row-count",
+            "undefined-in-tensor",
+            "non-integer",
+            "empty",
+            "only-comments",
+            "size-zero",
+            "too-few-matrices",
+            "bad-block",
+            "missing-product-row",
+        ],
+    )
+    def test_parse_errors(self, text, message, line):
+        from tribrackets import AlgebraParseError
+
+        with pytest.raises(AlgebraParseError) as err:
+            parse_algebra(text)
+        assert str(err.value) == message
+        assert err.value.line == line

@@ -137,6 +137,21 @@ class TestCount:
             "3^10000 assignments exceed the cap of 10000000; use count_colorings\n"
         )
 
+    def test_malformed_diagram_file_exits_2_with_its_path(
+        self, capsys, tmp_path, z3_full_path
+    ):
+        path = tmp_path / "bad.dia"
+        path.write_text("name = t\nkind = spatial-graph\nregions: a b\nvertex: a b\n")
+        assert main(["count", z3_full_path, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{path}: line 4: vertex constraint needs 3 regions, got 2\n"
+
+    def test_oracle_mismatch_exits_1(self, capsys, monkeypatch, z3_full_path, theta_path):
+        monkeypatch.setattr(tribrackets.cli, "count_colorings", lambda alg, dia: 10)
+        assert main(["count", z3_full_path, theta_path, "--oracle"]) == 1
+        assert capsys.readouterr().out == "oracle mismatch: solver 10, brute force 9\n"
+
     def test_product_required(self, tmp_path, theta_path):
         bare = tmp_path / "bare.alg"
         bare.write_text(serialize_algebra(Z3_TENSOR))
@@ -272,6 +287,15 @@ class TestDemo:
         golden = Path(__file__).parent / "data" / "demo.txt"
         assert main(["demo"]) == 0
         assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+    def test_a_failing_row_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(tribrackets.cli, "enumerate_idempotent_products", lambda t: [])
+        assert main(["demo"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.endswith("FAIL")] == [
+            "idempotent products of the z3 tensor  expected   1  got   0  FAIL"
+        ]
+        assert lines[-1] == "1 of 17 checks failed"
 
 
 class TestUsage:

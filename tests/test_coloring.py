@@ -21,6 +21,8 @@ from tribrackets import (
     count_colorings,
     count_colorings_bruteforce,
     enumerate_colorings,
+    enumerate_products,
+    enumerate_tribrackets,
     load_bundled_algebra,
     verify_k2_obstruction,
 )
@@ -395,6 +397,27 @@ class TestK2Obstruction:
         )
         with pytest.raises(ValueError):
             verify_k2_obstruction(alg)
+
+    def test_z3_diag_and_z3_full_list_their_defined_cells(self, diag_algebra, full_algebra):
+        # k2 counts 3 colorings over each, so 3 cases are satisfied
+        cases = verify_k2_obstruction(diag_algebra)
+        assert [c.triple for c in cases] == [(1, 1, 1), (2, 2, 2), (3, 3, 3)]
+        assert all(c.satisfied for c in cases)
+        cases = verify_k2_obstruction(full_algebra)
+        assert [c.triple for c in cases] == [
+            (a, b, full_algebra.product.mul(a, b)) for a in (1, 2, 3) for b in (1, 2, 3)
+        ]
+        assert sum(c.satisfied for c in cases) == 3
+
+    def test_satisfied_cases_count_the_colorings_of_k2(self, diagrams):
+        checked = 0
+        for t in enumerate_tribrackets(3):
+            for p in enumerate_products(t):
+                alg = TribracketAlgebra(t, p)
+                satisfied = sum(c.satisfied for c in verify_k2_obstruction(alg))
+                assert satisfied == count_colorings(alg, diagrams["k2"])
+                checked += 1
+        assert checked == 19
 
 
 def _yields(alg, dia):

@@ -92,6 +92,55 @@ class TestParse:
         assert str(err.value) == message
         assert err.value.line == int(message.split(":")[0].split()[1])
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("name = u\nregions: a\n", "line 3: duplicate name line"),
+            ("kind = spatial-graph\nregions: a\n", "line 3: duplicate kind line"),
+            ("regions: a\nregions: b\n", "line 4: duplicate regions line"),
+            ("regions:\n", "line 3: empty region list"),
+            ("regions: a\nedge: a a\n", "line 4: unrecognized line 'edge: a a'"),
+        ],
+        ids=["name", "kind", "regions", "empty-regions", "unrecognized"],
+    )
+    def test_line_errors_keep_message_and_line(self, body, message):
+        with pytest.raises(DiagramParseError) as err:
+            parse_diagram("name = t\nkind = spatial-graph\n" + body)
+        assert str(err.value) == message
+        assert err.value.line == int(message.split(":")[0].split()[1])
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("name = a-b\nkind = spatial-graph\nregions: a\n", "bad diagram name 'a-b'"),
+            ("name = t\nkind = spatial-graph\nregions: a b-c\n", "bad region name 'b-c'"),
+        ],
+        ids=["name", "region"],
+    )
+    def test_bad_names_are_refused_without_a_line(self, text, message):
+        with pytest.raises(DiagramParseError) as err:
+            parse_diagram(text)
+        assert str(err.value) == message
+        assert err.value.line is None
+
+    @pytest.mark.parametrize(
+        "regions, constraints, message",
+        [
+            ((), (), "a diagram needs at least one region"),
+            (
+                ("a",),
+                (Constraint(ConstraintKind.VERTEX, ("a", "b", "a")),),
+                "undeclared region 'b'",
+            ),
+        ],
+        ids=["no-regions", "undeclared-region"],
+    )
+    def test_direct_construction_is_checked(self, regions, constraints, message):
+        with pytest.raises(DiagramParseError) as err:
+            Diagram("t", DiagramKind.SPATIAL_GRAPH, regions, constraints)
+        assert str(err.value) == message
+        assert err.value.line is None
+
     def test_a_long_chain_parses_in_linear_time(self):
         # each crossing reads the next four regions of a 60,000-region chain
         k = 60_000

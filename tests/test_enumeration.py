@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import time
 
 import pytest
@@ -411,6 +412,25 @@ ORDER5_DIGEST = "9da7221b49c6e40889d19dce6820bcfdaf5bf3da441fb5e2b666f44ff05c87e
 # orders 1-5 in census order, b"|" after each tensor, from a product search
 # that tested cancellation and all four r5-compat families
 PRODUCTS_DIGEST = "054b4bd5841dcd50316f6cfe0e46a9a6cd77d88290935c4776a9c858492a740e"
+
+# sha256 of repr(p.table) for every compatible product p of every
+# alexander_tribracket(n, x, y), n = 6..9, x and y running over the units mod n
+# in ascending order, b"|" after each tensor, from a search that decided the
+# product cell by cell
+LINEAR_PRODUCTS_DIGEST = "8258b53adaedc34db311aa8ef56159410007efdac1a6688ade9fde585141618e"
+
+
+def test_product_lists_of_linear_tensors_6_to_9():
+    digest, count = hashlib.sha256(), 0
+    for n in range(6, 10):
+        units = [x for x in range(1, n) if math.gcd(x, n) == 1]
+        for x, y in itertools.product(units, repeat=2):
+            for p in enumerate_products(alexander_tribracket(n, x, y)):
+                digest.update(repr(p.table).encode())
+                count += 1
+            digest.update(b"|")
+    assert count == 836
+    assert digest.hexdigest() == LINEAR_PRODUCTS_DIGEST
 
 
 class TestOrder5Census:
