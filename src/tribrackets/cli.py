@@ -87,10 +87,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_enumerate_tribrackets(args) -> int:
-    budget = None
-    if args.max_candidates is not None or args.timeout is not None:
-        budget = EnumerationBudget(args.max_candidates, args.timeout)
-    result = enumerate_tribrackets(args.n, budget)
+    result = enumerate_tribrackets(args.n, EnumerationBudget(args.max_candidates, args.timeout))
     for t in result:
         print(serialize_algebra(t))
     print(f"# {len(result)} tribrackets on {args.n} elements"
@@ -133,7 +130,7 @@ def _cmd_check_moves(args) -> int:
     tribracket, product = _load_algebra_file(args.algebra)
     algebra = TribracketAlgebra(tribracket, _require_product(args.algebra, product))
     pairs = builtin_move_pairs()
-    if args.moves:
+    if args.moves is not None:
         wanted = args.moves.split(",")
         unknown = [m for m in wanted if m not in {pair.move_id for pair in pairs}]
         if unknown:

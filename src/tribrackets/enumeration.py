@@ -26,13 +26,12 @@ branch at once.  The 168 tribrackets of order 4 take about 0.1 s and all
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import numbers
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .algebra import (
     _AXIOM_BY_NAME,
@@ -51,9 +50,10 @@ class EnumerationBudget:
     """Caps for a search: complete tables verified and wall-clock seconds.
 
     ``max_candidates`` counts the complete tables handed to the verifier,
-    not the partial tables visited; ``timeout`` is checked before every value
-    the search tries.  Anything but a positive int cap (not a bool) and a
-    positive finite real timeout raises ValueError.
+    not the partial tables visited; ``timeout`` is checked between the
+    matrices of the set-up and before every value the search tries.
+    Anything but a positive int cap (not a bool) and a positive finite real
+    timeout raises ValueError.
     """
 
     max_candidates: Optional[int] = None
@@ -90,109 +90,53 @@ class EnumerationResult:
 _UNDECIDED = -1
 
 
-def _search(
-    size: int,
-    n: int,
-    consistent: Callable[[list, int, list], bool],
-    leaf: Callable[[list], None],
-    budget: Optional[EnumerationBudget],
-) -> bool:
-    """Depth-first search over a flat table of ``size`` cells, cell 0 first.
-
-    Each cell takes the values 0..n-1 in ascending order.
-    ``consistent(table, i, trail)`` is asked after cell i is set, with every
-    earlier cell decided.  It may decide later cells as well: it appends each
-    such cell to ``trail``, and may also append a list it has just appended
-    to.  Before the next value of cell i is tried, and when cell i is given
-    up, the search undoes the trail back to where it stood: it makes each
-    trailed cell _UNDECIDED again and pops each trailed list.  Descent skips
-    the cells already decided.  ``leaf`` sees each complete table that
-    passes.  Returns False when the budget stopped the search.
-    """
-    budget = budget or EnumerationBudget()
-    deadline = None if budget.timeout is None else time.monotonic() + budget.timeout
-    left = budget.max_candidates or math.inf  # complete tables leaf may still see
-    table = [_UNDECIDED] * size
-    trail: list = []
-    frames = [(0, iter(range(n)), 0)]  # (cell, values left, trail length)
-
-    def undo(mark: int) -> None:
-        while len(trail) > mark:
-            entry = trail.pop()
-            if type(entry) is int:
-                table[entry] = _UNDECIDED
-            else:
-                entry.pop()
-
-    while frames:
-        i, values, mark = frames[-1]
-        for v in values:
-            if deadline is not None and time.monotonic() > deadline:
-                return False
-            if len(trail) > mark:
-                undo(mark)
-            table[i] = v
-            if consistent(table, i, trail):
-                break
-        else:
-            undo(mark)
-            table[i] = _UNDECIDED
-            frames.pop()
-            continue
-        j = i + 1
-        while j < size and table[j] != _UNDECIDED:
-            j += 1
-        if j < size:
-            frames.append((j, iter(range(n)), len(trail)))
-        elif left:
-            left -= 1
-            leaf(table)
-        else:
-            return False
-    return True
-
-
-@functools.cache
-def _lines(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """For each cell of a flat n^3 tensor, the other cells of each of its lines."""
-    strides = (1, n, n * n)
-    return tuple(
-        tuple(
-            tuple(i + (j - (i // s) % n) * s for j in range(n) if j != (i // s) % n)
-            for s in strides
-        )
-        for i in range(n**3)
-    )
-
-
 def enumerate_tribrackets(
     n: int, budget: Optional[EnumerationBudget] = None
 ) -> EnumerationResult:
     """All n-element tribrackets, in lexicographic tensor order.
 
-    The pruning is a compiled form of the algebra module's axiom table
-    entries for a tensor on partial tables, with forcing: each cell must
-    differ from the other decided cells on its three lines, and the last
-    undecided cell of a line takes the missing value (slot-a/b/c-bijection);
-    each witness (a, b, c, d) of coherence-1 and coherence-2 is tested once
-    both sides are decided, and when one side is decided and the other is
-    not, the other takes its value.  Complete for n <= 5 in seconds; n = 6
-    wants a budget.
+    The search and its forcing rules are described in the module docstring;
+    every complete table it reaches is handed to verify_tribracket.  Complete
+    for n <= 5 in seconds; n = 6 wants a budget.
     """
     _check_size(n)
-    nn = n * n
-    lines = _lines(n)
+    budget = budget or EnumerationBudget()
+    deadline = None if budget.timeout is None else time.monotonic() + budget.timeout
+    left = budget.max_candidates or math.inf  # complete tables the verifier may still see
+    nn, size = n * n, n**3
     line_sum = n * (n - 1) // 2
-    # A witness is stored as its cells [a,b,c] and [b,c,d], the offsets of
-    # matrix a and of row [a,b], the offset c*n + d of [u,c,d] within matrix
-    # u, and d.  It waits in the watch list of an undecided cell it needs,
-    # and is looked at again once that cell is decided.
-    watch: list[list[tuple[int, ...]]] = [[] for _ in range(n * nn)]
-    for a, b, c, d in itertools.product(range(n), repeat=4):
-        abc, bcd = a * nn + b * n + c, b * nn + c * n + d
-        watch[max(abc, bcd)].append((abc, bcd, a * nn, a * nn + b * n, c * n + d, d))
+    # lines[i] holds the other cells of each of the three lines through cell i.
+    # A witness (a, b, c, d) is stored as its cells [a,b,c] and [b,c,d], the
+    # offsets of matrix a and of row [a,b], the offset c*n + d of [u,c,d]
+    # within matrix u, and d.  It waits in the watch list of an undecided
+    # cell it needs, and is looked at again once that cell is decided.
+    lines: list[tuple[tuple[int, ...], ...]] = []
+    watch: list[list[tuple[int, ...]]] = [[] for _ in range(size)]
+    for a in range(n):
+        if deadline is not None and time.monotonic() > deadline:
+            return EnumerationResult([], False)
+        for i in range(a * nn, a * nn + nn):
+            lines.append(tuple(
+                tuple(i + (j - (i // s) % n) * s for j in range(n) if j != (i // s) % n)
+                for s in (1, n, nn)
+            ))
+        for b, c, d in itertools.product(range(n), repeat=3):
+            abc, bcd = a * nn + b * n + c, b * nn + c * n + d
+            watch[max(abc, bcd)].append((abc, bcd, a * nn, a * nn + b * n, c * n + d, d))
 
-    def consistent(T: list, i: int, trail: list) -> bool:
+    T = [_UNDECIDED] * size
+    trail: list = []  # cells forced and watch lists appended to, to undo
+
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            entry = trail.pop()
+            if type(entry) is int:
+                T[entry] = _UNDECIDED
+            else:
+                entry.pop()
+
+    def consistent(i: int) -> bool:
+        """Whether cell i, just set, breaks no line or witness; forces cells."""
         queue = [i]  # decided cells whose lines and witnesses are still to see
 
         def force(cell: int, value: int) -> None:
@@ -261,20 +205,38 @@ def enumerate_tribrackets(
         return True
 
     out: list[Tribracket] = []
-
-    def leaf(T: list) -> None:
-        t = Tribracket(
-            n,
-            tuple(
+    frames = [(0, iter(range(n)), 0)]  # (cell, values left, trail length)
+    while frames:
+        i, values, mark = frames[-1]
+        for v in values:
+            if deadline is not None and time.monotonic() > deadline:
+                return EnumerationResult(out, False)
+            if len(trail) > mark:
+                undo(mark)
+            T[i] = v
+            if consistent(i):
+                break
+        else:
+            undo(mark)
+            T[i] = _UNDECIDED
+            frames.pop()
+            continue
+        j = i + 1
+        while j < size and T[j] != _UNDECIDED:
+            j += 1
+        if j < size:  # descend, skipping the cells already forced
+            frames.append((j, iter(range(n)), len(trail)))
+        elif not left:
+            return EnumerationResult(out, False)
+        else:
+            left -= 1
+            t = Tribracket(n, tuple(
                 tuple(tuple(T[m + r + c] + 1 for c in range(n)) for r in range(0, nn, n))
-                for m in range(0, n * nn, nn)
-            ),
-        )
-        if verify_tribracket(t).passed:
-            out.append(t)
-
-    complete = _search(n * nn, n, consistent, leaf, budget)
-    return EnumerationResult(out, complete)
+                for m in range(0, size, nn)
+            ))
+            if verify_tribracket(t).passed:
+                out.append(t)
+    return EnumerationResult(out, True)
 
 
 class UnverifiedTribracketError(ValueError):

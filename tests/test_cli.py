@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -178,6 +179,23 @@ class TestEnumerationVerbs:
         assert out.count("tribracket:") == 2
         assert out.strip().endswith("# 2 tribrackets on 2 elements")
 
+    def test_a_capped_census_prints_its_prefix_and_says_it_is_partial(self, capsys):
+        assert main(["enumerate-tribrackets", "3"]) == 0
+        blocks = capsys.readouterr().out.split("\n\n")
+        assert main(["enumerate-tribrackets", "3", "--max-candidates", "2"]) == 0
+        out = capsys.readouterr().out
+        assert out == "\n\n".join(blocks[:2]) + (
+            "\n\n# 2 tribrackets on 3 elements (partial: budget exhausted)\n"
+        )
+
+    def test_a_timeout_also_bounds_the_set_up(self, capsys):
+        start = time.monotonic()
+        assert main(["enumerate-tribrackets", "30", "--timeout", "0.05"]) == 0
+        assert time.monotonic() - start < 1.0
+        assert capsys.readouterr().out == (
+            "# 0 tribrackets on 30 elements (partial: budget exhausted)\n"
+        )
+
     @pytest.mark.parametrize("flag", ["--max-candidates", "--timeout"])
     def test_zero_budget_is_a_usage_error(self, capsys, flag):
         assert main(["enumerate-tribrackets", "3", flag, "0"]) == 2
@@ -250,6 +268,7 @@ class TestCheckMoves:
             (["--moves", "R1a,", "--include-ih"], "unknown move ids: \n"),
             (["--moves", "IH"], "IH needs --include-ih\n"),
             (["--moves", "R1a,IH"], "IH needs --include-ih\n"),
+            (["--moves", ""], "unknown move ids: \n"),
         ],
     )
     def test_a_filter_naming_a_move_it_would_skip_is_refused(

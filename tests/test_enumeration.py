@@ -390,6 +390,14 @@ class TestBudgetAtInteriorNodes:
         assert not result.complete and len(result) == 0
         assert next(ticks) < 2000  # stopped soon after the deadline
 
+    def test_timeout_bounds_the_set_up(self):
+        # the set-up at order 30 builds 30^4 witnesses, about 2 s; the
+        # deadline is checked between its matrices, so it stops within one
+        start = time.monotonic()
+        result = enumerate_tribrackets(30, EnumerationBudget(timeout=0.05))
+        assert time.monotonic() - start < 1.0
+        assert not result.complete and len(result) == 0
+
 
 class TestMaxCandidatesAtOrder4:
     @pytest.fixture(scope="class")
