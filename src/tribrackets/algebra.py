@@ -5,7 +5,8 @@ n x n x n operation tensor; the value of bracket(a, b, c) is found in matrix
 a, row b, column c.  A partial product is an n x n table whose cells may be
 undefined (stored as None).  Both constructors check the carrier size, the
 shape and every entry, raising ShapeError for a size that is not a positive
-int or an entry outside 1..n, so nothing later checks entries again.
+int or an entry outside 1..n (a bool is not an int here), so nothing later
+checks entries again.
 
 Each axiom is written once, as an entry of one ordered table: its name, the
 number of leading witness coordinates it ranges over, its witness length,
@@ -35,12 +36,18 @@ class ShapeError(ValueError):
     """Structural defect (dimensions, sizes, entry range), not an axiom failure."""
 
 
-class AlgebraParseError(ValueError):
+class _LineError(ValueError):
+    """A refused text file; ``line`` is the 1-based number of the refused line, if any."""
+
     def __init__(self, message: str, line: Optional[int] = None):
         self.line = line
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+class AlgebraParseError(_LineError):
+    """A refused algebra file."""
 
 
 class BracketSlot(Enum):
@@ -95,7 +102,7 @@ def _fmt(value: Optional[int]) -> str:
 
 
 def _check_size(n) -> None:
-    if not isinstance(n, int):
+    if type(n) is bool or not isinstance(n, int):
         raise ShapeError(f"carrier size must be an int, got {n!r}")
     if n < 1:
         raise ShapeError(f"carrier size must be positive, got {n}")
@@ -121,7 +128,7 @@ class Tribracket:
             raise ShapeError(f"table is not {self.n}x{self.n}x{self.n}")
         for a, b, c in itertools.product(range(1, self.n + 1), repeat=3):
             v = tab[a - 1][b - 1][c - 1]
-            if not isinstance(v, int) or not 1 <= v <= self.n:
+            if type(v) is bool or not isinstance(v, int) or not 1 <= v <= self.n:
                 raise ShapeError(f"entry ({a},{b},{c}) = {v!r} is not in 1..{self.n}")
         object.__setattr__(self, "table", tab)
 
@@ -155,7 +162,9 @@ class PartialProduct:
             raise ShapeError(f"table is not {self.n}x{self.n}")
         for a, b in itertools.product(range(1, self.n + 1), repeat=2):
             v = tab[a - 1][b - 1]
-            if v is not None and (not isinstance(v, int) or not 1 <= v <= self.n):
+            if v is not None and (
+                type(v) is bool or not isinstance(v, int) or not 1 <= v <= self.n
+            ):
                 raise ShapeError(f"product entry ({a},{b}) = {v!r} is not in 1..{self.n}")
         object.__setattr__(self, "table", tab)
 
@@ -194,6 +203,8 @@ class TribracketAlgebra:
     product: PartialProduct
 
     def __post_init__(self):
+        if not isinstance(self.product, PartialProduct):
+            raise ShapeError(f"the product must be a PartialProduct, got {self.product!r}")
         if self.tribracket.n != self.product.n:
             raise ShapeError(
                 f"size mismatch: tribracket on {self.tribracket.n} elements, "
@@ -542,8 +553,13 @@ def product_solve(
 #
 # '#' starts a comment; '-' or '0' in the product block mean undefined.
 
-def _strip(line: str) -> str:
-    return line.split("#", 1)[0].strip()
+def _content(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, text) of each line of an algebra or diagram file, its '#'
+    comment and outer blanks cut; lines left empty are skipped."""
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
 
 
 def _parse_matrix(text: str, n: int, lineno: int, allow_undef: bool) -> list[list[Optional[int]]]:
@@ -577,50 +593,43 @@ def _parse_matrix(text: str, n: int, lineno: int, allow_undef: bool) -> list[lis
 
 def parse_algebra(text: str) -> tuple[Tribracket, Optional[PartialProduct]]:
     """Parse an algebra file; returns the tensor and the product (None if absent)."""
-    lines = text.splitlines()
-    i = 0
+    lines = _content(text)
+    end = (len(text.splitlines()), None)  # an error at the end of the file names its last line
 
-    def next_content() -> tuple[Optional[str], int]:
-        nonlocal i
-        while i < len(lines):
-            s = _strip(lines[i])
-            i += 1
-            if s:
-                return s, i
-        return None, i
-
-    s, ln = next_content()
+    ln, s = next(lines, end)
     if s is None:
         raise AlgebraParseError("empty algebra file")
     m = re.fullmatch(r"n\s*=\s*(\d+)", s)
     if not m:
         raise AlgebraParseError(f"expected 'n = <size>', got {s!r}", ln)
-    n = int(m.group(1))
+    try:
+        n = int(m.group(1))
+    except ValueError:  # more digits than int() converts
+        raise AlgebraParseError("size has too many digits", ln) from None
     if n < 1:
         raise AlgebraParseError("size must be positive", ln)
 
-    s, ln = next_content()
+    ln, s = next(lines, end)
     if s != "tribracket:":
         raise AlgebraParseError(f"expected 'tribracket:', got {s!r}", ln)
     mats = []
     for _ in range(n):
-        s, ln = next_content()
+        ln, s = next(lines, end)
         if s is None:
             raise AlgebraParseError(f"expected {n} tribracket matrices", ln)
         mats.append(_parse_matrix(s, n, ln, allow_undef=False))
-    tribracket = Tribracket(n, tuple(tuple(tuple(r) for r in m) for m in mats))
+    tribracket = Tribracket(n, mats)
 
-    s, ln = next_content()
+    ln, s = next(lines, end)
     if s is None:
         return tribracket, None
     if s != "product:":
         raise AlgebraParseError(f"expected 'product:' or end of file, got {s!r}", ln)
-    s, ln = next_content()
+    ln, s = next(lines, end)
     if s is None:
         raise AlgebraParseError("missing product table", ln)
-    rows = _parse_matrix(s, n, ln, allow_undef=True)
-    product = PartialProduct(n, tuple(tuple(r) for r in rows))
-    s, ln = next_content()
+    product = PartialProduct(n, _parse_matrix(s, n, ln, allow_undef=True))
+    ln, s = next(lines, end)
     if s is not None:
         raise AlgebraParseError(f"unexpected trailing content {s!r}", ln)
     return tribracket, product

@@ -12,10 +12,6 @@ import functools
 import sys
 
 from .algebra import (
-    AlgebraParseError,
-    PartialProduct,
-    ShapeError,
-    Tribracket,
     TribracketAlgebra,
     load_bundled_algebra,
     parse_algebra,
@@ -29,7 +25,7 @@ from .coloring import (
     enumerate_colorings,
     verify_k2_obstruction,
 )
-from .diagram import Diagram, DiagramParseError, builtin_diagrams, parse_diagram
+from .diagram import builtin_diagrams, parse_diagram
 from .enumeration import (
     EnumerationBudget,
     UnverifiedTribracketError,
@@ -49,36 +45,27 @@ class _CliError(Exception):
         self.code = code
 
 
-def _read_file(path: str) -> str:
+def _load(path: str, parse):
+    """``parse`` of the text of the file at ``path``; a refusal names the file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.read()
+            return parse(fh.read())
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc.strerror}") from exc
-
-
-def _load_algebra_file(path: str) -> tuple[Tribracket, PartialProduct | None]:
-    try:
-        return parse_algebra(_read_file(path))
-    except (AlgebraParseError, ShapeError) as exc:
+    except ValueError as exc:  # a parse error, or text that is not UTF-8
         raise _CliError(f"{path}: {exc}") from exc
 
 
-def _load_diagram_file(path: str) -> Diagram:
-    try:
-        return parse_diagram(_read_file(path))
-    except DiagramParseError as exc:
-        raise _CliError(f"{path}: {exc}") from exc
-
-
-def _require_product(path: str, product: PartialProduct | None) -> PartialProduct:
+def _load_algebra(path: str) -> TribracketAlgebra:
+    """The algebra of the file at ``path``, which must have a product block."""
+    tribracket, product = _load(path, parse_algebra)
     if product is None:
         raise _CliError(f"{path}: the file has no product block")
-    return product
+    return TribracketAlgebra(tribracket, product)
 
 
 def _cmd_verify(args) -> int:
-    tribracket, product = _load_algebra_file(args.algebra)
+    tribracket, product = _load(args.algebra, parse_algebra)
     report = verify_tribracket(tribracket)
     if report.passed and product is not None:
         report = verify_algebra(TribracketAlgebra(tribracket, product))
@@ -96,7 +83,7 @@ def _cmd_enumerate_tribrackets(args) -> int:
 
 
 def _cmd_enumerate_products(args) -> int:
-    tribracket, _ = _load_algebra_file(args.algebra)
+    tribracket, _ = _load(args.algebra, parse_algebra)
     search = enumerate_idempotent_products if args.idempotent else enumerate_products
     try:
         products = search(tribracket)
@@ -110,9 +97,8 @@ def _cmd_enumerate_products(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    tribracket, product = _load_algebra_file(args.algebra)
-    algebra = TribracketAlgebra(tribracket, _require_product(args.algebra, product))
-    diagram = _load_diagram_file(args.diagram)
+    algebra = _load_algebra(args.algebra)
+    diagram = _load(args.diagram, parse_diagram)
     # the oracle runs first, so that a space over its cap is refused at once
     reference = count_colorings_bruteforce(algebra, diagram) if args.oracle else None
     count = count_colorings(algebra, diagram)
@@ -127,8 +113,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_check_moves(args) -> int:
-    tribracket, product = _load_algebra_file(args.algebra)
-    algebra = TribracketAlgebra(tribracket, _require_product(args.algebra, product))
+    algebra = _load_algebra(args.algebra)
     pairs = builtin_move_pairs()
     if args.moves is not None:
         wanted = args.moves.split(",")

@@ -19,15 +19,13 @@ from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 
+from .algebra import _content, _LineError
+
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+")
 
 
-class DiagramParseError(ValueError):
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+class DiagramParseError(_LineError):
+    """A refused diagram file or diagram."""
 
 
 class ConstraintKind(Enum):
@@ -87,10 +85,7 @@ def parse_diagram(text: str) -> Diagram:
     kind = None
     regions: tuple[str, ...] | None = None
     constraints: list[Constraint] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content(text):
         m = re.fullmatch(r"name\s*=\s*(\S+)", line)
         if m:
             if name is not None:

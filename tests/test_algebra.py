@@ -18,6 +18,7 @@ from tribrackets import (
     TribracketAlgebra,
     Violation,
     alexander_tribracket,
+    enumerate_products,
     enumerate_tribrackets,
     load_bundled_algebra,
     parse_algebra,
@@ -110,7 +111,7 @@ class TestTribracket:
 
 
 class TestConstructorsCheckEntries:
-    @pytest.mark.parametrize("value", [0, 4, 1.0, "1", None])
+    @pytest.mark.parametrize("value", [0, 4, 1.0, "1", None, True])
     def test_bad_tensor_entry_is_refused(self, z3, value):
         with pytest.raises(ShapeError) as err:
             mutate(z3, 2, 3, 1, value)
@@ -122,7 +123,7 @@ class TestConstructorsCheckEntries:
         with pytest.raises(ShapeError, match=r"^entry \(1,3,2\) = 5 is not in 1\.\.3$"):
             Tribracket(3, table)
 
-    @pytest.mark.parametrize("value", [0, 4, 1.0, "1"])
+    @pytest.mark.parametrize("value", [0, 4, 1.0, "1", True])
     def test_bad_product_entry_is_refused(self, value):
         table = [list(row) for row in FULL_PRODUCT.table]
         table[2][1] = value
@@ -130,7 +131,7 @@ class TestConstructorsCheckEntries:
             PartialProduct(3, table)
         assert str(err.value) == f"product entry (3,2) = {value!r} is not in 1..3"
 
-    @pytest.mark.parametrize("n", [2.0, "2", None])
+    @pytest.mark.parametrize("n", [2.0, "2", None, True])
     def test_carrier_size_that_is_not_an_int_is_refused(self, n):
         message = f"^carrier size must be an int, got {re.escape(repr(n))}$"
         with pytest.raises(ShapeError, match=message):
@@ -138,7 +139,7 @@ class TestConstructorsCheckEntries:
         with pytest.raises(ShapeError, match=message):
             PartialProduct(n, ((1, 2), (2, 1)))
 
-    @pytest.mark.parametrize("n", [0, -1, 2.0, "3", None])
+    @pytest.mark.parametrize("n", [0, -1, 2.0, "3", None, True])
     @pytest.mark.parametrize(
         "build",
         [lambda n: alexander_tribracket(n, 1, 1), enumerate_tribrackets],
@@ -555,6 +556,19 @@ class TestAlgebraFiles:
         t, p = parse_algebra(serialize_algebra(z3))
         assert t == z3 and p is None
 
+    def test_every_census_algebra_of_orders_1_to_4_roundtrips(self):
+        for n in range(1, 5):
+            for t in enumerate_tribrackets(n):
+                assert parse_algebra(serialize_algebra(t)) == (t, None)
+                for p in enumerate_products(t):
+                    assert parse_algebra(serialize_algebra(t, p)) == (t, p)
+
+    def test_a_bundled_file_without_a_product_is_refused(self):
+        # z3_bare.alg ships with no product block
+        message = "^the product must be a PartialProduct, got None$"
+        with pytest.raises(ShapeError, match=message):
+            load_bundled_algebra("z3_bare")
+
     def test_undefined_encodings_agree(self, z3):
         dash = serialize_algebra(z3, DIAG_PRODUCT)
         zero = dash.replace("-", "0")
@@ -633,6 +647,8 @@ class TestRefusalMessages:
                 4,
             ),
             ("n = 1\ntribracket:\n1\nproduct:\n# none\n", "line 5: missing product table", 5),
+            # more digits than int() converts from a string
+            ("n = " + "9" * 5000 + "\n", "line 1: size has too many digits", 1),
         ],
         ids=[
             "row-count",
@@ -644,6 +660,7 @@ class TestRefusalMessages:
             "too-few-matrices",
             "bad-block",
             "missing-product-row",
+            "size-with-too-many-digits",
         ],
     )
     def test_parse_errors(self, text, message, line):

@@ -65,6 +65,12 @@ class TestVerify:
     def test_missing_file_exits_2(self):
         assert main(["verify", "/nonexistent/file.alg"]) == 2
 
+    def test_a_file_that_is_not_utf8_exits_2_with_its_path(self, capsys, tmp_path):
+        path = tmp_path / "latin1.alg"
+        path.write_bytes(serialize_algebra(Z3_TENSOR).encode() + "# caf\xe9\n".encode("latin-1"))
+        assert main(["verify", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"{path}: ")
+
     def test_tribracket_only_file(self, capsys, tmp_path):
         path = tmp_path / "bare.alg"
         path.write_text(serialize_algebra(Z3_TENSOR))
