@@ -203,6 +203,8 @@ class TribracketAlgebra:
     product: PartialProduct
 
     def __post_init__(self):
+        if not isinstance(self.tribracket, Tribracket):
+            raise ShapeError(f"the tensor must be a Tribracket, got {self.tribracket!r}")
         if not isinstance(self.product, PartialProduct):
             raise ShapeError(f"the product must be a PartialProduct, got {self.product!r}")
         if self.tribracket.n != self.product.n:

@@ -62,21 +62,31 @@ class Diagram:
     constraints: tuple[Constraint, ...]
 
     def __post_init__(self):
-        if not _NAME_RE.fullmatch(self.name):
-            raise DiagramParseError(f"bad diagram name {self.name!r}")
+        _check_name(self.name)
         if not self.regions:
             raise DiagramParseError("a diagram needs at least one region")
-        seen = set()
-        for r in self.regions:
-            if not r.isalnum():
-                raise DiagramParseError(f"bad region name {r!r}")
-            if r in seen:
-                raise DiagramParseError(f"duplicate region declaration {r!r}")
-            seen.add(r)
+        seen = _check_regions(self.regions)
         for con in self.constraints:
             for r in con.refs:
                 if r not in seen:
                     raise DiagramParseError(f"undeclared region {r!r}")
+
+
+def _check_name(name: str) -> None:
+    if not _NAME_RE.fullmatch(name):
+        raise DiagramParseError(f"bad diagram name {name!r}")
+
+
+def _check_regions(regions: tuple[str, ...]) -> set[str]:
+    """The set of ``regions``; a bad or repeated name is refused."""
+    seen = set()
+    for r in regions:
+        if not r.isalnum():
+            raise DiagramParseError(f"bad region name {r!r}")
+        if r in seen:
+            raise DiagramParseError(f"duplicate region declaration {r!r}")
+        seen.add(r)
+    return seen
 
 
 def parse_diagram(text: str) -> Diagram:
@@ -86,47 +96,40 @@ def parse_diagram(text: str) -> Diagram:
     regions: tuple[str, ...] | None = None
     constraints: list[Constraint] = []
     for lineno, line in _content(text):
-        m = re.fullmatch(r"name\s*=\s*(\S+)", line)
-        if m:
-            if name is not None:
-                raise DiagramParseError("duplicate name line", lineno)
-            name = m.group(1)
-            continue
-        m = re.fullmatch(r"kind\s*=\s*(\S+)", line)
-        if m:
-            if kind is not None:
-                raise DiagramParseError("duplicate kind line", lineno)
-            try:
-                kind = DiagramKind(m.group(1))
-            except ValueError:
-                raise DiagramParseError(
-                    f"unknown kind {m.group(1)!r} (expected spatial-graph or handlebody-link)",
-                    lineno,
-                ) from None
-            continue
-        m = re.fullmatch(r"regions\s*:\s*(.*)", line)
-        if m:
-            if regions is not None:
-                raise DiagramParseError("duplicate regions line", lineno)
-            regions = tuple(m.group(1).split())
-            if not regions:
-                raise DiagramParseError("empty region list", lineno)
-            declared = set(regions)
-            continue
-        m = re.fullmatch(r"(crossing|vertex)\s*:\s*(.*)", line)
-        if m:
-            try:
+        try:
+            if m := re.fullmatch(r"name\s*=\s*(\S+)", line):
+                if name is not None:
+                    raise DiagramParseError("duplicate name line")
+                name = m.group(1)
+                _check_name(name)
+            elif m := re.fullmatch(r"kind\s*=\s*(\S+)", line):
+                if kind is not None:
+                    raise DiagramParseError("duplicate kind line")
+                try:
+                    kind = DiagramKind(m.group(1))
+                except ValueError:
+                    raise DiagramParseError(
+                        f"unknown kind {m.group(1)!r} (expected spatial-graph or handlebody-link)"
+                    ) from None
+            elif m := re.fullmatch(r"regions\s*:\s*(.*)", line):
+                if regions is not None:
+                    raise DiagramParseError("duplicate regions line")
+                regions = tuple(m.group(1).split())
+                if not regions:
+                    raise DiagramParseError("empty region list")
+                declared = _check_regions(regions)
+            elif m := re.fullmatch(r"(crossing|vertex)\s*:\s*(.*)", line):
                 con = Constraint(ConstraintKind(m.group(1)), tuple(m.group(2).split()))
-            except DiagramParseError as exc:  # wrong arity
-                raise DiagramParseError(exc.args[0], lineno) from None
-            if regions is None:
-                raise DiagramParseError("constraint before regions line", lineno)
-            for r in con.refs:
-                if r not in declared:
-                    raise DiagramParseError(f"undeclared region {r!r}", lineno)
-            constraints.append(con)
-            continue
-        raise DiagramParseError(f"unrecognized line {line!r}", lineno)
+                if regions is None:
+                    raise DiagramParseError("constraint before regions line")
+                for r in con.refs:
+                    if r not in declared:
+                        raise DiagramParseError(f"undeclared region {r!r}")
+                constraints.append(con)
+            else:
+                raise DiagramParseError(f"unrecognized line {line!r}")
+        except DiagramParseError as exc:  # a refusal while reading a line names the line
+            raise DiagramParseError(exc.args[0], lineno) from None
     if name is None:
         raise DiagramParseError("missing name line")
     if kind is None:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .algebra import TribracketAlgebra
 from .coloring import _solutions
@@ -177,9 +178,9 @@ def _tally(
         index[r2] = index[r1]
     system = [(c.kind, tuple(index[r] for r in c.refs)) for c in frag.constraints]
     ends = [index[r] for r in boundary]
-    return Counter(
-        tuple(val[i] for i in ends) for val in _solutions(alg, len(names), system)
-    )
+    # itemgetter needs an index, and returns a tuple only for two or more
+    end_values = itemgetter(*ends) if len(ends) > 1 else lambda val: tuple(val[i] for i in ends)
+    return Counter(map(end_values, _solutions(alg, len(names), system)))
 
 
 def check_move_invariance(alg: TribracketAlgebra, pair: LocalMovePair) -> MoveCheckReport:
@@ -190,9 +191,9 @@ def check_move_invariance(alg: TribracketAlgebra, pair: LocalMovePair) -> MoveCh
     """
     before = _tally(alg, pair.boundary, pair.before)
     after = _tally(alg, pair.boundary, pair.after)
-    differ = [k for k in before.keys() | after.keys() if before[k] != after[k]]
-    if not differ:
+    if before.items() == after.items():  # counted tallies hold positive counts only
         return MoveCheckReport(pair.move_id, True)
+    differ = [k for k in before.keys() | after.keys() if before[k] != after[k]]
     first = min(differ)
     return MoveCheckReport(
         pair.move_id, False, (dict(zip(pair.boundary, first)), before[first], after[first])

@@ -190,6 +190,11 @@ class TestVerifyAlgebra:
         with pytest.raises(ShapeError):
             TribracketAlgebra(z3, PartialProduct.empty(4))
 
+    def test_a_tensor_that_is_not_a_tribracket_is_refused(self):
+        message = "^the tensor must be a Tribracket, got None$"
+        with pytest.raises(ShapeError, match=message):
+            TribracketAlgebra(None, PartialProduct.diagonal(3))
+
     def test_violations_self_certify(self, z3):
         for p in (
             PartialProduct(3, ((1, 1, None), (None, None, None), (None, None, None))),

@@ -112,28 +112,34 @@ class TestParse:
     @pytest.mark.parametrize(
         "text, message",
         [
-            ("name = a-b\nkind = spatial-graph\nregions: a\n", "bad diagram name 'a-b'"),
-            ("name = t\nkind = spatial-graph\nregions: a b-c\n", "bad region name 'b-c'"),
+            ("name = a-b\nkind = spatial-graph\nregions: a\n", "line 1: bad diagram name 'a-b'"),
+            ("name = t\nkind = spatial-graph\nregions: a b-c\n", "line 3: bad region name 'b-c'"),
+            (
+                "name = x\nkind = spatial-graph\nregions: a a\n",
+                "line 3: duplicate region declaration 'a'",
+            ),
         ],
-        ids=["name", "region"],
+        ids=["name", "region", "duplicate-region"],
     )
-    def test_bad_names_are_refused_without_a_line(self, text, message):
+    def test_bad_names_are_refused_on_their_line(self, text, message):
         with pytest.raises(DiagramParseError) as err:
             parse_diagram(text)
         assert str(err.value) == message
-        assert err.value.line is None
+        assert err.value.line == int(message.split(":")[0].split()[1])
 
     @pytest.mark.parametrize(
         "regions, constraints, message",
         [
             ((), (), "a diagram needs at least one region"),
+            (("a", "b-c"), (), "bad region name 'b-c'"),
+            (("a", "b", "a"), (), "duplicate region declaration 'a'"),
             (
                 ("a",),
                 (Constraint(ConstraintKind.VERTEX, ("a", "b", "a")),),
                 "undeclared region 'b'",
             ),
         ],
-        ids=["no-regions", "undeclared-region"],
+        ids=["no-regions", "bad-region", "duplicate-region", "undeclared-region"],
     )
     def test_direct_construction_is_checked(self, regions, constraints, message):
         with pytest.raises(DiagramParseError) as err:

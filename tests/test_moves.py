@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tribrackets import (
+    Constraint,
     ConstraintKind,
     LocalMovePair,
     MoveCheckReport,
@@ -162,6 +163,17 @@ class TestEmptyFragments:
         pair = LocalMovePair("X", (), empty, empty)
         assert _tally(full_algebra, (), empty) == {(): 1}
         assert check_move_invariance(full_algebra, pair) == MoveCheckReport("X", True)
+
+    def test_a_one_region_boundary_tallies_to_one_tuples(self, full_algebra, empty_algebra):
+        # before: the square w*w, which the empty product never defines
+        square = MoveFragment(("l",), (Constraint(ConstraintKind.VERTEX, ("w", "l", "w")),))
+        pair = LocalMovePair("X", ("w",), square, MoveFragment((), ()))
+        assert _tally(full_algebra, ("w",), square) == {(1,): 1, (2,): 1, (3,): 1}
+        assert _tally(empty_algebra, ("w",), square) == {}
+        assert check_move_invariance(full_algebra, pair) == MoveCheckReport("X", True)
+        report = check_move_invariance(empty_algebra, pair)
+        assert report == MoveCheckReport("X", False, ({"w": 1}, 0, 1))
+        assert report.summary() == "X  FAIL at w=1: 0 extensions vs 1"
 
 
 class TestMutationDetection:
