@@ -10,12 +10,13 @@ region updates the keys of the constraints it fills and revisits only those
 constraints, reading one entry each: one uncolored slot with a unique value
 forces that slot, no value or a failing closed constraint kills the branch,
 and anything else (several values, or two uncolored slots) waits for
-branching.  Branching takes the most-constrained region on an explicit stack,
-so no diagram is too deep for the recursion limit.
+branching.  Branches follow an order planned once per call, on an explicit
+stack, so no diagram is too deep for the recursion limit.
 count_colorings_bruteforce provides the independent reference semantics.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -71,14 +72,14 @@ def _solutions(
         return
     n = alg.n
     m = n + 1
-    tri, prod = alg.tribracket.keyed_table, alg.product.keyed_table
-    # each constraint as its regions in slot order and its operation's table;
-    # a vertex (left, middle, right) reads left*right = middle
+    # each constraint as its regions in slot order and its operation's table,
+    # built only if read; a vertex (left, middle, right) reads left*right = middle
     crossing = ConstraintKind.CROSSING
+    ops = {crossing: alg.tribracket, ConstraintKind.VERTEX: alg.product}
     refs_of = [
         refs if kind is crossing else (refs[0], refs[2], refs[1]) for kind, refs in constraints
     ]
-    tables = [tri if kind is crossing else prod for kind, _ in constraints]
+    tables = [ops[kind].keyed_table for kind, _ in constraints]
     touch: list[list[int]] = [[] for _ in range(regions)]  # constraints per region
     slots: list[list[tuple[int, int]]] = [[] for _ in range(regions)]  # (constraint, place)
     for i, refs in enumerate(refs_of):
@@ -111,17 +112,11 @@ def _solutions(
                     return False
         return True
 
-    def pick() -> int:
-        """Most-constrained uncolored region, lowest index breaking ties."""
-        return max(
-            (r for r in range(regions) if not val[r]),
-            key=lambda r: (sum(1 for i in touch[r] if keys[i]), len(touch[r])),
-        )
-
-    stack = [[pick(), 1, 0]]  # frames: region, next value, trail length on entry
+    plan = _plan(regions, refs_of, touch)
+    stack = [[0, 1, 0]]  # frames: plan position, next value, trail length on entry
     while stack:
         frame = stack[-1]
-        r, v, mark = frame
+        p, v, mark = frame
         while len(trail) > mark:
             x = trail.pop()
             w, val[x] = val[x], 0
@@ -131,11 +126,56 @@ def _solutions(
             stack.pop()
             continue
         frame[1] = v + 1
-        if assign(r, v):
+        if assign(plan[p], v):
             if len(trail) == regions:
                 yield val
             else:
-                stack.append([pick(), 1, len(trail)])
+                while val[plan[p]]:  # every region before p is colored
+                    p += 1
+                stack.append([p, 1, len(trail)])
+
+
+def _plan(regions: int, refs_of: list[tuple[int, ...]], touch: list[list[int]]) -> list[int]:
+    """Every region, in the order the search branches on them (fail first).
+
+    Simulates propagation on structure alone: take the best-scored uncolored
+    region, then, in cascade, each region that fills a constraint's last open
+    slot.  The score ranks r by its constraints that coloring r leaves one
+    slot open, then those with a colored slot, then len(touch[r]), then the
+    lowest index.  Stale heap entries are skipped: O((R + slots) log R).
+    """
+    open_ = [len(refs) for refs in refs_of]  # per constraint: its open slots
+    counts = [{r: refs.count(r) for r in refs} for refs in refs_of]  # slots per region
+    # per region: its first two scores
+    near = [sum(open_[i] - counts[i][r] == 1 for i in touch[r]) for r in range(regions)]
+    started = [0] * regions
+    heap = [(-near[r], 0, -len(touch[r]), r) for r in range(regions)]
+    heapq.heapify(heap)
+    done = [False] * regions
+    order: list[int] = []
+    while len(order) < regions:
+        e1, e2, _, r = heapq.heappop(heap)
+        if done[r] or e1 != -near[r] or e2 != -started[r]:
+            continue
+        done[r] = True
+        queue = [r]
+        while queue:
+            x = queue.pop()
+            order.append(x)
+            for i in touch[x]:
+                o, k = open_[i], counts[i][x]
+                open_[i] = o - k
+                for y, c in counts[i].items():
+                    if done[y]:
+                        continue
+                    if o - k == 1:  # y fills the last open slot: propagation forces it
+                        done[y] = True
+                        queue.append(y)
+                    else:
+                        near[y] += (o - k - c == 1) - (o - c == 1)
+                        started[y] += o == len(refs_of[i])
+                        heapq.heappush(heap, (-near[y], -started[y], -len(touch[y]), y))
+    return order
 
 
 def _system(dia: Diagram) -> tuple[int, list[tuple[ConstraintKind, tuple[int, ...]]]]:

@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 from hypothesis import strategies as st
 
@@ -6,6 +8,8 @@ from tribrackets import (
     Tribracket,
     TribracketAlgebra,
     builtin_diagrams,
+    enumerate_products,
+    enumerate_tribrackets,
 )
 
 # the order-3 tensor used throughout the bundled corpus, written out longhand
@@ -35,6 +39,17 @@ Z4_PRODUCT = PartialProduct(
     4,
     ((1, None, 2, None), (None, 2, None, 3), (4, None, 3, None), (None, 1, None, 4)),
 )
+
+
+@functools.cache
+def census_algebras():
+    """Every tensor of orders 1-4 with every compatible product, in census order."""
+    return [
+        TribracketAlgebra(t, p)
+        for n in range(1, 5)
+        for t in enumerate_tribrackets(n)
+        for p in enumerate_products(t)
+    ]
 
 
 @pytest.fixture(scope="session")

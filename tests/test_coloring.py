@@ -26,8 +26,8 @@ from tribrackets import (
     load_bundled_algebra,
     verify_k2_obstruction,
 )
-from tribrackets.coloring import _satisfies, _solutions, _system
-from tests.conftest import arbitrary_algebras
+from tribrackets.coloring import _plan, _satisfies, _solutions, _system
+from tests.conftest import arbitrary_algebras, census_algebras
 
 
 class TestBundledCounts:
@@ -100,6 +100,18 @@ class TestOracle:
                         count_colorings_bruteforce(alg, d)
                     continue
                 assert count_colorings(alg, d) == count_colorings_bruteforce(alg, d)
+
+    def test_solver_matches_brute_force_on_every_census_algebra(self, diagrams):
+        # every compatible algebra of orders 1-4 against every bundled diagram
+        # that the handlebody gate lets through
+        algebras = census_algebras()
+        checked = 0
+        for alg in algebras:
+            for d in diagrams.values():
+                if d.kind is DiagramKind.SPATIAL_GRAPH or alg.idempotent:
+                    assert count_colorings(alg, d) == count_colorings_bruteforce(alg, d)
+                    checked += 1
+        assert (len(algebras), checked) == (233, 1424)
 
     def test_brute_force_single_region(self, full_algebra):
         d = Diagram("dot", DiagramKind.SPATIAL_GRAPH, ("r",), ())
@@ -250,6 +262,16 @@ class TestExactOnAnyInput:
             alg = TribracketAlgebra(bad, PartialProduct.diagonal(2))
             count_colorings(alg, dia)
 
+    def test_an_operation_no_constraint_uses_keeps_its_table_unbuilt(self):
+        crossing = Constraint(ConstraintKind.CROSSING, ("a", "b", "c", "d"))
+        vertex = Constraint(ConstraintKind.VERTEX, ("a", "b", "c"))
+        for con, used, unused in ((crossing, "tribracket", "product"),
+                                  (vertex, "product", "tribracket")):
+            alg = TribracketAlgebra(alexander_tribracket(3, 1, 1), PartialProduct.diagonal(3))
+            count_colorings(alg, _diagram(("a", "b", "c", "d"), (con,)))
+            assert "keyed_table" in vars(getattr(alg, used))
+            assert "keyed_table" not in vars(getattr(alg, unused))
+
     def test_many_free_regions_need_no_recursion(self):
         alg = TribracketAlgebra(alexander_tribracket(1, 1, 1), PartialProduct.diagonal(1))
         assert count_colorings(alg, _diagram((f"r{i}" for i in range(1200)), ())) == 1
@@ -260,19 +282,36 @@ class TestExactOnAnyInput:
         regions = tuple(f"r{i}" for i in range(1200))
         assert enumerate_colorings(alg, _diagram(regions, ())) == [dict.fromkeys(regions, 1)]
 
+    def test_joint_listing_of_twenty_thousand_free_regions(self):
+        # the branching order is planned once, not rescanned per branch node
+        alg = TribracketAlgebra(alexander_tribracket(1, 1, 1), PartialProduct.diagonal(1))
+        regions = tuple(f"r{i}" for i in range(20_000))
+        assert enumerate_colorings(alg, _diagram(regions, ())) == [dict.fromkeys(regions, 1)]
+
     def test_long_shuffled_crossing_chain(self):
-        # each new region is the bracket of three earlier ones, so the three
-        # seed regions determine the rest: 3^3 colorings
-        rng = random.Random(3)
-        regions, cons = ["r0", "r1", "r2"], []
-        while len(regions) < 1200:
-            refs = tuple(rng.choice(regions) for _ in range(3)) + (f"r{len(regions)}",)
-            cons.append(Constraint(ConstraintKind.CROSSING, refs))
-            regions.append(refs[-1])
-        rng.shuffle(regions)
-        rng.shuffle(cons)
         alg = TribracketAlgebra(alexander_tribracket(3, 1, 1), PartialProduct.diagonal(3))
-        assert count_colorings(alg, _diagram(regions, cons)) == 27
+        assert count_colorings(alg, _shuffled_chain(1200)) == 27
+
+    def test_twenty_thousand_region_shuffled_crossing_chain(self):
+        alg = TribracketAlgebra(alexander_tribracket(3, 1, 1), PartialProduct.diagonal(3))
+        assert count_colorings(alg, _shuffled_chain(20_000)) == 27
+
+
+def _shuffled_chain(size):
+    """A crossing chain of size regions, with regions and constraints shuffled.
+
+    Each new region is the bracket of three earlier ones, so the three seed
+    regions determine the rest: 3^3 colorings over alexander(3, 1, 1).
+    """
+    rng = random.Random(3)
+    regions, cons = ["r0", "r1", "r2"], []
+    while len(regions) < size:
+        refs = tuple(rng.choice(regions) for _ in range(3)) + (f"r{len(regions)}",)
+        cons.append(Constraint(ConstraintKind.CROSSING, refs))
+        regions.append(refs[-1])
+    rng.shuffle(regions)
+    rng.shuffle(cons)
+    return _diagram(regions, cons)
 
 
 def _rename(dia, prefix):
@@ -445,52 +484,88 @@ def _mixed_algebra():
     return TribracketAlgebra(Tribracket(3, cube), PartialProduct(3, square))
 
 
-class TestSearchOrder:
-    """The raw yield sequences of ``_solutions``, pinned by a digest.
+class TestPlan:
+    """The branching order ``_plan`` gives, one deciding rule at a time."""
 
-    The digest was taken before the search moved from per-slot tables to one
-    keyed table per operation; the search tree and the yield order must not
-    change with the table layout.
+    @staticmethod
+    def _planned(regions, refs_of):
+        touch = [[i for i, refs in enumerate(refs_of) if r in refs] for r in range(regions)]
+        return _plan(regions, refs_of, touch)
+
+    def test_each_score_decides_in_turn_and_forced_regions_follow(self):
+        # crossings of distinct regions: 5 touches three, 0 touches two
+        refs_of = [(5, 1, 6, 10), (5, 4, 2, 7), (5, 8, 9, 3), (0, 11, 12, 13), (0, 14, 15, 16)]
+        # 5 touches the most; 1 has a colored slot, which beats touching two
+        # (0); 6 leaves one slot open, which beats a lower index (2); that
+        # slot's region 10 follows at once, before 2
+        plan = [5, 1, 6, 10, 2, 4, 7, 3, 8, 9, 0, 11, 12, 13, 14, 15, 16]
+        assert self._planned(17, refs_of) == plan
+
+    def test_a_repeated_region_counts_once_per_slot(self):
+        # with 0 colored, coloring 2 closes all but one slot of the kink
+        assert self._planned(3, [(0, 2, 2, 1)]) == [0, 2, 1]
+
+
+def _search_runs(diagrams):
+    """The raw yield sequences of every ``TestSearchOrder`` run, labelled."""
+    algebras = {name: load_bundled_algebra(name)
+                for name in ("z3_full", "z3_diag", "z3_cyc", "z4_half")}
+    runs = []
+    for dia in diagrams.values():
+        for name, alg in algebras.items():
+            if dia.kind is DiagramKind.SPATIAL_GRAPH or name == "z3_diag":
+                runs.append((dia.name, name, _yields(alg, dia)))
+    for pair in builtin_move_pairs():
+        for name, alg in algebras.items():
+            for side, frag in (("before", pair.before), ("after", pair.after)):
+                runs.append((pair.move_id, side, name,
+                             _fragment_yields(alg, frag, pair.boundary)))
+    kink = _diagram(
+        ("w", "e", "l"), (Constraint(ConstraintKind.CROSSING, ("w", "e", "e", "l")),)
+    )
+    for name, alg in algebras.items():
+        runs.append(("kink", name, _yields(alg, kink)))
+    chain = _diagram(
+        [f"r{i}" for i in range(12)],
+        [Constraint(ConstraintKind.CROSSING, tuple(f"r{i + j}" for j in range(4)))
+         for i in range(9)] + [Constraint(ConstraintKind.VERTEX, ("r0", "r11", "r5"))],
+    )
+    one = TribracketAlgebra(alexander_tribracket(1, 1, 1), PartialProduct.diagonal(1))
+    runs.append(("chain", "n=1", _yields(one, chain)))
+    mixed = _mixed_algebra()
+    for dia in diagrams.values():
+        runs.append((dia.name, "mixed", _yields(mixed, dia)))
+    runs.append(("kink", "mixed", _yields(mixed, kink)))
+    # two hubs: once h is colored, the search prefers a, b, c, d to x
+    hubs = _diagram(
+        "h x a b c d e f g k".split(),
+        [Constraint(ConstraintKind.VERTEX, refs) for refs in
+         (("h", "a", "b"), ("h", "c", "d"), ("x", "e", "f"), ("x", "g", "k"))],
+    )
+    runs.append(("hubs", "z3_full", _yields(algebras["z3_full"], hubs)))
+    assert sum(len(run[-1]) for run in runs) > 1000
+    return runs
+
+
+class TestSearchOrder:
+    """The yields of ``_solutions``, pinned by two digests.
+
+    ``DIGEST`` pins the raw yield sequences.  It was taken before the search
+    moved from per-slot tables to one keyed table per operation; the search
+    tree and the yield order must not change with the table layout.
+    ``SORTED_DIGEST`` pins each run's yields as a sorted list, so it holds for
+    any branching order: it was taken before the search planned its
+    branching order once per call.
     """
 
     DIGEST = "a28872d04bf3b248122cc34e1bac7b8be4ef074fb8ae498fecc2f264a6f5c756"
+    SORTED_DIGEST = "bd7b275ba1f20ae4374b17b4c94a1654247f02c715f872574a38dcee44a7f960"
 
     def test_yield_sequences_match_the_pinned_digest(self, diagrams):
-        algebras = {name: load_bundled_algebra(name)
-                    for name in ("z3_full", "z3_diag", "z3_cyc", "z4_half")}
-        runs = []
-        for dia in diagrams.values():
-            for name, alg in algebras.items():
-                if dia.kind is DiagramKind.SPATIAL_GRAPH or name == "z3_diag":
-                    runs.append((dia.name, name, _yields(alg, dia)))
-        for pair in builtin_move_pairs():
-            for name, alg in algebras.items():
-                for side, frag in (("before", pair.before), ("after", pair.after)):
-                    runs.append((pair.move_id, side, name,
-                                 _fragment_yields(alg, frag, pair.boundary)))
-        kink = _diagram(
-            ("w", "e", "l"), (Constraint(ConstraintKind.CROSSING, ("w", "e", "e", "l")),)
-        )
-        for name, alg in algebras.items():
-            runs.append(("kink", name, _yields(alg, kink)))
-        chain = _diagram(
-            [f"r{i}" for i in range(12)],
-            [Constraint(ConstraintKind.CROSSING, tuple(f"r{i + j}" for j in range(4)))
-             for i in range(9)] + [Constraint(ConstraintKind.VERTEX, ("r0", "r11", "r5"))],
-        )
-        one = TribracketAlgebra(alexander_tribracket(1, 1, 1), PartialProduct.diagonal(1))
-        runs.append(("chain", "n=1", _yields(one, chain)))
-        mixed = _mixed_algebra()
-        for dia in diagrams.values():
-            runs.append((dia.name, "mixed", _yields(mixed, dia)))
-        runs.append(("kink", "mixed", _yields(mixed, kink)))
-        # two hubs: once h is colored, the pick score prefers a, b, c, d to x
-        hubs = _diagram(
-            "h x a b c d e f g k".split(),
-            [Constraint(ConstraintKind.VERTEX, refs) for refs in
-             (("h", "a", "b"), ("h", "c", "d"), ("x", "e", "f"), ("x", "g", "k"))],
-        )
-        runs.append(("hubs", "z3_full", _yields(algebras["z3_full"], hubs)))
-        assert sum(len(run[-1]) for run in runs) > 1000
-        digest = hashlib.sha256(repr(runs).encode()).hexdigest()
+        digest = hashlib.sha256(repr(_search_runs(diagrams)).encode()).hexdigest()
         assert digest == self.DIGEST
+
+    def test_sorted_yields_match_the_pinned_digest(self, diagrams):
+        runs = [(*run[:-1], sorted(run[-1])) for run in _search_runs(diagrams)]
+        digest = hashlib.sha256(repr(runs).encode()).hexdigest()
+        assert digest == self.SORTED_DIGEST

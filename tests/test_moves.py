@@ -1,4 +1,3 @@
-import functools
 import itertools
 
 from hypothesis import given, settings
@@ -16,12 +15,17 @@ from tribrackets import (
     builtin_move_pairs,
     check_move_invariance,
     enumerate_products,
-    enumerate_tribrackets,
     verify_algebra,
     verify_tribracket,
 )
 from tribrackets.moves import _tally
-from tests.conftest import CYC_PRODUCT, FULL_PRODUCT, Z3_TENSOR, arbitrary_algebras
+from tests.conftest import (
+    CYC_PRODUCT,
+    FULL_PRODUCT,
+    Z3_TENSOR,
+    arbitrary_algebras,
+    census_algebras,
+)
 
 
 def extensions(alg, frag, env):
@@ -45,17 +49,6 @@ def pairs_by_id():
 
 def all_verified_z3_algebras():
     return [TribracketAlgebra(Z3_TENSOR, p) for p in enumerate_products(Z3_TENSOR)]
-
-
-@functools.cache
-def census_algebras():
-    """Every tensor of orders 1-4 with every compatible product, in census order."""
-    return [
-        TribracketAlgebra(t, p)
-        for n in range(1, 5)
-        for t in enumerate_tribrackets(n)
-        for p in enumerate_products(t)
-    ]
 
 
 class TestCatalog:
