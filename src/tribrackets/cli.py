@@ -101,13 +101,14 @@ def _cmd_count(args) -> int:
     diagram = _load(args.diagram, parse_diagram)
     # the oracle runs first, so that a space over its cap is refused at once
     reference = count_colorings_bruteforce(algebra, diagram) if args.oracle else None
-    count = count_colorings(algebra, diagram)
+    # a listing's length is the count, so --enumerate runs one search, not two
+    listing = enumerate_colorings(algebra, diagram) if args.enumerate else []
+    count = len(listing) if args.enumerate else count_colorings(algebra, diagram)
     if args.oracle and reference != count:
         print(f"oracle mismatch: solver {count}, brute force {reference}")
         return MATH_FAILURE
-    if args.enumerate:
-        for coloring in enumerate_colorings(algebra, diagram):
-            print(" ".join(f"{r}={coloring[r]}" for r in diagram.regions))
+    for coloring in listing:
+        print(" ".join(f"{r}={coloring[r]}" for r in diagram.regions))
     print(count)
     return 0
 

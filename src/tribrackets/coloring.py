@@ -3,15 +3,14 @@
 One exact search, :func:`_solutions`, serves the counter, the listing and
 the move harness.  The counter multiplies the counts of the connected
 components of the region-constraint incidence graph; the listing and the
-move harness search the whole system jointly.  Regions are integers, and
-each constraint keeps one key, the values of its slots as base-(n+1) digits
-(0 for an uncolored slot), into the keyed table of its operation.  Coloring a
-region updates the keys of the constraints it fills and revisits only those
-constraints, reading one entry each: one uncolored slot with a unique value
-forces that slot, no value or a failing closed constraint kills the branch,
-and anything else (several values, or two uncolored slots) waits for
-branching.  Branches follow an order planned once per call, on an explicit
-stack, so no diagram is too deep for the recursion limit.
+move harness search the whole system jointly.  Regions are integers.  Once
+per call, :func:`_plan` fixes from structure alone the order the search
+colors regions in and, for each region, the constraint that forces it (none
+for a branch) and the constraints it closes.  The search walks that schedule
+on an explicit stack, so no diagram is too deep for the recursion limit: a
+branch tries 1..n, a forced region reads one entry of its constraint's keyed
+table, keyed by the values of the regions before it, and every value must
+hold in the constraints it closes.  Stepping back undoes nothing.
 count_colorings_bruteforce provides the independent reference semantics.
 """
 from __future__ import annotations
@@ -22,11 +21,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 # the slot solvers stay importable from here; the search reads their tables
-from .algebra import (  # noqa: F401
-    TribracketAlgebra,
-    product_solve,
-    tribracket_solve,
-)
+from .algebra import TribracketAlgebra, product_solve, tribracket_solve  # noqa: F401
 from .diagram import Constraint, ConstraintKind, Diagram, DiagramKind
 
 Coloring = dict[str, int]
@@ -70,112 +65,116 @@ def _solutions(
     if not regions:  # nothing to color: the empty coloring is the only one
         yield []
         return
-    n = alg.n
-    m = n + 1
+    m = alg.n + 1
     # each constraint as its regions in slot order and its operation's table,
     # built only if read; a vertex (left, middle, right) reads left*right = middle
     crossing = ConstraintKind.CROSSING
     ops = {crossing: alg.tribracket, ConstraintKind.VERTEX: alg.product}
-    refs_of = [
-        refs if kind is crossing else (refs[0], refs[2], refs[1]) for kind, refs in constraints
-    ]
+    refs_of = [x if kind is crossing else (x[0], x[2], x[1]) for kind, x in constraints]
     tables = [ops[kind].keyed_table for kind, _ in constraints]
-    touch: list[list[int]] = [[] for _ in range(regions)]  # constraints per region
-    slots: list[list[tuple[int, int]]] = [[] for _ in range(regions)]  # (constraint, place)
-    for i, refs in enumerate(refs_of):
-        for g, r in enumerate(refs):
-            slots[r].append((i, m ** (len(refs) - 1 - g)))
-            if touch[r][-1:] != [i]:
-                touch[r].append(i)
-    val = [0] * regions  # 0 = uncolored
-    keys = [0] * len(refs_of)  # per constraint: its slots' values as base-m digits
-    trail: list[int] = []
 
-    def assign(r: int, v: int) -> bool:
-        """Color r with v and propagate; False on a dead branch."""
-        val[r] = v
-        trail.append(r)
-        for i, place in slots[r]:
-            keys[i] += v * place
-        queue = [r]
-        while queue:
-            for i in touch[queue.pop()]:
-                e = tables[i][keys[i]]
-                if e > 0:  # one open slot, one value: force it
-                    x, w = refs_of[i][e & 3], e >> 2
-                    val[x] = w
-                    trail.append(x)
-                    for j, place in slots[x]:
-                        keys[j] += w * place
-                    queue.append(x)
-                elif e:  # no value fits, or the constraint fails
-                    return False
-        return True
+    def read(i: int, r: int) -> tuple:
+        """Constraint i at r's position: its table, four regions whose values are
+        its key's digits while r reads 0 (r pads a vertex), and r's place value."""
+        refs = refs_of[i]
+        k = sum(m**g for g, x in enumerate(reversed(refs)) if x == r)
+        return (tables[i], *refs, k) if len(refs) == 4 else (tables[i], r, *refs, k)
 
-    plan = _plan(regions, refs_of, touch)
-    stack = [[0, 1, 0]]  # frames: plan position, next value, trail length on entry
-    while stack:
-        frame = stack[-1]
-        p, v, mark = frame
-        while len(trail) > mark:
-            x = trail.pop()
-            w, val[x] = val[x], 0
-            for i, place in slots[x]:
-                keys[i] -= w * place
-        if v > n:
-            stack.pop()
-            continue
-        frame[1] = v + 1
-        if assign(plan[p], v):
-            if len(trail) == regions:
-                yield val
-            else:
-                while val[plan[p]]:  # every region before p is colored
-                    p += 1
-                stack.append([p, 1, len(trail)])
+    steps = [
+        (r, f is not None and read(f, r), [read(i, r) for i in closes if i != f])
+        for r, f, closes in _plan(regions, refs_of)
+    ]
+    span, val = range(1, m), [0] * regions
+    choices: list[tuple[int, Iterator[int]]] = []  # positions with values left to try
+    p = 0
+    while True:
+        if p == regions:  # a full coloring; then step back
+            yield val
+            values = ()
+        else:
+            r, force, closes = steps[p]
+            val[r] = 0
+            values = span
+            if force:
+                t, a, b, c, d, k = force
+                key = ((val[a] * m + val[b]) * m + val[c]) * m + val[d]
+                e = t[key]
+                if e > 0:  # the one value
+                    values = (e >> 2,)
+                else:  # none, or several (a table not Latin or not cancellative)
+                    values = () if e else [v for v in span if not t[key + v * k]]
+            for t, a, b, c, d, k in closes:  # keep the values that hold in each
+                key = ((val[a] * m + val[b]) * m + val[c]) * m + val[d]
+                if len(values) != 1:
+                    values = [v for v in values if not t[key + v * k]]
+                elif t[key + values[0] * k]:
+                    values = ()
+                    break
+            if len(values) == 1:  # no choice: never stepped back to
+                val[r] = values[0]
+                p += 1
+                continue
+        it = iter(values)
+        v = next(it, 0)
+        while not v:  # step back to the last position with a value left
+            if not choices:
+                return
+            p, it = choices.pop()
+            v = next(it, 0)
+        val[steps[p][0]] = v
+        choices.append((p, it))
+        p += 1
 
 
-def _plan(regions: int, refs_of: list[tuple[int, ...]], touch: list[list[int]]) -> list[int]:
-    """Every region, in the order the search branches on them (fail first).
+def _plan(regions: int, refs_of: list[tuple[int, ...]]) -> list[tuple[int, int | None, list]]:
+    """The search's schedule: each region in the order it is colored (fail
+    first), with the constraint forcing it (None for a branch) and those it closes.
 
     Simulates propagation on structure alone: take the best-scored uncolored
     region, then, in cascade, each region that fills a constraint's last open
-    slot.  The score ranks r by its constraints that coloring r leaves one
-    slot open, then those with a colored slot, then len(touch[r]), then the
-    lowest index.  Stale heap entries are skipped: O((R + slots) log R).
+    slot.  The score ranks r by its constraints that coloring r leaves one slot
+    open, then those with a colored slot, then how many constraints r touches,
+    then the lowest index.  Stale heap entries are skipped: O((R + slots) log R).
     """
     open_ = [len(refs) for refs in refs_of]  # per constraint: its open slots
     counts = [{r: refs.count(r) for r in refs} for refs in refs_of]  # slots per region
+    touch: list[list[int]] = [[] for _ in range(regions)]  # constraints per region
+    for i, count in enumerate(counts):
+        for r in count:
+            touch[r].append(i)
     # per region: its first two scores
     near = [sum(open_[i] - counts[i][r] == 1 for i in touch[r]) for r in range(regions)]
     started = [0] * regions
     heap = [(-near[r], 0, -len(touch[r]), r) for r in range(regions)]
     heapq.heapify(heap)
-    done = [False] * regions
-    order: list[int] = []
-    while len(order) < regions:
+    forcer: dict[int, int | None] = {}  # per region met: the constraint forcing it
+    schedule: list[tuple[int, int | None, list]] = []
+    while len(schedule) < regions:
         e1, e2, _, r = heapq.heappop(heap)
-        if done[r] or e1 != -near[r] or e2 != -started[r]:
+        if r in forcer or e1 != -near[r] or e2 != -started[r]:
             continue
-        done[r] = True
+        forcer[r] = None
         queue = [r]
         while queue:
             x = queue.pop()
-            order.append(x)
+            shut: list[int] = []
+            schedule.append((x, forcer[x], shut))
             for i in touch[x]:
                 o, k = open_[i], counts[i][x]
                 open_[i] = o - k
+                if o == k:
+                    shut.append(i)
                 for y, c in counts[i].items():
-                    if done[y]:
+                    if y in forcer:
                         continue
-                    if o - k == 1:  # y fills the last open slot: propagation forces it
-                        done[y] = True
+                    if o - k == 1:  # y fills the last open slot: i forces it
+                        forcer[y] = i
                         queue.append(y)
                     else:
                         near[y] += (o - k - c == 1) - (o - c == 1)
                         started[y] += o == len(refs_of[i])
                         heapq.heappush(heap, (-near[y], -started[y], -len(touch[y]), y))
-    return order
+    return schedule
 
 
 def _system(dia: Diagram) -> tuple[int, list[tuple[ConstraintKind, tuple[int, ...]]]]:

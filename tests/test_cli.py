@@ -93,6 +93,24 @@ class TestCount:
         assert len(lines) == 10 and lines[-1] == "9"
         assert lines[0] == "o=1 p=1 q=1"
 
+    def test_enumerate_counts_its_listing_in_one_search(
+        self, capsys, monkeypatch, z3_full_path, theta_path
+    ):
+        def solver(*_):
+            raise AssertionError("--enumerate ran a second search to count")
+
+        monkeypatch.setattr(tribrackets.cli, "count_colorings", solver)
+        assert main(["count", z3_full_path, theta_path, "--enumerate", "--oracle"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 10 and lines[-1] == "9"
+
+    def test_oracle_checks_the_listing_length(
+        self, capsys, monkeypatch, z3_full_path, theta_path
+    ):
+        monkeypatch.setattr(tribrackets.cli, "enumerate_colorings", lambda alg, dia: [{}] * 8)
+        assert main(["count", z3_full_path, theta_path, "--enumerate", "--oracle"]) == 1
+        assert capsys.readouterr().out == "oracle mismatch: solver 8, brute force 9\n"
+
     def test_handlebody_gating_exits_2(self, capsys, tmp_path, z3_full_path, diagrams):
         path = tmp_path / "hopf.dia"
         path.write_text(serialize_diagram(diagrams["hopf_handlebody"]))

@@ -296,6 +296,13 @@ class TestExactOnAnyInput:
         alg = TribracketAlgebra(alexander_tribracket(3, 1, 1), PartialProduct.diagonal(3))
         assert count_colorings(alg, _shuffled_chain(20_000)) == 27
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_theta_with_eight_thousand_random_kinks(self, diagrams, seed):
+        # a kink (w, e, e, l) forces l once w and e are colored, so the count
+        # stays theta's 9, although the plan branches on some kink regions
+        alg = load_bundled_algebra("z3_full")
+        assert count_colorings(alg, _kinked(diagrams["theta"], 8000, seed)) == 9
+
 
 def _shuffled_chain(size):
     """A crossing chain of size regions, with regions and constraints shuffled.
@@ -311,6 +318,19 @@ def _shuffled_chain(size):
         regions.append(refs[-1])
     rng.shuffle(regions)
     rng.shuffle(cons)
+    return _diagram(regions, cons)
+
+
+def _kinked(dia, size, seed):
+    """dia with size kinks (w, e, e, l) added: w, then e, drawn from the
+    regions so far, and l a new region."""
+    rng = random.Random(seed)
+    regions, cons = list(dia.regions), list(dia.constraints)
+    for i in range(size):
+        w = rng.choice(regions)
+        e = rng.choice(regions)
+        cons.append(Constraint(ConstraintKind.CROSSING, (w, e, e, f"k{i}")))
+        regions.append(f"k{i}")
     return _diagram(regions, cons)
 
 
@@ -485,12 +505,22 @@ def _mixed_algebra():
 
 
 class TestPlan:
-    """The branching order ``_plan`` gives, one deciding rule at a time."""
+    """The schedule ``_plan`` gives, one deciding rule at a time.
+
+    A schedule lists each region in branching order with the constraint that
+    forces it (None for a branch) and the constraints it closes, that is,
+    whose last region it is.
+    """
 
     @staticmethod
     def _planned(regions, refs_of):
-        touch = [[i for i, refs in enumerate(refs_of) if r in refs] for r in range(regions)]
-        return _plan(regions, refs_of, touch)
+        """The plan order, then the forcing constraint of each forced region,
+        then the position at which each constraint closes."""
+        schedule = _plan(regions, refs_of)
+        order = [r for r, _, _ in schedule]
+        forcers = {r: f for r, f, _ in schedule if f is not None}
+        closes = {i: p for p, (_, _, shut) in enumerate(schedule) for i in shut}
+        return order, forcers, closes
 
     def test_each_score_decides_in_turn_and_forced_regions_follow(self):
         # crossings of distinct regions: 5 touches three, 0 touches two
@@ -499,11 +529,22 @@ class TestPlan:
         # (0); 6 leaves one slot open, which beats a lower index (2); that
         # slot's region 10 follows at once, before 2
         plan = [5, 1, 6, 10, 2, 4, 7, 3, 8, 9, 0, 11, 12, 13, 14, 15, 16]
-        assert self._planned(17, refs_of) == plan
+        # each crossing forces its last region, and closes there
+        forcers = {10: 0, 7: 1, 9: 2, 13: 3, 16: 4}
+        closes = {0: 3, 1: 6, 2: 9, 3: 13, 4: 16}
+        assert self._planned(17, refs_of) == (plan, forcers, closes)
 
     def test_a_repeated_region_counts_once_per_slot(self):
         # with 0 colored, coloring 2 closes all but one slot of the kink
-        assert self._planned(3, [(0, 2, 2, 1)]) == [0, 2, 1]
+        assert self._planned(3, [(0, 2, 2, 1)]) == ([0, 2, 1], {1: 0}, {0: 2})
+
+    def test_a_constraint_closes_where_it_forces_nothing(self):
+        # theta: 0 and 1 branch, then the first vertex forces 2, closing both
+        assert _plan(3, [(0, 2, 1), (0, 2, 1)]) == [
+            (0, None, []), (1, None, []), (2, 0, [0, 1])
+        ]
+        # each region fills two slots, so nothing is forced: a branch closes it
+        assert _plan(2, [(1, 0, 0, 1)]) == [(0, None, []), (1, None, [0])]
 
 
 def _search_runs(diagrams):
