@@ -30,11 +30,9 @@ from .coloring import (
     BruteForceCapError,
     Coloring,
     HandlebodyModeError,
-    ObstructionCase,
     count_colorings,
     count_colorings_bruteforce,
     enumerate_colorings,
-    verify_k2_obstruction,
 )
 from .diagram import (
     Constraint,
@@ -82,7 +80,6 @@ __all__ = [
     "LocalMovePair",
     "MoveCheckReport",
     "MoveFragment",
-    "ObstructionCase",
     "PartialProduct",
     "ProductSlot",
     "ShapeError",
@@ -110,6 +107,5 @@ __all__ = [
     "serialize_diagram",
     "tribracket_solve",
     "verify_algebra",
-    "verify_k2_obstruction",
     "verify_tribracket",
 ]

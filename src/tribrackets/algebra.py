@@ -465,7 +465,7 @@ def _keyed_table(fwd: tuple[int, ...], n: int, arity: int) -> tuple[int, ...]:
     arity + 1 slots in slot order, inputs first and the result last, each a
     value 1..n or 0 for an open slot.  Its entry is
 
-    - 4*w + g when slot g is the only open slot and w its only value;
+    - w when only one slot is open and w is its only value;
     - -1 when the only open slot has no value, or when no slot is open and
       the values fail the operation (an undefined cell included);
     - 0 otherwise: several values, two or more open slots, or no open slot
@@ -489,14 +489,14 @@ def _keyed_table(fwd: tuple[int, ...], n: int, arity: int) -> tuple[int, ...]:
         keys = [k + v for k in keys for v in range(s, m * s, s)]
     for k, d in zip(keys, fwd):
         if d:
-            table[k] = 4 * d + arity
+            table[k] = d
             table[k + d] = 0
     for j, s in enumerate(strides):
         xs = [x for x in range(1, m) for _ in range(n ** (arity - 1 - j))] * n**j
         for k, x, d in zip(keys, xs, fwd):
             if d:  # the key with input j open and the result d
                 k += d - x * s
-                table[k] = 4 * x + j if table[k] < 0 else 0
+                table[k] = x if table[k] < 0 else 0
     return tuple(table)
 
 
@@ -525,7 +525,7 @@ def tribracket_solve(t: Tribracket, slot: BracketSlot, known: tuple[int, int, in
         raise LookupError(
             f"{'no' if e < 0 else 'several'} {slot.value} values fit {known} in bracket(a,b,c)=d"
         )
-    return e >> 2
+    return e
 
 
 def product_solve(
@@ -540,7 +540,7 @@ def product_solve(
     e = _slot_read(p.keyed_table, slot, known, p.n)
     if e == 0:
         raise LookupError(f"several {slot.value} values fit {known} in a*b=c")
-    return e >> 2 if e > 0 else None
+    return e if e > 0 else None
 
 
 # ---------------------------------------------------------------------------

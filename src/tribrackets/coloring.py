@@ -18,7 +18,6 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 
 # the slot solvers stay importable from here; the search reads their tables
 from .algebra import TribracketAlgebra, product_solve, tribracket_solve  # noqa: F401
@@ -100,7 +99,7 @@ def _solutions(
                 key = ((val[a] * m + val[b]) * m + val[c]) * m + val[d]
                 e = t[key]
                 if e > 0:  # the one value
-                    values = (e >> 2,)
+                    values = (e,)
                 else:  # none, or several (a table not Latin or not cancellative)
                     values = () if e else [v for v in span if not t[key + v * k]]
             for t, a, b, c, d, k in closes:  # keep the values that hold in each
@@ -250,32 +249,3 @@ def count_colorings_bruteforce(
             count += 1
     return count
 
-
-@dataclass(frozen=True)
-class ObstructionCase:
-    """One vertex-admissible triple with the bracket value the clasp forces."""
-
-    triple: tuple[int, int, int]
-    value: int
-    required: int
-
-    @property
-    def satisfied(self) -> bool:
-        return self.value == self.required
-
-
-def verify_k2_obstruction(alg: TribracketAlgebra) -> list[ObstructionCase]:
-    """Evaluate the k2 closing condition on the vertex-admissible triples.
-
-    These are (a, b, a*b) over the defined product cells in row-major order.
-    The k2 clasp needs bracket(a, bracket(a,c,b), b) to return to a; the
-    listing records the actual value next to a.  Each satisfied case is one
-    coloring of k2.
-    """
-    if alg.n != 3:
-        raise ValueError("the k2 obstruction concerns the order-3 algebra")
-    br = alg.tribracket.bracket
-    return [
-        ObstructionCase((a, b, c), br(a, br(a, c, b), b), a)
-        for a, row in enumerate(alg.product.table, 1) for b, c in enumerate(row, 1) if c
-    ]

@@ -1,4 +1,5 @@
 import functools
+import signal
 
 import pytest
 from hypothesis import strategies as st
@@ -41,6 +42,33 @@ Z4_PRODUCT = PartialProduct(
 )
 
 
+# seconds any one test may run, where SIGALRM exists; the slowest takes about 5
+TIME_LIMIT = 120
+
+
+class TimeLimitExceeded(BaseException):
+    """A test ran past TIME_LIMIT; not an Exception, so no handler in the code swallows it."""
+
+
+@pytest.fixture(autouse=True)
+def _time_limit():
+    """Fail, rather than hang, a test that runs past TIME_LIMIT seconds."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"the test ran past its {TIME_LIMIT} s limit")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TIME_LIMIT)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
 @functools.cache
 def census_algebras():
     """Every tensor of orders 1-4 with every compatible product, in census order."""
@@ -49,6 +77,16 @@ def census_algebras():
         for n in range(1, 5)
         for t in enumerate_tribrackets(n)
         for p in enumerate_products(t)
+    ]
+
+
+def k2_cases(alg):
+    """Per defined product cell a*b = c, in row-major order: the triple
+    (a, b, c), the value [a, [a, c, b], b] of k2's clasp, and the a it needs."""
+    br = alg.tribracket.bracket
+    return [
+        ((a, b, c), br(a, br(a, c, b), b), a)
+        for a, row in enumerate(alg.product.table, 1) for b, c in enumerate(row, 1) if c
     ]
 
 

@@ -380,12 +380,12 @@ class TestSolving:
         t, p = parse_algebra(serialize_algebra(z3, FULL_PRODUCT))
         assert "keyed_table" not in vars(t) and "keyed_table" not in vars(p)
         table = t.keyed_table
-        # with a, b, c closed and the result open the entry is 4 * [a, b, c] + 3
+        # with a, b, c closed and the result open the entry is [a, b, c]
         cells = itertools.product((1, 2, 3), repeat=3)
         results = [table[((a * 4 + b) * 4 + c) * 4] for a, b, c in cells]
-        assert results == [4 * v + 3 for m in z3.table for r in m for v in r]
+        assert results == [v for m in z3.table for r in m for v in r]
         assert "keyed_table" in vars(t)
-        assert p.keyed_table[(3 * 4 + 1) * 4] == 4 * FULL_PRODUCT.mul(3, 1) + 2
+        assert p.keyed_table[(3 * 4 + 1) * 4] == FULL_PRODUCT.mul(3, 1)
 
     def test_bundled_algebra_loader(self, full_algebra):
         assert load_bundled_algebra("z3_full") == full_algebra
@@ -439,7 +439,7 @@ def reference_keyed_table(fwd, n, arity):
     """The keyed table derived entry by entry from ``reference_slot_tables``.
 
     A key with one open slot g reads slot table g at the other slots' values:
-    a unique value w gives 4*w + g, none gives -1 and several give 0.  A key
+    a unique value w gives w, none gives -1 and several give 0.  A key
     with no open slot gives 0 when fwd holds at its inputs and -1 otherwise;
     a key with two or more open slots gives 0.
     """
@@ -459,7 +459,7 @@ def reference_keyed_table(fwd, n, arity):
         elif len(open_slots) == 1:
             g = open_slots[0]
             w = tables[g][index(digits[:g] + digits[g + 1:])]
-            table.append(4 * w + g if w > 0 else -1 if w == 0 else 0)
+            table.append(w if w > 0 else -1 if w == 0 else 0)
         else:
             table.append(0)
     return tuple(table)

@@ -21,13 +21,10 @@ from tribrackets import (
     count_colorings,
     count_colorings_bruteforce,
     enumerate_colorings,
-    enumerate_products,
-    enumerate_tribrackets,
     load_bundled_algebra,
-    verify_k2_obstruction,
 )
 from tribrackets.coloring import _plan, _satisfies, _solutions, _system
-from tests.conftest import arbitrary_algebras, census_algebras
+from tests.conftest import arbitrary_algebras, census_algebras, k2_cases
 
 
 class TestBundledCounts:
@@ -442,41 +439,31 @@ class TestRelabeling:
 
 class TestK2Obstruction:
     def test_reproduces_the_three_mismatches(self, cyc_algebra):
-        cases = verify_k2_obstruction(cyc_algebra)
-        assert [(c.triple, c.value, c.required) for c in cases] == [
+        assert k2_cases(cyc_algebra) == [
             ((1, 2, 3), 3, 1),
             ((2, 3, 1), 1, 2),
             ((3, 1, 2), 2, 3),
         ]
-        assert not any(c.satisfied for c in cases)
-
-    def test_rejects_other_orders(self):
-        alg = TribracketAlgebra(
-            alexander_tribracket(4, 1, 1), PartialProduct.diagonal(4)
-        )
-        with pytest.raises(ValueError):
-            verify_k2_obstruction(alg)
 
     def test_z3_diag_and_z3_full_list_their_defined_cells(self, diag_algebra, full_algebra):
         # k2 counts 3 colorings over each, so 3 cases are satisfied
-        cases = verify_k2_obstruction(diag_algebra)
-        assert [c.triple for c in cases] == [(1, 1, 1), (2, 2, 2), (3, 3, 3)]
-        assert all(c.satisfied for c in cases)
-        cases = verify_k2_obstruction(full_algebra)
-        assert [c.triple for c in cases] == [
+        cases = k2_cases(diag_algebra)
+        assert [triple for triple, _, _ in cases] == [(1, 1, 1), (2, 2, 2), (3, 3, 3)]
+        assert all(value == required for _, value, required in cases)
+        cases = k2_cases(full_algebra)
+        assert [triple for triple, _, _ in cases] == [
             (a, b, full_algebra.product.mul(a, b)) for a in (1, 2, 3) for b in (1, 2, 3)
         ]
-        assert sum(c.satisfied for c in cases) == 3
+        assert sum(value == required for _, value, required in cases) == 3
 
     def test_satisfied_cases_count_the_colorings_of_k2(self, diagrams):
-        checked = 0
-        for t in enumerate_tribrackets(3):
-            for p in enumerate_products(t):
-                alg = TribracketAlgebra(t, p)
-                satisfied = sum(c.satisfied for c in verify_k2_obstruction(alg))
-                assert satisfied == count_colorings(alg, diagrams["k2"])
-                checked += 1
-        assert checked == 19
+        # the identity the demo's clasp row reads: failing cases = cells - count
+        orders = []
+        for alg in census_algebras():
+            satisfied = sum(value == required for _, value, required in k2_cases(alg))
+            assert satisfied == count_colorings(alg, diagrams["k2"])
+            orders.append(alg.n)
+        assert orders.count(3) == 19 and sorted(set(orders)) == [1, 2, 3, 4]
 
 
 def _yields(alg, dia):
