@@ -465,6 +465,13 @@ class TestK2Obstruction:
             orders.append(alg.n)
         assert orders.count(3) == 19 and sorted(set(orders)) == [1, 2, 3, 4]
 
+    @given(alg=arbitrary_algebras(sizes=(1, 2, 3, 4)))
+    @settings(max_examples=200, deadline=None)
+    def test_satisfied_cases_count_k2_on_arbitrary_tables(self, alg, diagrams):
+        # the identity needs no axiom: any order, any tensor, any partial product
+        satisfied = sum(value == required for _, value, required in k2_cases(alg))
+        assert satisfied == count_colorings(alg, diagrams["k2"])
+
 
 def _yields(alg, dia):
     """Every raw yield of the search on dia, in yield order."""
