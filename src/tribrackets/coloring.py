@@ -6,11 +6,12 @@ components of the region-constraint incidence graph; the listing and the
 move harness search the whole system jointly.  Regions are integers.  Once
 per call, :func:`_plan` fixes from structure alone the order the search
 colors regions in and, for each region, the constraint that forces it (none
-for a branch) and the constraints it closes.  The search walks that schedule
-on an explicit stack, so no diagram is too deep for the recursion limit: a
-branch tries 1..n, a forced region reads one entry of its constraint's keyed
-table, keyed by the values of the regions before it, and every value must
-hold in the constraints it closes.  Stepping back undoes nothing.
+for a branch; a constraint forces its last uncolored region) and those it
+closes.  The search walks that schedule on an explicit stack, so no diagram
+is too deep for the recursion limit: a branch tries 1..n, a forced region
+reads one entry of its constraint's keyed table, keyed by the values of the
+regions before it, and every value must hold in the constraints it closes.
+Stepping back undoes nothing.
 count_colorings_bruteforce provides the independent reference semantics.
 """
 from __future__ import annotations
@@ -55,15 +56,12 @@ def _solutions(
     regions: int,
     constraints: Sequence[tuple[ConstraintKind, tuple[int, ...]]],
 ) -> Iterator[list[int]]:
-    """Every coloring of regions 0..regions-1, as the list of their values.
+    """Every coloring of regions 0..regions-1 (only [] if none), as a list of values.
 
     ``constraints`` pairs each kind with region indices in the order of
     :class:`Constraint` refs.  The same list is yielded each time and changes
     as the search goes on: copy it to keep a coloring.
     """
-    if not regions:  # nothing to color: the empty coloring is the only one
-        yield []
-        return
     m = alg.n + 1
     # each constraint as its regions in slot order and its operation's table,
     # built only if read; a vertex (left, middle, right) reads left*right = middle
@@ -74,7 +72,7 @@ def _solutions(
 
     def read(i: int, r: int) -> tuple:
         """Constraint i at r's position: its table, four regions whose values are
-        its key's digits while r reads 0 (r pads a vertex), and r's place value."""
+        its key's digits while r reads 0 (r pads a vertex), and r's place values summed."""
         refs = refs_of[i]
         k = sum(m**g for g, x in enumerate(reversed(refs)) if x == r)
         return (tables[i], *refs, k) if len(refs) == 4 else (tables[i], r, *refs, k)
@@ -100,7 +98,7 @@ def _solutions(
                 e = t[key]
                 if e > 0:  # the one value
                     values = (e,)
-                else:  # none, or several (a table not Latin or not cancellative)
+                else:  # none, or several (r in several slots, or a table not Latin)
                     values = () if e else [v for v in span if not t[key + v * k]]
             for t, a, b, c, d, k in closes:  # keep the values that hold in each
                 key = ((val[a] * m + val[b]) * m + val[c]) * m + val[d]
@@ -129,20 +127,21 @@ def _plan(regions: int, refs_of: list[tuple[int, ...]]) -> list[tuple[int, int |
     """The search's schedule: each region in the order it is colored (fail
     first), with the constraint forcing it (None for a branch) and those it closes.
 
-    Simulates propagation on structure alone: take the best-scored uncolored
-    region, then, in cascade, each region that fills a constraint's last open
-    slot.  The score ranks r by its constraints that coloring r leaves one slot
-    open, then those with a colored slot, then how many constraints r touches,
+    Simulates propagation on structure alone, a constraint being its set of
+    regions: take the best-scored uncolored region, then, in cascade, each
+    constraint's last uncolored region, whatever slots it fills.  The score
+    ranks r by its constraints that coloring r leaves one region uncolored,
+    then those with a colored region, then how many constraints r touches,
     then the lowest index.  Stale heap entries are skipped: O((R + slots) log R).
     """
-    open_ = [len(refs) for refs in refs_of]  # per constraint: its open slots
-    counts = [{r: refs.count(r) for r in refs} for refs in refs_of]  # slots per region
+    sets = [dict.fromkeys(refs) for refs in refs_of]  # per constraint: its regions
+    left = [len(s) for s in sets]  # per constraint: its uncolored regions
     touch: list[list[int]] = [[] for _ in range(regions)]  # constraints per region
-    for i, count in enumerate(counts):
-        for r in count:
+    for i, s in enumerate(sets):
+        for r in s:
             touch[r].append(i)
     # per region: its first two scores
-    near = [sum(open_[i] - counts[i][r] == 1 for i in touch[r]) for r in range(regions)]
+    near = [sum(left[i] == 2 for i in touch[r]) for r in range(regions)]
     started = [0] * regions
     heap = [(-near[r], 0, -len(touch[r]), r) for r in range(regions)]
     heapq.heapify(heap)
@@ -159,19 +158,18 @@ def _plan(regions: int, refs_of: list[tuple[int, ...]]) -> list[tuple[int, int |
             shut: list[int] = []
             schedule.append((x, forcer[x], shut))
             for i in touch[x]:
-                o, k = open_[i], counts[i][x]
-                open_[i] = o - k
-                if o == k:
+                left[i] = u = left[i] - 1
+                if not u:
                     shut.append(i)
-                for y, c in counts[i].items():
+                for y in sets[i]:
                     if y in forcer:
                         continue
-                    if o - k == 1:  # y fills the last open slot: i forces it
+                    if u == 1:  # y is i's last uncolored region: i forces it
                         forcer[y] = i
                         queue.append(y)
                     else:
-                        near[y] += (o - k - c == 1) - (o - c == 1)
-                        started[y] += o == len(refs_of[i])
+                        near[y] += u == 2
+                        started[y] += u + 1 == len(sets[i])
                         heapq.heappush(heap, (-near[y], -started[y], -len(touch[y]), y))
     return schedule
 

@@ -50,8 +50,8 @@ class EnumerationBudget:
     """Caps for a search: complete tables verified and wall-clock seconds.
 
     ``max_candidates`` counts the complete tables handed to the verifier,
-    not the partial tables visited; ``timeout`` is checked between the
-    matrices of the set-up and before every value the search tries.
+    not the partial tables visited; ``timeout`` is checked between the rows
+    of the set-up and before every value the search tries.
     Anything but a positive int cap (not a bool) and a positive finite real
     timeout raises ValueError.
     """
@@ -111,18 +111,18 @@ def enumerate_tribrackets(
     # within matrix u, and d.  It waits in the watch list of an undecided
     # cell it needs, and is looked at again once that cell is decided.
     lines: list[tuple[tuple[int, ...], ...]] = []
-    watch: list[list[tuple[int, ...]]] = [[] for _ in range(size)]
-    for a in range(n):
+    watch: dict[int, list[tuple[int, ...]]] = {}  # a cell's list made on its first witness
+    for am, b in itertools.product(range(0, size, nn), range(n)):  # am: matrix a's offset
         if deadline is not None and time.monotonic() > deadline:
             return EnumerationResult([], False)
-        for i in range(a * nn, a * nn + nn):
+        for i in range(am + b * n, am + b * n + n):
             lines.append(tuple(
                 tuple(i + (j - (i // s) % n) * s for j in range(n) if j != (i // s) % n)
                 for s in (1, n, nn)
             ))
-        for b, c, d in itertools.product(range(n), repeat=3):
-            abc, bcd = a * nn + b * n + c, b * nn + c * n + d
-            watch[max(abc, bcd)].append((abc, bcd, a * nn, a * nn + b * n, c * n + d, d))
+        for c, d in itertools.product(range(n), repeat=2):
+            abc, bcd = am + b * n + c, b * nn + c * n + d
+            watch.setdefault(max(abc, bcd), []).append((abc, bcd, am, am + b * n, c * n + d, d))
 
     T = [_UNDECIDED] * size
     trail: list = []  # cells forced and watch lists appended to, to undo
@@ -162,7 +162,7 @@ def enumerate_tribrackets(
                     if not 0 <= rest < n:  # two decided cells repeat a value
                         return False
                     force(hole, rest)
-            for w in watch[k]:
+            for w in watch.get(k, ()):
                 abc, bcd, am, ab, cd, d = w
                 while True:
                     u, x = T[abc], T[bcd]
@@ -200,8 +200,8 @@ def enumerate_tribrackets(
                     block = -1  # both laws hold for good
                     break
                 if block >= 0:
-                    watch[block].append(w)
-                    trail.append(watch[block])
+                    trail.append(watch.setdefault(block, []))
+                    trail[-1].append(w)
         return True
 
     out: list[Tribracket] = []

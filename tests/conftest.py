@@ -50,9 +50,10 @@ class TimeLimitExceeded(BaseException):
     """A test ran past TIME_LIMIT; not an Exception, so no handler in the code swallows it."""
 
 
-@pytest.fixture(autouse=True)
-def _time_limit():
-    """Fail, rather than hang, a test that runs past TIME_LIMIT seconds."""
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    """Fail, rather than hang, a test whose set-up, call and teardown run past
+    TIME_LIMIT seconds, the fixtures of every scope they run included."""
     if not hasattr(signal, "SIGALRM"):
         yield
         return

@@ -295,8 +295,8 @@ class TestExactOnAnyInput:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_theta_with_eight_thousand_random_kinks(self, diagrams, seed):
-        # a kink (w, e, e, l) forces l once w and e are colored, so the count
-        # stays theta's 9, although the plan branches on some kink regions
+        # a kink (w, e, e, l) forces its last uncolored region, l or e, so the
+        # count stays theta's 9; with seed 0 the plan branches on six regions, not two
         alg = load_bundled_algebra("z3_full")
         assert count_colorings(alg, _kinked(diagrams["theta"], 8000, seed)) == 9
 
@@ -528,17 +528,24 @@ class TestPlan:
         closes = {0: 3, 1: 6, 2: 9, 3: 13, 4: 16}
         assert self._planned(17, refs_of) == (plan, forcers, closes)
 
-    def test_a_repeated_region_counts_once_per_slot(self):
-        # with 0 colored, coloring 2 closes all but one slot of the kink
-        assert self._planned(3, [(0, 2, 2, 1)]) == ([0, 2, 1], {1: 0}, {0: 2})
+    def test_a_repeated_region_counts_once(self):
+        # with 0 colored, 2 and 1 tie on every score, so the lower index 1
+        # branches; that leaves 2 the kink's last region, though it fills two slots
+        assert self._planned(3, [(0, 2, 2, 1)]) == ([0, 1, 2], {2: 0}, {0: 2})
+
+    def test_random_kinks_force_their_repeated_region(self, diagrams):
+        # theta plus 2,000 kinks (w, e, e, l): a kink forces e once w and l are
+        # colored, so two regions branch, as in theta alone
+        regions, cons = _system(_kinked(diagrams["theta"], 2000, 0))
+        assert sum(f is None for _, f, _ in _plan(regions, [refs for _, refs in cons])) == 2
 
     def test_a_constraint_closes_where_it_forces_nothing(self):
         # theta: 0 and 1 branch, then the first vertex forces 2, closing both
         assert _plan(3, [(0, 2, 1), (0, 2, 1)]) == [
             (0, None, []), (1, None, []), (2, 0, [0, 1])
         ]
-        # each region fills two slots, so nothing is forced: a branch closes it
-        assert _plan(2, [(1, 0, 0, 1)]) == [(0, None, []), (1, None, [0])]
+        # once 0 is colored, 1 is the last region, though it fills two slots
+        assert _plan(2, [(1, 0, 0, 1)]) == [(0, None, []), (1, 0, [0])]
 
 
 def _search_runs(diagrams):

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import time
+import tracemalloc
 
 import pytest
 
@@ -377,26 +378,45 @@ class TestBudgetAtInteriorNodes:
         assert keys == sorted(keys)
         assert all(verify_tribracket(t).passed for t in result)
 
-    def test_timeout_is_checked_at_every_node(self, monkeypatch):
-        # a clock that ticks once per reading: the deadline passes after 1000
-        # search nodes, long before the first order-5 tensor is complete
+    @staticmethod
+    def _ticking_clock(monkeypatch):
+        """Make the census clock tick once per reading; return the ticks."""
         import tribrackets.enumeration as enumeration
 
         ticks = itertools.count()
         monkeypatch.setattr(
             enumeration, "time", type("Clock", (), {"monotonic": lambda: next(ticks)})
         )
+        return ticks
+
+    def test_timeout_is_checked_at_every_node(self, monkeypatch):
+        # the deadline passes after 1000 search nodes, long before the first
+        # order-5 tensor is complete
+        ticks = self._ticking_clock(monkeypatch)
         result = enumerate_tribrackets(5, EnumerationBudget(timeout=1000))
         assert not result.complete and len(result) == 0
         assert next(ticks) < 2000  # stopped soon after the deadline
 
     def test_timeout_bounds_the_set_up(self):
         # the set-up at order 30 builds 30^4 witnesses, about 2 s; the
-        # deadline is checked between its matrices, so it stops within one
+        # deadline is checked between its rows, so it stops within one
         start = time.monotonic()
         result = enumerate_tribrackets(30, EnumerationBudget(timeout=0.05))
         assert time.monotonic() - start < 1.0
         assert not result.complete and len(result) == 0
+
+    def test_timeout_bounds_the_set_up_memory(self, monkeypatch):
+        # the deadline passes after two rows (a, b) of the order-40 set-up, of
+        # 40^2 witnesses each; no list is made ahead for each of the 40^3 cells
+        self._ticking_clock(monkeypatch)
+        tracemalloc.start()
+        try:
+            result = enumerate_tribrackets(40, EnumerationBudget(timeout=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not result.complete and len(result) == 0
+        assert peak < 2 * 2**20
 
 
 class TestMaxCandidatesAtOrder4:
