@@ -3,15 +3,15 @@
 One exact search, :func:`_solutions`, serves the counter, the listing and
 the move harness.  The counter multiplies the counts of the connected
 components of the region-constraint incidence graph; the listing and the
-move harness search the whole system jointly.  Regions are integers.  Once
-per call, :func:`_plan` fixes from structure alone the order the search
-colors regions in and, for each region, the constraint that forces it (none
-for a branch; a constraint forces its last uncolored region) and those it
-closes.  The search walks that schedule on an explicit stack, so no diagram
-is too deep for the recursion limit: a branch tries 1..n, a forced region
-reads one entry of its constraint's keyed table, keyed by the values of the
-regions before it, and every value must hold in the constraints it closes.
-Stepping back undoes nothing.
+move harness search the whole system jointly.  Regions are integers.
+:func:`_compile` fixes from structure alone (per call, or once per move pair)
+the order the search colors regions in and, for each region, the constraint
+that forces it (none for a branch; a constraint forces its last uncolored
+region) and those it closes.  The search binds the keyed tables and walks
+that schedule on an explicit stack, so no diagram is too deep for the
+recursion limit: a branch tries 1..n, a forced region reads one entry of its
+constraint's keyed table, keyed by the values of the regions before it, and
+every value must hold in the constraints it closes.  Stepping back undoes nothing.
 count_colorings_bruteforce provides the independent reference semantics.
 """
 from __future__ import annotations
@@ -51,37 +51,41 @@ def _satisfies(alg: TribracketAlgebra, con: Constraint, env: Coloring) -> bool:
     return alg.product.mul(left, right) == middle
 
 
-def _solutions(
-    alg: TribracketAlgebra,
-    regions: int,
-    constraints: Sequence[tuple[ConstraintKind, tuple[int, ...]]],
-) -> Iterator[list[int]]:
-    """Every coloring of regions 0..regions-1 (only [] if none), as a list of values.
+def _compile(regions: int, constraints: Sequence[tuple[ConstraintKind, tuple[int, ...]]]):
+    """The schedule of :func:`_plan` over regions 0..regions-1, from structure alone.
 
-    ``constraints`` pairs each kind with region indices in the order of
-    :class:`Constraint` refs.  The same list is yielded each time and changes
-    as the search goes on: copy it to keep a coloring.
-    """
-    m = alg.n + 1
-    # each constraint as its regions in slot order and its operation's table,
-    # built only if read; a vertex (left, middle, right) reads left*right = middle
+    ``constraints`` pairs each kind with region indices in :class:`Constraint`
+    refs order.  Per position: r, the read of its forcing constraint (False for
+    a branch) and those of the constraints it closes.  A read is the kind, four
+    regions whose values are the key's digits while r reads 0, and for each
+    digit whether r fills it."""
+    # a vertex (left, middle, right) reads left*right = middle
     crossing = ConstraintKind.CROSSING
-    ops = {crossing: alg.tribracket, ConstraintKind.VERTEX: alg.product}
     refs_of = [x if kind is crossing else (x[0], x[2], x[1]) for kind, x in constraints]
-    tables = [ops[kind].keyed_table for kind, _ in constraints]
 
     def read(i: int, r: int) -> tuple:
-        """Constraint i at r's position: its table, four regions whose values are
-        its key's digits while r reads 0 (r pads a vertex), and r's place values summed."""
         refs = refs_of[i]
-        k = sum(m**g for g, x in enumerate(reversed(refs)) if x == r)
-        return (tables[i], *refs, k) if len(refs) == 4 else (tables[i], r, *refs, k)
+        pad = 4 - len(refs)  # r pads a vertex's first digit, which r does not fill
+        return (constraints[i][0], *(r,) * pad, *refs, *(False,) * pad, *[x == r for x in refs])
 
-    steps = [
+    return [
         (r, f is not None and read(f, r), [read(i, r) for i in closes if i != f])
         for r, f, closes in _plan(regions, refs_of)
     ]
-    span, val = range(1, m), [0] * regions
+
+
+def _solutions(alg: TribracketAlgebra, schedule: list[tuple]) -> Iterator[list[int]]:
+    """Every coloring of a compiled schedule's regions (only [] if none), as one list
+    of values that changes as the search goes on: copy it to keep a coloring."""
+    m = alg.n + 1
+    # a read binds its operation's table, built only if read, and r's place values summed
+    ops = {ConstraintKind.CROSSING: alg.tribracket, ConstraintKind.VERTEX: alg.product}
+
+    def bind(kind, a, b, c, d, fa, fb, fc, fd) -> tuple:
+        return ops[kind].keyed_table, a, b, c, d, ((fa * m + fb) * m + fc) * m + fd
+
+    steps = [(r, f and bind(*f), [bind(*x) for x in closes]) for r, f, closes in schedule]
+    regions, span, val = len(steps), range(1, m), [0] * len(steps)
     choices: list[tuple[int, Iterator[int]]] = []  # positions with values left to try
     p = 0
     while True:
@@ -96,17 +100,20 @@ def _solutions(
                 t, a, b, c, d, k = force
                 key = ((val[a] * m + val[b]) * m + val[c]) * m + val[d]
                 e = t[key]
-                if e > 0:  # the one value
-                    values = (e,)
+                if e > 0:  # the one value: test it in each constraint it closes
+                    for t, a, b, c, d, k in closes:
+                        if t[((val[a] * m + val[b]) * m + val[c]) * m + val[d] + e * k]:
+                            break
+                    else:  # no choice: never stepped back to
+                        val[r] = e
+                        p += 1
+                        continue
+                    closes = values = ()  # it fails one: step back
                 else:  # none, or several (r in several slots, or a table not Latin)
                     values = () if e else [v for v in span if not t[key + v * k]]
             for t, a, b, c, d, k in closes:  # keep the values that hold in each
                 key = ((val[a] * m + val[b]) * m + val[c]) * m + val[d]
-                if len(values) != 1:
-                    values = [v for v in values if not t[key + v * k]]
-                elif t[key + values[0] * k]:
-                    values = ()
-                    break
+                values = [v for v in values if not t[key + v * k]]
             if len(values) == 1:  # no choice: never stepped back to
                 val[r] = values[0]
                 p += 1
@@ -204,7 +211,7 @@ def _components(regions: int, constraints: Sequence[tuple[ConstraintKind, tuple[
 def enumerate_colorings(alg: TribracketAlgebra, dia: Diagram) -> list[Coloring]:
     """All valid colorings from one joint search, sorted by value tuple in region order."""
     _check_mode(alg, dia)
-    found = sorted(tuple(val) for val in _solutions(alg, *_system(dia)))
+    found = sorted(tuple(val) for val in _solutions(alg, _compile(*_system(dia))))
     return [dict(zip(dia.regions, values)) for values in found]
 
 
@@ -216,7 +223,7 @@ def count_colorings(alg: TribracketAlgebra, dia: Diagram) -> int:
     count = alg.n ** (len(dia.regions) - sum(size for size, _ in comps))
     for size, cons in comps:
         if count:  # a factor 0 ends the search
-            count *= sum(1 for _ in _solutions(alg, size, cons))
+            count *= sum(1 for _ in _solutions(alg, _compile(size, cons)))
     return count
 
 

@@ -5,12 +5,14 @@ boundary regions.  A check solves each fragment once over its boundary and
 internal regions with the coloring search, tallies fragment colorings per
 boundary coloring (the number of extensions to the internal regions), and
 compares the two tallies.  The fragments are transcribed so that their
-algebraic content is exactly one verifier axiom: the kink and poke moves
-(R1*/R2*) exercise slot bijectivity, R3a the two coherence identities, the
+algebraic content is at most one verifier axiom: the kinks R1b/R1d and the
+pokes (R2*) exercise slot bijectivity, R3a the two coherence identities, the
 vertex twists R4.1/R4.10 the r4 compatibility condition, and the four
 vertex-slide moves R5.7/R5.10/R5.13/R5.16 the four r5 compatibility
-families.  The IH pair passes for every boundary coloring
-exactly when the product is defined only on equal operands with aa = a.
+families.  The kinks R1a/R1c color their loop region by the bracket's value,
+so they pass over any tensor and product, Latin or not.  The IH pair passes
+for every boundary coloring exactly when the product is defined only on
+equal operands with aa = a.
 
 A fragment may also merge two boundary regions (the strand-free side of a
 poke move joins its two gap regions into one band); it is solved as the
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .algebra import TribracketAlgebra
-from .coloring import _solutions
+from .coloring import _compile, _solutions
 from .diagram import Constraint, ConstraintKind
 
 _C = ConstraintKind.CROSSING
@@ -46,6 +48,11 @@ class LocalMovePair:
     before: MoveFragment
     after: MoveFragment
     requires_idempotent: bool = False
+
+    @functools.cached_property
+    def _compiled(self) -> tuple[tuple[list, list[int]], ...]:
+        """Per side, its search schedule and boundary indices; built on the first check."""
+        return tuple(_compile_fragment(self.boundary, frag) for frag in (self.before, self.after))
 
 
 @dataclass(frozen=True)
@@ -167,20 +174,22 @@ def _move_pairs() -> tuple[LocalMovePair, ...]:
     return tuple(pairs)
 
 
-def _tally(
-    alg: TribracketAlgebra, boundary: tuple[str, ...], frag: MoveFragment
-) -> Counter[tuple[int, ...]]:
-    """The number of fragment colorings restricting to each boundary coloring."""
+def _compile_fragment(boundary: tuple[str, ...], frag: MoveFragment) -> tuple[list, list[int]]:
+    """The fragment's search schedule (a merged region as the one it merges into)
+    and the index of each boundary region."""
     merged = {r2: r1 for r1, r2 in frag.merges}
     names = [r for r in (*boundary, *frag.internal) if r not in merged]
     index = {r: i for i, r in enumerate(names)}
-    for r2, r1 in merged.items():
-        index[r2] = index[r1]
+    index |= {r2: index[r1] for r2, r1 in merged.items()}
     system = [(c.kind, tuple(index[r] for r in c.refs)) for c in frag.constraints]
-    ends = [index[r] for r in boundary]
+    return _compile(len(names), system), [index[r] for r in boundary]
+
+
+def _tally(alg: TribracketAlgebra, schedule: list, ends: list[int]) -> Counter[tuple[int, ...]]:
+    """The number of fragment colorings restricting to each boundary coloring."""
     # itemgetter needs an index, and returns a tuple only for two or more
     end_values = itemgetter(*ends) if len(ends) > 1 else lambda val: tuple(val[i] for i in ends)
-    return Counter(map(end_values, _solutions(alg, len(names), system)))
+    return Counter(map(end_values, _solutions(alg, schedule)))
 
 
 def check_move_invariance(alg: TribracketAlgebra, pair: LocalMovePair) -> MoveCheckReport:
@@ -189,8 +198,7 @@ def check_move_invariance(alg: TribracketAlgebra, pair: LocalMovePair) -> MoveCh
     Returns PASS when the counts agree everywhere, otherwise the first failing
     boundary coloring (lexicographic order) with both counts.
     """
-    before = _tally(alg, pair.boundary, pair.before)
-    after = _tally(alg, pair.boundary, pair.after)
+    before, after = (_tally(alg, *side) for side in pair._compiled)
     if before.items() == after.items():  # counted tallies hold positive counts only
         return MoveCheckReport(pair.move_id, True)
     differ = [k for k in before.keys() | after.keys() if before[k] != after[k]]

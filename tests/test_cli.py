@@ -303,6 +303,17 @@ class TestCheckMoves:
         assert captured.out == ""
         assert captured.err == message
 
+    def test_bundled_reports_match_the_committed_output(self, capsys):
+        # the CI step that pipes the console script into diff reads the same file
+        algebras = Path(tribrackets.__file__).parent / "data" / "algebras"
+        golden = Path(__file__).parent / "data" / "move_reports.txt"
+        codes = [
+            main(["check-moves", "--include-ih", str(algebras / f"{name}.alg")])
+            for name in ("z3_full", "z3_diag", "z3_cyc", "z4_half")
+        ]
+        assert codes == [1, 0, 1, 1]  # IH fails unless the product is the diagonal
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
 
 class TestDemo:
     def test_demo_passes(self, capsys):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -23,7 +24,8 @@ from tribrackets import (
     enumerate_colorings,
     load_bundled_algebra,
 )
-from tribrackets.coloring import _plan, _satisfies, _solutions, _system
+from tribrackets.coloring import _compile, _plan, _satisfies, _solutions, _system
+from tribrackets.moves import _compile_fragment
 from tests.conftest import arbitrary_algebras, census_algebras, k2_cases
 
 
@@ -436,6 +438,32 @@ class TestRelabeling:
                 full_algebra, d
             )
 
+    def test_relabelling_the_values_preserves_every_count(self, diagrams):
+        # every relabelling at orders 1-3, two seeded ones per order-4 algebra
+        rng = random.Random(19)
+        checked = moved = 0
+        for alg in census_algebras():
+            n = alg.n
+            perms = (itertools.permutations(range(1, n + 1)) if n <= 3
+                     else [rng.sample(range(1, n + 1), n) for _ in range(2)])
+            counts = {name: count_colorings(alg, d) for name, d in diagrams.items()
+                      if d.kind is DiagramKind.SPATIAL_GRAPH or alg.idempotent}
+            for perm in perms:
+                image = _relabelled(alg, perm)
+                assert {name: count_colorings(image, diagrams[name]) for name in counts} == counts
+                checked += len(counts)
+                moved += image != alg
+        assert (checked, moved) == (3298, 367)
+
+
+def _relabelled(alg, perm):
+    """alg carried along the bijection v -> perm[v - 1] of its values."""
+    back = [perm.index(v) for v in range(1, alg.n + 1)]  # each value's preimage, from 0
+    relabel = {None: None, **{v: perm[v - 1] for v in range(1, alg.n + 1)}}
+    cube = [[[relabel[alg.tribracket.table[a][b][c]] for c in back] for b in back] for a in back]
+    square = [[relabel[alg.product.table[a][b]] for b in back] for a in back]
+    return TribracketAlgebra(Tribracket(alg.n, cube), PartialProduct(alg.n, square))
+
 
 class TestK2Obstruction:
     def test_reproduces_the_three_mismatches(self, cyc_algebra):
@@ -475,19 +503,13 @@ class TestK2Obstruction:
 
 def _yields(alg, dia):
     """Every raw yield of the search on dia, in yield order."""
-    regions, system = _system(dia)
-    return [tuple(val) for val in _solutions(alg, regions, system)]
+    return [tuple(val) for val in _solutions(alg, _compile(*_system(dia)))]
 
 
 def _fragment_yields(alg, frag, boundary):
-    """Every raw yield of the search on a move fragment, as ``moves._tally`` sets it up."""
-    merged = {r2: r1 for r1, r2 in frag.merges}
-    names = [r for r in (*boundary, *frag.internal) if r not in merged]
-    index = {r: i for i, r in enumerate(names)}
-    for r2, r1 in merged.items():
-        index[r2] = index[r1]
-    system = [(c.kind, tuple(index[r] for r in c.refs)) for c in frag.constraints]
-    return [tuple(val) for val in _solutions(alg, len(names), system)]
+    """Every raw yield of the search on a move fragment, as ``moves._tally`` walks it."""
+    schedule, _ = _compile_fragment(boundary, frag)
+    return [tuple(val) for val in _solutions(alg, schedule)]
 
 
 def _mixed_algebra():

@@ -1,4 +1,7 @@
+import dataclasses
+import hashlib
 import itertools
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +21,8 @@ from tribrackets import (
     verify_algebra,
     verify_tribracket,
 )
-from tribrackets.moves import _tally
+from tribrackets import coloring
+from tribrackets.moves import _compile_fragment, _tally
 from tests.conftest import (
     CYC_PRODUCT,
     FULL_PRODUCT,
@@ -30,7 +34,7 @@ from tests.conftest import (
 
 def extensions(alg, frag, env):
     """Extensions of env (keys in boundary order) to the fragment's internal regions."""
-    return _tally(alg, tuple(env), frag)[tuple(env.values())]
+    return _tally(alg, *_compile_fragment(tuple(env), frag))[tuple(env.values())]
 
 
 MOVE_IDS = [
@@ -154,19 +158,104 @@ class TestEmptyFragments:
     def test_a_pair_with_no_regions_passes(self, full_algebra):
         empty = MoveFragment((), ())
         pair = LocalMovePair("X", (), empty, empty)
-        assert _tally(full_algebra, (), empty) == {(): 1}
+        assert _tally(full_algebra, *_compile_fragment((), empty)) == {(): 1}
         assert check_move_invariance(full_algebra, pair) == MoveCheckReport("X", True)
 
     def test_a_one_region_boundary_tallies_to_one_tuples(self, full_algebra, empty_algebra):
         # before: the square w*w, which the empty product never defines
         square = MoveFragment(("l",), (Constraint(ConstraintKind.VERTEX, ("w", "l", "w")),))
         pair = LocalMovePair("X", ("w",), square, MoveFragment((), ()))
-        assert _tally(full_algebra, ("w",), square) == {(1,): 1, (2,): 1, (3,): 1}
-        assert _tally(empty_algebra, ("w",), square) == {}
+        compiled = _compile_fragment(("w",), square)
+        assert _tally(full_algebra, *compiled) == {(1,): 1, (2,): 1, (3,): 1}
+        assert _tally(empty_algebra, *compiled) == {}
         assert check_move_invariance(full_algebra, pair) == MoveCheckReport("X", True)
         report = check_move_invariance(empty_algebra, pair)
         assert report == MoveCheckReport("X", False, ({"w": 1}, 0, 1))
         assert report.summary() == "X  FAIL at w=1: 0 extensions vs 1"
+
+
+class TestCompiledOnce:
+    def test_each_fragment_is_planned_once_over_repeated_checks(
+        self, monkeypatch, full_algebra, cyc_algebra, z4_algebra
+    ):
+        calls = []
+        plan = coloring._plan
+        monkeypatch.setattr(coloring, "_plan", lambda *args: calls.append(args) or plan(*args))
+        fresh = [dataclasses.replace(pair) for pair in builtin_move_pairs()]  # none compiled yet
+        reports = [
+            [check_move_invariance(alg, pair) for pair in fresh]
+            for _ in range(3) for alg in (full_algebra, cyc_algebra, z4_algebra)
+        ]
+        assert len(calls) == 2 * len(fresh)  # one plan per side of each pair
+        # the catalogue's own pairs keep theirs: once checked, they plan nothing again
+        for pair in builtin_move_pairs():
+            check_move_invariance(full_algebra, pair)
+        calls.clear()
+        again = [
+            [check_move_invariance(alg, pair) for pair in builtin_move_pairs()]
+            for _ in range(3) for alg in (full_algebra, cyc_algebra, z4_algebra)
+        ]
+        assert calls == [] and again == reports
+
+    def test_a_user_built_pair_reports_the_same_on_first_and_later_checks(
+        self, full_algebra, cyc_algebra, empty_algebra
+    ):
+        slide = pairs_by_id()["R5.13"]
+        for alg in (*perturbed_census_algebras()[:6], full_algebra, cyc_algebra, empty_algebra):
+            pair = LocalMovePair("mine", slide.boundary, slide.before, slide.after)
+            first = check_move_invariance(alg, pair)
+            assert first == oracle_check(alg, pair)
+            assert [check_move_invariance(alg, pair) for _ in range(2)] == [first, first]
+        # a pair first checked on one algebra reports on the next as a new pair does
+        pair = LocalMovePair("mine", slide.boundary, slide.before, slide.after)
+        check_move_invariance(full_algebra, pair)
+        assert check_move_invariance(cyc_algebra, pair) == oracle_check(cyc_algebra, pair)
+
+
+class TestResultSlotKinks:
+    @given(alg=arbitrary_algebras(sizes=(1, 2, 3, 4)))
+    @settings(max_examples=200, deadline=None)
+    def test_r1a_and_r1c_pass_on_arbitrary_tables(self, alg):
+        # their loop region sits in the bracket's result slot, so every
+        # boundary coloring has exactly one extension on each side
+        for move_id in ("R1a", "R1c"):
+            assert check_move_invariance(alg, pairs_by_id()[move_id]).passed
+
+
+def perturbed_census_algebras():
+    """40 seeded census algebras of orders 3 and 4, each with one or two cells
+    of its tensor or product changed (a product cell may become undefined)."""
+    rng = random.Random(19)
+    out = []
+    for alg in rng.sample([alg for alg in census_algebras() if alg.n >= 3], 40):
+        n = alg.n
+        cube = [[list(row) for row in mat] for mat in alg.tribracket.table]
+        square = [list(row) for row in alg.product.table]
+        for _ in range(rng.randint(1, 2)):
+            if rng.random() < 0.5:
+                a, b, c = (rng.randrange(n) for _ in range(3))
+                cube[a][b][c] = rng.choice([v for v in range(1, n + 1) if v != cube[a][b][c]])
+            else:
+                a, b = rng.randrange(n), rng.randrange(n)
+                others = [v for v in (None, *range(1, n + 1)) if v != square[a][b]]
+                square[a][b] = rng.choice(others)
+        out.append(TribracketAlgebra(Tribracket(n, cube), PartialProduct(n, square)))
+    return out
+
+
+class TestFailWitnesses:
+    # taken before each move pair kept its compiled fragments
+    DIGEST = "3a0d241ad5e49414102dcb4b3051c41c8e40abe60a2e1a4b10ecb4eaa6264446"
+
+    def test_reports_on_perturbed_census_algebras_match_the_pinned_digest(self):
+        pairs = builtin_move_pairs()
+        lines = [check_move_invariance(alg, pair).summary()
+                 for alg in perturbed_census_algebras() for pair in pairs]
+        # every move but the result-slot kinks fails somewhere, so the digest
+        # pins FAIL witnesses and extension counts of each of them
+        failing = {line.split()[0] for line in lines if "FAIL" in line}
+        assert failing == set(MOVE_IDS) - {"R1a", "R1c"}
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.DIGEST
 
 
 class TestMutationDetection:
