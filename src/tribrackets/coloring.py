@@ -1,18 +1,20 @@
 """Counting and listing the region colorings of a diagram by a finite algebra.
 
-One exact search, :func:`_solutions`, serves the counter, the listing and
-the move harness.  The counter multiplies the counts of the connected
-components of the region-constraint incidence graph; the listing and the
-move harness search the whole system jointly.  Regions are integers.
-:func:`_compile` fixes from structure alone (per call, or once per move pair)
-the order the search colors regions in and, for each region, the constraint
-that forces it (none for a branch; a constraint forces its last uncolored
-region) and those it closes.  The search binds the keyed tables and walks
-that schedule on an explicit stack, so no diagram is too deep for the
-recursion limit: a branch tries 1..n, a forced region reads one entry of its
-constraint's keyed table, keyed by the values of the regions before it, and
-every value must hold in the constraints it closes.  Stepping back undoes nothing.
-count_colorings_bruteforce provides the independent reference semantics.
+The coloring rule is stated once, by :func:`_system`: it numbers the regions and
+gives each constraint's regions in slot order, inputs first, the result last.
+One exact search, :func:`_solutions`, reads it for the counter, the listing and
+the move harness.  The counter multiplies the counts of the connected components
+of the region-constraint incidence graph; the listing and the move harness
+search the whole system jointly.  :func:`_compile` fixes from structure alone
+(per call, or once per move pair) the order the search colors regions in and,
+for each region, the constraint that forces it (none for a branch; a constraint
+forces its last uncolored region) and those it closes.  The search binds the
+keyed tables and walks that schedule on an explicit stack, so no diagram is too
+deep for the recursion limit: a branch tries 1..n, a forced region reads one
+entry of its constraint's keyed table, keyed by the values of the regions before
+it, and every value must hold in the constraints it closes.  Stepping back undoes
+nothing.  count_colorings_bruteforce, the independent reference, shares only that
+numbering and slot order: it tests every assignment through bracket and mul.
 """
 from __future__ import annotations
 
@@ -43,34 +45,34 @@ def _check_mode(alg: TribracketAlgebra, dia: Diagram) -> None:
         )
 
 
-def _satisfies(alg: TribracketAlgebra, con: Constraint, env: Coloring) -> bool:
-    if con.kind is ConstraintKind.CROSSING:
-        a, b, c, d = (env[r] for r in con.refs)
-        return alg.tribracket.bracket(a, b, c) == d
-    left, middle, right = (env[r] for r in con.refs)
-    return alg.product.mul(left, right) == middle
+def _system(names: Sequence[str], constraints: Sequence[Constraint], merges=()) -> tuple:
+    """The number of regions, each constraint as its kind and region indices in
+    slot order, and each name's index, in ``names`` order; a merge (r1, r2) numbers r2 as r1."""
+    # a crossing (a, b, c, d) reads [a, b, c] = d, and a vertex (l, m, r) reads l*r = m
+    slots = {ConstraintKind.CROSSING: (0, 1, 2, 3), ConstraintKind.VERTEX: (0, 2, 1)}
+    merged = {r2: r1 for r1, r2 in merges}
+    index = {r: i for i, r in enumerate(r for r in names if r not in merged)}
+    regions = len(index)
+    index |= {r2: index[r1] for r2, r1 in merged.items()}
+    system = [(c.kind, tuple(index[c.refs[s]] for s in slots[c.kind])) for c in constraints]
+    return regions, system, index
 
 
-def _compile(regions: int, constraints: Sequence[tuple[ConstraintKind, tuple[int, ...]]]):
+def _compile(regions: int, system: Sequence[tuple[ConstraintKind, tuple[int, ...]]]):
     """The schedule of :func:`_plan` over regions 0..regions-1, from structure alone.
 
-    ``constraints`` pairs each kind with region indices in :class:`Constraint`
-    refs order.  Per position: r, the read of its forcing constraint (False for
-    a branch) and those of the constraints it closes.  A read is the kind, four
-    regions whose values are the key's digits while r reads 0, and for each
-    digit whether r fills it."""
-    # a vertex (left, middle, right) reads left*right = middle
-    crossing = ConstraintKind.CROSSING
-    refs_of = [x if kind is crossing else (x[0], x[2], x[1]) for kind, x in constraints]
-
+    ``system`` is as :func:`_system` gives it.  Per position: r, the read of its
+    forcing constraint (False for a branch) and those of the constraints it closes.
+    A read is the kind, four regions whose values are the key's digits while r
+    reads 0, and for each digit whether r fills it."""
     def read(i: int, r: int) -> tuple:
-        refs = refs_of[i]
+        kind, refs = system[i]
         pad = 4 - len(refs)  # r pads a vertex's first digit, which r does not fill
-        return (constraints[i][0], *(r,) * pad, *refs, *(False,) * pad, *[x == r for x in refs])
+        return (kind, *(r,) * pad, *refs, *(False,) * pad, *[x == r for x in refs])
 
     return [
         (r, f is not None and read(f, r), [read(i, r) for i in closes if i != f])
-        for r, f, closes in _plan(regions, refs_of)
+        for r, f, closes in _plan(regions, [refs for _, refs in system])
     ]
 
 
@@ -130,7 +132,7 @@ def _solutions(alg: TribracketAlgebra, schedule: list[tuple]) -> Iterator[list[i
         p += 1
 
 
-def _plan(regions: int, refs_of: list[tuple[int, ...]]) -> list[tuple[int, int | None, list]]:
+def _plan(regions: int, constraints: list[tuple[int, ...]]) -> list[tuple[int, int | None, list]]:
     """The search's schedule: each region in the order it is colored (fail
     first), with the constraint forcing it (None for a branch) and those it closes.
 
@@ -141,7 +143,7 @@ def _plan(regions: int, refs_of: list[tuple[int, ...]]) -> list[tuple[int, int |
     then those with a colored region, then how many constraints r touches,
     then the lowest index.  Stale heap entries are skipped: O((R + slots) log R).
     """
-    sets = [dict.fromkeys(refs) for refs in refs_of]  # per constraint: its regions
+    sets = [dict.fromkeys(refs) for refs in constraints]  # per constraint: its regions
     left = [len(s) for s in sets]  # per constraint: its uncolored regions
     touch: list[list[int]] = [[] for _ in range(regions)]  # constraints per region
     for i, s in enumerate(sets):
@@ -181,11 +183,6 @@ def _plan(regions: int, refs_of: list[tuple[int, ...]]) -> list[tuple[int, int |
     return schedule
 
 
-def _system(dia: Diagram) -> tuple[int, list[tuple[ConstraintKind, tuple[int, ...]]]]:
-    index = {r: i for i, r in enumerate(dia.regions)}
-    return len(index), [(c.kind, tuple(index[r] for r in c.refs)) for c in dia.constraints]
-
-
 def _components(regions: int, constraints: Sequence[tuple[ConstraintKind, tuple[int, ...]]]):
     """Each connected component with a constraint: size, constraints over local indices."""
     parent = list(range(regions))
@@ -211,7 +208,8 @@ def _components(regions: int, constraints: Sequence[tuple[ConstraintKind, tuple[
 def enumerate_colorings(alg: TribracketAlgebra, dia: Diagram) -> list[Coloring]:
     """All valid colorings from one joint search, sorted by value tuple in region order."""
     _check_mode(alg, dia)
-    found = sorted(tuple(val) for val in _solutions(alg, _compile(*_system(dia))))
+    regions, system, _ = _system(dia.regions, dia.constraints)
+    found = sorted(tuple(val) for val in _solutions(alg, _compile(regions, system)))
     return [dict(zip(dia.regions, values)) for values in found]
 
 
@@ -219,7 +217,7 @@ def count_colorings(alg: TribracketAlgebra, dia: Diagram) -> int:
     """The number of valid region colorings of dia by alg: the product of the
     components' counts, with n for each region that no constraint touches."""
     _check_mode(alg, dia)
-    comps = _components(*_system(dia))
+    comps = _components(*_system(dia.regions, dia.constraints)[:2])
     count = alg.n ** (len(dia.regions) - sum(size for size, _ in comps))
     for size, cons in comps:
         if count:  # a factor 0 ends the search
@@ -247,10 +245,10 @@ def count_colorings_bruteforce(
         raise BruteForceCapError(
             f"{shown} assignments exceed the cap of {cap}; use count_colorings"
         )
-    count = 0
-    for values in itertools.product(range(1, n + 1), repeat=len(dia.regions)):
-        env = dict(zip(dia.regions, values))
-        if all(_satisfies(alg, con, env) for con in dia.constraints):
-            count += 1
-    return count
+    ops = {ConstraintKind.CROSSING: alg.tribracket.bracket, ConstraintKind.VERTEX: alg.product.mul}
+    _, system, _ = _system(dia.regions, dia.constraints)
+    return sum(
+        all(ops[kind](*(val[i] for i in refs[:-1])) == val[refs[-1]] for kind, refs in system)
+        for val in itertools.product(range(1, n + 1), repeat=len(dia.regions))
+    )
 

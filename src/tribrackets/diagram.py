@@ -15,6 +15,7 @@ diagrams (z4_left/z4_right).
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -65,11 +66,7 @@ class Diagram:
         _check_name(self.name)
         if not self.regions:
             raise DiagramParseError("a diagram needs at least one region")
-        seen = _check_regions(self.regions)
-        for con in self.constraints:
-            for r in con.refs:
-                if r not in seen:
-                    raise DiagramParseError(f"undeclared region {r!r}")
+        _check_regions(self.regions, (r for con in self.constraints for r in con.refs))
 
 
 def _check_name(name: str) -> None:
@@ -77,8 +74,9 @@ def _check_name(name: str) -> None:
         raise DiagramParseError(f"bad diagram name {name!r}")
 
 
-def _check_regions(regions: tuple[str, ...]) -> set[str]:
-    """The set of ``regions``; a bad or repeated name is refused."""
+def _check_regions(regions: tuple[str, ...], named: Iterable[str] = ()) -> set[str]:
+    """The set of ``regions``; a bad or repeated name, or a ``named`` region
+    not among them, is refused."""
     seen = set()
     for r in regions:
         if not r.isalnum():
@@ -86,6 +84,9 @@ def _check_regions(regions: tuple[str, ...]) -> set[str]:
         if r in seen:
             raise DiagramParseError(f"duplicate region declaration {r!r}")
         seen.add(r)
+    for r in named:
+        if r not in seen:
+            raise DiagramParseError(f"undeclared region {r!r}")
     return seen
 
 

@@ -6,13 +6,14 @@ internal regions with the coloring search, tallies fragment colorings per
 boundary coloring (the number of extensions to the internal regions), and
 compares the two tallies.  The fragments are transcribed so that their
 algebraic content is at most one verifier axiom: the kinks R1b/R1d and the
-pokes (R2*) exercise slot bijectivity, R3a the two coherence identities, the
-vertex twists R4.1/R4.10 the r4 compatibility condition, and the four
-vertex-slide moves R5.7/R5.10/R5.13/R5.16 the four r5 compatibility
-families.  The kinks R1a/R1c color their loop region by the bracket's value,
-so they pass over any tensor and product, Latin or not.  The IH pair passes
-for every boundary coloring exactly when the product is defined only on
-equal operands with aa = a.
+pokes (R2*) exercise slot bijectivity and R3a the two coherence identities.
+On any tensor and partial product, R4.1 fails exactly when r4-compat does,
+and R5.7/R5.10/R5.13/R5.16 exactly when r5-compat-1/2/3/4 do; R4.10 passes
+exactly when, for every defined a*b = p, [a, m, b] = p holds at m = p alone,
+which is r4-compat when slot b is bijective.  The kinks R1a/R1c color their
+loop region by the bracket's value, so they pass over any tensor and product,
+Latin or not.  The IH pair passes for every boundary coloring exactly when
+the product is defined only on equal operands with aa = a.
 
 A fragment may also merge two boundary regions (the strand-free side of a
 poke move joins its two gap regions into one band); it is solved as the
@@ -22,13 +23,14 @@ admit no extension on that side.
 from __future__ import annotations
 
 import functools
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 
 from .algebra import TribracketAlgebra
-from .coloring import _compile, _solutions
-from .diagram import Constraint, ConstraintKind
+from .coloring import _compile, _solutions, _system
+from .diagram import Constraint, ConstraintKind, DiagramParseError, _check_regions
 
 _C = ConstraintKind.CROSSING
 _V = ConstraintKind.VERTEX
@@ -48,6 +50,17 @@ class LocalMovePair:
     before: MoveFragment
     after: MoveFragment
     requires_idempotent: bool = False
+
+    def __post_init__(self):
+        """Refuse what Diagram refuses (a bad, repeated or undeclared region) and
+        a region merged twice or merged into a merged region."""
+        for frag in (self.before, self.after):
+            named = itertools.chain(*(c.refs for c in frag.constraints), *frag.merges)
+            _check_regions((*self.boundary, *frag.internal), named)
+            merged = [r2 for _, r2 in frag.merges]
+            for r1, r2 in frag.merges:
+                if r1 in merged or merged.count(r2) > 1:
+                    raise DiagramParseError(f"merge ({r1!r}, {r2!r}) chains or repeats a merge")
 
     @functools.cached_property
     def _compiled(self) -> tuple[tuple[list, list[int]], ...]:
@@ -175,14 +188,9 @@ def _move_pairs() -> tuple[LocalMovePair, ...]:
 
 
 def _compile_fragment(boundary: tuple[str, ...], frag: MoveFragment) -> tuple[list, list[int]]:
-    """The fragment's search schedule (a merged region as the one it merges into)
-    and the index of each boundary region."""
-    merged = {r2: r1 for r1, r2 in frag.merges}
-    names = [r for r in (*boundary, *frag.internal) if r not in merged]
-    index = {r: i for i, r in enumerate(names)}
-    index |= {r2: index[r1] for r2, r1 in merged.items()}
-    system = [(c.kind, tuple(index[r] for r in c.refs)) for c in frag.constraints]
-    return _compile(len(names), system), [index[r] for r in boundary]
+    """The fragment's search schedule and the index of each boundary region."""
+    regions, system, index = _system((*boundary, *frag.internal), frag.constraints, frag.merges)
+    return _compile(regions, system), [index[r] for r in boundary]
 
 
 def _tally(alg: TribracketAlgebra, schedule: list, ends: list[int]) -> Counter[tuple[int, ...]]:

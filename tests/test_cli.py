@@ -372,6 +372,27 @@ def run_alone(argv):
     return done.returncode, done.stdout
 
 
+class TestClosedStdout:
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    def test_a_closed_stdout_is_an_io_error_without_a_traceback(self, z3_full_path, unbuffered):
+        # unbuffered, the first print fails; buffered, the flush at the end does
+        env = dict(os.environ, PYTHONPATH=str(Path(tribrackets.__file__).parents[1]))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "tribrackets", "check-moves", z3_full_path],
+                stdout=write, stderr=subprocess.PIPE, text=True, env=env,
+            )
+        finally:
+            os.close(write)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr and "BrokenPipeError" not in done.stderr
+
+
 class TestNoStateBetweenCalls:
     """One process reuses the parser and the move catalogue across main() calls."""
 

@@ -24,7 +24,7 @@ from tribrackets import (
     enumerate_colorings,
     load_bundled_algebra,
 )
-from tribrackets.coloring import _compile, _plan, _satisfies, _solutions, _system
+from tribrackets.coloring import _compile, _plan, _solutions, _system
 from tribrackets.moves import _compile_fragment
 from tests.conftest import arbitrary_algebras, census_algebras, k2_cases
 
@@ -217,6 +217,15 @@ class TestSolverDifferential:
             assert count_colorings(alg, dia) == count_colorings_bruteforce(alg, dia)
 
 
+def _holds(alg, con, env):
+    """Whether the coloring env satisfies con, read by name from bracket and mul."""
+    if con.kind is ConstraintKind.CROSSING:
+        a, b, c, d = (env[r] for r in con.refs)
+        return alg.tribracket.bracket(a, b, c) == d
+    left, middle, right = (env[r] for r in con.refs)
+    return alg.product.mul(left, right) == middle
+
+
 def _diagram(regions, constraints):
     return Diagram("x", DiagramKind.SPATIAL_GRAPH, tuple(regions), tuple(constraints))
 
@@ -231,7 +240,7 @@ class TestExactOnAnyInput:
         listed = enumerate_colorings(alg, dia)
         assert len(listed) == count_colorings(alg, dia)
         assert all(
-            all(_satisfies(alg, con, c) for con in dia.constraints) for c in listed
+            all(_holds(alg, con, c) for con in dia.constraints) for c in listed
         )
 
     def test_non_cancellative_product_is_not_forced(self):
@@ -503,7 +512,8 @@ class TestK2Obstruction:
 
 def _yields(alg, dia):
     """Every raw yield of the search on dia, in yield order."""
-    return [tuple(val) for val in _solutions(alg, _compile(*_system(dia)))]
+    regions, system, _ = _system(dia.regions, dia.constraints)
+    return [tuple(val) for val in _solutions(alg, _compile(regions, system))]
 
 
 def _fragment_yields(alg, frag, boundary):
@@ -558,7 +568,8 @@ class TestPlan:
     def test_random_kinks_force_their_repeated_region(self, diagrams):
         # theta plus 2,000 kinks (w, e, e, l): a kink forces e once w and l are
         # colored, so two regions branch, as in theta alone
-        regions, cons = _system(_kinked(diagrams["theta"], 2000, 0))
+        kinked = _kinked(diagrams["theta"], 2000, 0)
+        regions, cons, _ = _system(kinked.regions, kinked.constraints)
         assert sum(f is None for _, f, _ in _plan(regions, [refs for _, refs in cons])) == 2
 
     def test_a_constraint_closes_where_it_forces_nothing(self):

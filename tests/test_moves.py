@@ -3,12 +3,14 @@ import hashlib
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tribrackets import (
     Constraint,
     ConstraintKind,
+    DiagramParseError,
     LocalMovePair,
     MoveCheckReport,
     MoveFragment,
@@ -172,6 +174,49 @@ class TestEmptyFragments:
         report = check_move_invariance(empty_algebra, pair)
         assert report == MoveCheckReport("X", False, ({"w": 1}, 0, 1))
         assert report.summary() == "X  FAIL at w=1: 0 extensions vs 1"
+
+
+def _cross(*refs):
+    return Constraint(ConstraintKind.CROSSING, refs)
+
+
+class TestMalformedPairs:
+    """A pair is refused as Diagram refuses the same defect, before any check."""
+
+    EMPTY = MoveFragment((), ())
+
+    def test_an_internal_region_may_not_repeat_a_boundary_region(self):
+        # once counted as a second, unconstrained w: "FAIL at e=1 w=1: 3 extensions vs 1"
+        kink = MoveFragment(("w",), (_cross("w", "e", "e", "w"),))
+        with pytest.raises(DiagramParseError, match="duplicate region declaration 'w'"):
+            LocalMovePair("dup", ("w", "e"), kink, self.EMPTY)
+
+    def test_a_boundary_region_may_not_repeat(self):
+        with pytest.raises(DiagramParseError, match="duplicate region declaration 'w'"):
+            LocalMovePair("dup", ("w", "w"), self.EMPTY, self.EMPTY)
+
+    def test_a_bad_region_name_is_refused(self):
+        with pytest.raises(DiagramParseError, match="bad region name 'w-1'"):
+            LocalMovePair("bad", ("w-1",), self.EMPTY, self.EMPTY)
+
+    def test_a_constraint_may_not_name_an_undeclared_region(self):
+        kink = MoveFragment(("l",), (_cross("w", "e", "e", "zz"),))
+        with pytest.raises(DiagramParseError, match="undeclared region 'zz'"):
+            LocalMovePair("und", ("w", "e"), self.EMPTY, kink)
+
+    def test_a_merge_may_not_name_an_undeclared_region(self):
+        for merge in (("w", "zz"), ("zz", "w")):
+            with pytest.raises(DiagramParseError, match="undeclared region 'zz'"):
+                LocalMovePair("und", ("w", "e"), self.EMPTY, MoveFragment((), (), (merge,)))
+
+    def test_a_merged_region_may_not_be_merged_again(self):
+        for merges in ((("w", "e"), ("e", "s")), (("w", "w"),), (("w", "s"), ("e", "s"))):
+            with pytest.raises(DiagramParseError, match="chains or repeats a merge"):
+                LocalMovePair("m", ("w", "e", "s"), MoveFragment((), (), merges), self.EMPTY)
+
+    def test_every_builtin_pair_rebuilds(self):
+        for pair in builtin_move_pairs():
+            assert dataclasses.replace(pair) == pair
 
 
 class TestCompiledOnce:
@@ -357,6 +402,35 @@ class TestShadowCertification:
                 pair.move_id,
                 sorted(families),
             )
+
+
+def _r4_10_holds(alg):
+    """For every defined a*b = p, [a, m, b] = p holds exactly at m = p."""
+    n = alg.n
+    return all(
+        (alg.tribracket.bracket(a, m, b) == p) == (m == p)
+        for a, b in itertools.product(range(1, n + 1), repeat=2)
+        if (p := alg.product.mul(a, b)) is not None
+        for m in range(1, n + 1)
+    )
+
+
+class TestVertexMovesAreTheirAxioms:
+    @given(alg=arbitrary_algebras(sizes=(1, 2, 3, 4)))
+    @settings(max_examples=300, deadline=None)
+    def test_vertex_moves_fail_exactly_when_their_axiom_fails(self, alg):
+        # any tensor and partial product, axioms unchecked
+        failing = {v.axiom for v in verify_algebra(alg).violations}
+        pairs = pairs_by_id()
+        for move_id, family in (("R4.1", "r4-compat"), ("R5.7", "r5-compat-1"),
+                                ("R5.10", "r5-compat-2"), ("R5.13", "r5-compat-3"),
+                                ("R5.16", "r5-compat-4")):
+            assert check_move_invariance(alg, pairs[move_id]).passed == (family not in failing)
+        r4_10 = check_move_invariance(alg, pairs["R4.10"]).passed
+        assert r4_10 == _r4_10_holds(alg)
+        # [a, m, b] = p has one solution m when slot b is bijective
+        if "slot-b-bijection" not in {v.axiom for v in verify_tribracket(alg.tribracket).violations}:
+            assert r4_10 == ("r4-compat" not in failing)
 
 
 class TestReports:
