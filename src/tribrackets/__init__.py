@@ -9,9 +9,7 @@ harness.
 from .algebra import (
     AlgebraParseError,
     AxiomReport,
-    BracketSlot,
     PartialProduct,
-    ProductSlot,
     ShapeError,
     Tribracket,
     TribracketAlgebra,
@@ -19,16 +17,13 @@ from .algebra import (
     alexander_tribracket,
     load_bundled_algebra,
     parse_algebra,
-    product_solve,
     recheck_violation,
     serialize_algebra,
-    tribracket_solve,
     verify_algebra,
     verify_tribracket,
 )
 from .coloring import (
     BruteForceCapError,
-    Coloring,
     HandlebodyModeError,
     count_colorings,
     count_colorings_bruteforce,
@@ -66,9 +61,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraParseError",
     "AxiomReport",
-    "BracketSlot",
     "BruteForceCapError",
-    "Coloring",
     "Constraint",
     "ConstraintKind",
     "Diagram",
@@ -81,7 +74,6 @@ __all__ = [
     "MoveCheckReport",
     "MoveFragment",
     "PartialProduct",
-    "ProductSlot",
     "ShapeError",
     "Tribracket",
     "TribracketAlgebra",
@@ -101,11 +93,9 @@ __all__ = [
     "load_bundled_diagram",
     "parse_algebra",
     "parse_diagram",
-    "product_solve",
     "recheck_violation",
     "serialize_algebra",
     "serialize_diagram",
-    "tribracket_solve",
     "verify_algebra",
     "verify_tribracket",
 ]

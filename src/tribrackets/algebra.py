@@ -369,6 +369,10 @@ _AXIOM_BY_NAME = {ax.name: ax for ax in _AXIOMS}
 
 def _padded(t: Tribracket, p: Optional[PartialProduct]) -> tuple:
     """The 1-based tables T and P the axiom generators read (P None without p)."""
+    if not isinstance(t, Tribracket):
+        raise ShapeError(f"the tensor must be a Tribracket, got {t!r}")
+    if p is not None and not isinstance(p, PartialProduct):
+        raise ShapeError(f"the product must be a PartialProduct, got {p!r}")
     T = (None, *((None, *((None, *row) for row in mat)) for mat in t.table))
     P = None if p is None else (None, *((None, *row) for row in p.table))
     return T, P
@@ -412,8 +416,9 @@ def recheck_violation(v: Violation, t: Tribracket, p: Optional[PartialProduct] =
     the witness with both reported sides among the failures.  Raises
     ValueError for an unknown axiom id, a product axiom without ``p``, or a
     witness of the wrong length or with a value outside 1..n, and ShapeError
-    for a product on a different number of elements than ``t``.
+    for tables that are not a Tribracket and a PartialProduct or differ in size.
     """
+    T, P = _padded(t, p)
     ax = _AXIOM_BY_NAME.get(v.axiom)
     if ax is None:
         raise ValueError(f"unknown axiom id {v.axiom!r}")
@@ -423,9 +428,8 @@ def recheck_violation(v: Violation, t: Tribracket, p: Optional[PartialProduct] =
         raise ShapeError(f"size mismatch: tribracket on {t.n} elements, product on {p.n}")
     if len(v.witness) != ax.width:
         raise ValueError(f"{ax.name} witness {v.witness} does not have {ax.width} values")
-    if not all(isinstance(x, int) and 1 <= x <= t.n for x in v.witness):
+    if not all(type(x) is not bool and isinstance(x, int) and 1 <= x <= t.n for x in v.witness):
         raise ValueError(f"{ax.name} witness {v.witness} has a value outside 1..{t.n}")
-    T, P = _padded(t, p)
     leading = [range(x, x + 1) for x in v.witness[: ax.ranges]]
     return (v.witness, v.lhs, v.rhs) in ax.failures(T, P, *leading)
 
@@ -437,7 +441,7 @@ def alexander_tribracket(n: int, x: int, y: int) -> Tribracket:
     """
     _check_size(n)
     for name, m in (("x", x), ("y", y)):
-        if not isinstance(m, int):
+        if type(m) is bool or not isinstance(m, int):
             raise ValueError(f"{name} must be an int, got {m!r}")
     if math.gcd(x, n) != 1:
         raise ValueError(f"x = {x} is not a unit mod {n}")

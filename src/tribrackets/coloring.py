@@ -22,11 +22,9 @@ import heapq
 import itertools
 from collections.abc import Iterator, Sequence
 
-# the slot solvers stay importable from here; the search reads their tables
+# the benchmark tracer wraps the slot solvers here: their only use, until it stops doing so
 from .algebra import TribracketAlgebra, product_solve, tribracket_solve  # noqa: F401
 from .diagram import Constraint, ConstraintKind, Diagram, DiagramKind
-
-Coloring = dict[str, int]
 
 
 class HandlebodyModeError(ValueError):
@@ -205,7 +203,7 @@ def _components(regions: int, constraints: Sequence[tuple[ConstraintKind, tuple[
     return [(sizes[root], cons) for root, cons in parts.items()]
 
 
-def enumerate_colorings(alg: TribracketAlgebra, dia: Diagram) -> list[Coloring]:
+def enumerate_colorings(alg: TribracketAlgebra, dia: Diagram) -> list[dict[str, int]]:
     """All valid colorings from one joint search, sorted by value tuple in region order."""
     _check_mode(alg, dia)
     regions, system, _ = _system(dia.regions, dia.constraints)
@@ -229,21 +227,22 @@ class BruteForceCapError(ValueError):
     """The assignment space exceeds the cap; use the backtracking solver."""
 
 
-def count_colorings_bruteforce(
-    alg: TribracketAlgebra, dia: Diagram, cap: int = 10_000_000
-) -> int:
+_BRUTE_FORCE_CAP = 10_000_000
+
+
+def count_colorings_bruteforce(alg: TribracketAlgebra, dia: Diagram) -> int:
     """Reference count: test every one of the n^regions assignments.
 
     Raises BruteForceCapError, before testing any, when there are more than
-    ``cap``; a space too long to print in full is written as n^regions.
+    _BRUTE_FORCE_CAP; a space too long to print in full is written as n^regions.
     """
     _check_mode(alg, dia)
     n = alg.n
     space = n ** len(dia.regions)
-    if space > cap:
+    if space > _BRUTE_FORCE_CAP:
         shown = space if space.bit_length() <= 64 else f"{n}^{len(dia.regions)}"
         raise BruteForceCapError(
-            f"{shown} assignments exceed the cap of {cap}; use count_colorings"
+            f"{shown} assignments exceed the cap of {_BRUTE_FORCE_CAP}; use count_colorings"
         )
     ops = {ConstraintKind.CROSSING: alg.tribracket.bracket, ConstraintKind.VERTEX: alg.product.mul}
     _, system, _ = _system(dia.regions, dia.constraints)

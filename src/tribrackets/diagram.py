@@ -8,9 +8,10 @@ over/under data are resolved when a picture is transcribed into this format,
 not by the solver.
 
 The bundled corpus covers an unknotted theta curve, a handcuff graph, a chain
-of two genus-1 handlebodies, a genus-2/genus-1 handlebody pair, two order-3
-graph diagrams distinguished by a sparse product (k1/k2), and two order-4
-diagrams (z4_left/z4_right).
+of two genus-1 handlebodies, a genus-2/genus-1 handlebody pair, k1/k2 and
+z4_left/z4_right.  It measures the product table: on a verified algebra,
+theta, k1 and z4_left count the defined cells a*b, handcuff and z4_right the
+defined a*a, and k2 the cells a*b = a; only the handlebody pair reads the tensor.
 """
 from __future__ import annotations
 

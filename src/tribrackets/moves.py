@@ -4,16 +4,17 @@ Each move ships as a pair of local constraint systems over a shared set of
 boundary regions.  A check solves each fragment once over its boundary and
 internal regions with the coloring search, tallies fragment colorings per
 boundary coloring (the number of extensions to the internal regions), and
-compares the two tallies.  The fragments are transcribed so that their
-algebraic content is at most one verifier axiom: the kinks R1b/R1d and the
-pokes (R2*) exercise slot bijectivity and R3a the two coherence identities.
-On any tensor and partial product, R4.1 fails exactly when r4-compat does,
-and R5.7/R5.10/R5.13/R5.16 exactly when r5-compat-1/2/3/4 do; R4.10 passes
-exactly when, for every defined a*b = p, [a, m, b] = p holds at m = p alone,
-which is r4-compat when slot b is bijective.  The kinks R1a/R1c color their
-loop region by the bracket's value, so they pass over any tensor and product,
-Latin or not.  The IH pair passes for every boundary coloring exactly when
-the product is defined only on equal operands with aa = a.
+compares the two tallies.  On any tensor and partial product, R3a fails
+exactly when coherence-1 or coherence-2 does, R2a/R2b when slot-b or slot-c
+bijectivity does, R2c/R2d when slot-a or slot-c bijectivity does, and R1b/R1d
+when some l -> [l, x, x] is not a bijection, a narrower failure than that of
+slot-a bijectivity; R4.1 fails exactly when r4-compat does, and
+R5.7/R5.10/R5.13/R5.16 exactly when r5-compat-1/2/3/4 do; R4.10 passes exactly
+when, for every defined a*b = p, [a, m, b] = p holds at m = p alone, which is
+r4-compat when slot b is bijective.  The kinks R1a/R1c color their loop region
+by the bracket's value, so they pass over any tensor and product, Latin or
+not.  The IH pair passes for every boundary coloring exactly when the product
+is defined only on equal operands with aa = a.
 
 A fragment may also merge two boundary regions (the strand-free side of a
 poke move joins its two gap regions into one band); it is solved as the

@@ -10,7 +10,6 @@ import time
 import pytest
 
 from tribrackets import (
-    BracketSlot,
     DiagramKind,
     PartialProduct,
     Tribracket,
@@ -22,10 +21,10 @@ from tribrackets import (
     count_colorings_bruteforce,
     enumerate_products,
     recheck_violation,
-    tribracket_solve,
     verify_algebra,
     verify_tribracket,
 )
+from tribrackets.algebra import BracketSlot, tribracket_solve
 from tribrackets.cli import main as cli_main
 from tests.conftest import (
     CYC_PRODUCT,

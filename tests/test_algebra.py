@@ -10,9 +10,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from tribrackets import (
-    BracketSlot,
     PartialProduct,
-    ProductSlot,
     ShapeError,
     Tribracket,
     TribracketAlgebra,
@@ -22,13 +20,12 @@ from tribrackets import (
     enumerate_tribrackets,
     load_bundled_algebra,
     parse_algebra,
-    product_solve,
     recheck_violation,
     serialize_algebra,
-    tribracket_solve,
     verify_algebra,
     verify_tribracket,
 )
+from tribrackets.algebra import BracketSlot, ProductSlot, product_solve, tribracket_solve
 from tests.conftest import CYC_PRODUCT, DIAG_PRODUCT, FULL_PRODUCT, arbitrary_algebras
 
 
@@ -76,7 +73,7 @@ class TestTribracket:
         with pytest.raises(ValueError):
             alexander_tribracket(6, 1, 3)
 
-    @pytest.mark.parametrize("bad", [1.0, "1", None], ids=["float", "str", "none"])
+    @pytest.mark.parametrize("bad", [1.0, "1", None, True], ids=["float", "str", "none", "bool"])
     @pytest.mark.parametrize("slot", ["x", "y"])
     def test_alexander_rejects_non_int_multipliers(self, slot, bad):
         args = {"x": 1, "y": 1, slot: bad}
@@ -280,18 +277,27 @@ class TestRecheckViolation:
              "left-cancellation witness .* outside 1..3"),
             (Violation("r5-compat-3", (1.0, 1, 1), 1, 2), FULL_PRODUCT,
              "r5-compat-3 witness .* outside 1..3"),
+            (Violation("coherence-1", (True, 1, 1, 1), 1, 1), None,
+             "coherence-1 witness .* outside 1..3"),
             (Violation("slot-a-bijection", (1, 2, 3), 1, 1), None,
              r"slot-a-bijection witness \(1, 2, 3\) does not have 4 values"),
             (Violation("r5-compat-2", (1, 2, 3, 1), 1, 2), FULL_PRODUCT,
              "r5-compat-2 witness .* does not have 3 values"),
             (Violation("no-such-axiom", (1,), 1, 1), FULL_PRODUCT, "unknown axiom id"),
         ],
-        ids=["no-product", "value-too-big", "value-zero", "value-not-int", "too-short",
-             "too-long", "unknown-axiom"],
+        ids=["no-product", "value-too-big", "value-zero", "value-not-int", "value-bool",
+             "too-short", "too-long", "unknown-axiom"],
     )
     def test_malformed_violations_are_refused(self, z3, violation, product, message):
         with pytest.raises(ValueError, match=message):
             recheck_violation(violation, z3, product)
+
+    @pytest.mark.parametrize("wrong", ["tensor", "product"])
+    def test_tables_of_the_wrong_type_are_refused(self, z3, wrong):
+        # a bare nested table is not a Tribracket or a PartialProduct
+        t, p = (z3.table, FULL_PRODUCT) if wrong == "tensor" else (z3, FULL_PRODUCT.table)
+        with pytest.raises(ShapeError, match=f"^the {wrong} must be a "):
+            recheck_violation(Violation("r4-compat", (1, 1), 1, 2), t, p)
 
     @pytest.mark.parametrize(
         "axiom, witness", [("r5-compat-1", (3, 3, 3)), ("coherence-1", (1, 1, 1, 1))]

@@ -23,6 +23,7 @@ from tribrackets import (
     count_colorings_bruteforce,
     enumerate_colorings,
     load_bundled_algebra,
+    verify_algebra,
 )
 from tribrackets.coloring import _compile, _plan, _solutions, _system
 from tribrackets.moves import _compile_fragment
@@ -119,9 +120,14 @@ class TestOracle:
     def test_hopf_direct_brute_force(self, diag_algebra, diagrams):
         assert count_colorings_bruteforce(diag_algebra, diagrams["hopf_handlebody"]) == 27
 
-    def test_cap_refusal(self, full_algebra, diagrams):
-        with pytest.raises(BruteForceCapError):
-            count_colorings_bruteforce(full_algebra, diagrams["theta"], cap=10)
+    def test_cap_refusal(self, full_algebra):
+        # 3^15 = 14,348,907 assignments, just over the cap of 10^7
+        regions = [f"r{i}" for i in range(15)]
+        with pytest.raises(BruteForceCapError) as err:
+            count_colorings_bruteforce(full_algebra, _diagram(regions, []))
+        assert str(err.value) == (
+            "14348907 assignments exceed the cap of 10000000; use count_colorings"
+        )
 
     def test_cap_refusal_writes_a_large_space_as_a_power(self, full_algebra):
         regions = [f"r{i}" for i in range(10_000)]
@@ -508,6 +514,49 @@ class TestK2Obstruction:
         # the identity needs no axiom: any order, any tensor, any partial product
         satisfied = sum(value == required for _, value, required in k2_cases(alg))
         assert satisfied == count_colorings(alg, diagrams["k2"])
+
+
+def corpus_closed_forms(alg):
+    """Each bundled diagram's count over a census algebra, read off its tables.
+
+    Only the handlebody pair reads the tensor, and only over idempotent algebras."""
+    r = range(1, alg.n + 1)
+    mul, br = alg.product.mul, alg.tribracket.bracket
+    cells = sum(mul(a, b) is not None for a in r for b in r)
+    squares = sum(mul(a, a) is not None for a in r)
+    forms = {"theta": cells, "k1": cells, "z4_left": cells,
+             "handcuff": squares, "z4_right": squares,
+             "k2": sum(mul(a, b) == a for a in r for b in r)}
+    if alg.idempotent:
+        forms["hopf_handlebody"] = sum(
+            br(a, br(a, b, c), c) == b for a in r for b in r for c in r)
+        forms["genus2_link"] = sum(br(br(a, a, b), a, b) == a for a in r for b in r)
+    return forms
+
+
+class TestCorpusReadsTheProductTable:
+    """The bundled spatial graphs count product cells; they read the tensor only
+    through the axioms, so on verified algebras they measure the product table."""
+
+    def test_closed_forms_on_every_census_algebra(self, diagrams):
+        idempotent = 0
+        for alg in census_algebras():
+            forms = corpus_closed_forms(alg)
+            assert {name: count_colorings(alg, diagrams[name]) for name in forms} == forms
+            idempotent += alg.idempotent
+        assert (len(census_algebras()), idempotent) == (233, 13)
+
+    @given(alg=arbitrary_algebras(sizes=(1, 2, 3)))
+    @settings(max_examples=200, deadline=None)
+    def test_r4_compat_makes_theta_and_k1_agree_on_arbitrary_tables(self, alg, diagrams):
+        # set [a, a*b, b] = a*b at each defined cell; every other entry stays arbitrary
+        cube = [[list(row) for row in mat] for mat in alg.tribracket.table]
+        for (a, b, c), _, _ in k2_cases(alg):
+            cube[a - 1][c - 1][b - 1] = c
+        alg = TribracketAlgebra(Tribracket(alg.n, cube), alg.product)
+        assert "r4-compat" not in {v.axiom for v in verify_algebra(alg).violations}
+        # k1 reads a*b = c, d = [a, c, b] and [a, d, b] = c; r4-compat gives d = c
+        assert count_colorings(alg, diagrams["theta"]) == count_colorings(alg, diagrams["k1"])
 
 
 def _yields(alg, dia):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import itertools
 import random
@@ -431,6 +432,91 @@ class TestVertexMovesAreTheirAxioms:
         # [a, m, b] = p has one solution m when slot b is bijective
         if "slot-b-bijection" not in {v.axiom for v in verify_tribracket(alg.tribracket).violations}:
             assert r4_10 == ("r4-compat" not in failing)
+
+
+@functools.cache
+def census_tensors():
+    """Every tensor of orders 1-4 that passes its axioms, in census order."""
+    return tuple(dict.fromkeys(alg.tribracket for alg in census_algebras()))
+
+
+@st.composite
+def crossing_tensors(draw):
+    """A tensor of order 1-4 that keeps all, some or none of its axioms.
+
+    An arbitrary table of order 1-3; an isotope of a census tensor (slots and
+    values permuted independently: every slot stays bijective, coherence may
+    fail); or a Latin square read off two of the three slots (from order 2 the
+    third slot is not bijective).  Then, half the time, one cell is redrawn.
+    """
+    kind = draw(st.sampled_from(["arbitrary", "isotope", "two-slot"]))
+    if kind == "isotope":
+        t = draw(st.sampled_from(census_tensors()))
+        n, table = t.n, t.table
+        pa, pb, pc, pv = (draw(st.permutations(range(n))) for _ in range(4))
+        cube = [[[pv[table[pa[a]][pb[b]][pc[c]] - 1] + 1 for c in range(n)]
+                 for b in range(n)] for a in range(n)]
+    else:
+        n = draw(st.integers(1, 3))
+        if kind == "arbitrary":
+            value = st.integers(1, n)
+            cube = [[[draw(value) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+        else:
+            rows, values = draw(st.permutations(range(n))), draw(st.permutations(range(n)))
+            square = [[values[(rows[x] + y) % n] + 1 for y in range(n)] for x in range(n)]
+            kept = draw(st.sampled_from([(0, 1), (0, 2), (1, 2)]))  # the slots read
+            cube = [[[square[(a, b, c)[kept[0]]][(a, b, c)[kept[1]]] for c in range(n)]
+                     for b in range(n)] for a in range(n)]
+    if draw(st.booleans()):
+        a, b, c = (draw(st.integers(0, n - 1)) for _ in range(3))
+        cube[a][b][c] = draw(st.integers(1, n))
+    return Tribracket(n, cube)
+
+
+def _kinks_biject(t):
+    """For every x, l -> [l, x, x] is a bijection: what the kinks R1b and R1d read."""
+    r = range(1, t.n + 1)
+    return all(len({t.bracket(l, x, x) for l in r}) == t.n for x in r)
+
+
+# per crossing move, the axioms whose failure it detects: on any tensor it fails
+# exactly when one of them fails ("kinks" is _kinks_biject failing)
+CROSSING_MOVE_AXIOMS = {
+    "R1a": set(),
+    "R1b": {"kinks"},
+    "R1c": set(),
+    "R1d": {"kinks"},
+    "R2a": {"slot-b-bijection", "slot-c-bijection"},
+    "R2b": {"slot-b-bijection", "slot-c-bijection"},
+    "R2c": {"slot-a-bijection", "slot-c-bijection"},
+    "R2d": {"slot-a-bijection", "slot-c-bijection"},
+    # the internal region is a forced result on both sides
+    "R3a": {"coherence-1", "coherence-2"},
+}
+
+
+class TestCrossingMovesAreTheirAxioms:
+    @given(t=crossing_tensors())
+    @settings(max_examples=300, deadline=None)
+    def test_crossing_moves_fail_exactly_when_their_axioms_fail(self, t):
+        failing = {v.axiom for v in verify_tribracket(t).violations}
+        if not _kinks_biject(t):
+            failing.add("kinks")
+            assert "slot-a-bijection" in failing  # slot-a bijectivity implies the kinks'
+        alg = TribracketAlgebra(t, PartialProduct.empty(t.n))  # no crossing reads the product
+        pairs = pairs_by_id()
+        for move_id, axioms in CROSSING_MOVE_AXIOMS.items():
+            passed = check_move_invariance(alg, pairs[move_id]).passed
+            assert passed == failing.isdisjoint(axioms), (move_id, sorted(failing))
+
+    def test_the_kinks_do_not_need_slot_a_bijectivity(self):
+        # [a, b, c] is a on the diagonal b = c and 1 off it
+        t = Tribracket(2, [[[a if b == c else 1 for c in (1, 2)] for b in (1, 2)] for a in (1, 2)])
+        assert _kinks_biject(t)
+        assert "slot-a-bijection" in {v.axiom for v in verify_tribracket(t).violations}
+        alg = TribracketAlgebra(t, PartialProduct.empty(2))
+        for move_id in ("R1b", "R1d"):
+            assert check_move_invariance(alg, pairs_by_id()[move_id]).passed
 
 
 class TestReports:
