@@ -36,6 +36,12 @@ class ShapeError(ValueError):
     """Structural defect (dimensions, sizes, entry range), not an axiom failure."""
 
 
+def _require(value, kind: type, what: str) -> None:
+    """Refuse an argument that is not a ``kind`` with a ShapeError naming it."""
+    if not isinstance(value, kind):
+        raise ShapeError(f"the {what} must be a {kind.__name__}, got {value!r}")
+
+
 class _LineError(ValueError):
     """A refused text file; ``line`` is the 1-based number of the refused line, if any."""
 
@@ -203,10 +209,8 @@ class TribracketAlgebra:
     product: PartialProduct
 
     def __post_init__(self):
-        if not isinstance(self.tribracket, Tribracket):
-            raise ShapeError(f"the tensor must be a Tribracket, got {self.tribracket!r}")
-        if not isinstance(self.product, PartialProduct):
-            raise ShapeError(f"the product must be a PartialProduct, got {self.product!r}")
+        _require(self.tribracket, Tribracket, "tensor")
+        _require(self.product, PartialProduct, "product")
         if self.tribracket.n != self.product.n:
             raise ShapeError(
                 f"size mismatch: tribracket on {self.tribracket.n} elements, "
@@ -369,10 +373,9 @@ _AXIOM_BY_NAME = {ax.name: ax for ax in _AXIOMS}
 
 def _padded(t: Tribracket, p: Optional[PartialProduct]) -> tuple:
     """The 1-based tables T and P the axiom generators read (P None without p)."""
-    if not isinstance(t, Tribracket):
-        raise ShapeError(f"the tensor must be a Tribracket, got {t!r}")
-    if p is not None and not isinstance(p, PartialProduct):
-        raise ShapeError(f"the product must be a PartialProduct, got {p!r}")
+    _require(t, Tribracket, "tensor")
+    if p is not None:
+        _require(p, PartialProduct, "product")
     T = (None, *((None, *((None, *row) for row in mat)) for mat in t.table))
     P = None if p is None else (None, *((None, *row) for row in p.table))
     return T, P
@@ -447,17 +450,11 @@ def alexander_tribracket(n: int, x: int, y: int) -> Tribracket:
         raise ValueError(f"x = {x} is not a unit mod {n}")
     if math.gcd(y, n) != 1:
         raise ValueError(f"y = {y} is not a unit mod {n}")
-    table = [
-        [
-            [
-                (x * a - x * y * b + y * c - 1) % n + 1
-                for c in range(1, n + 1)
-            ]
-            for b in range(1, n + 1)
-        ]
-        for a in range(1, n + 1)
-    ]
-    return Tribracket(n, tuple(tuple(tuple(r) for r in m) for m in table))
+    span = range(1, n + 1)
+    return Tribracket(n, tuple(
+        tuple(tuple((x * a - x * y * b + y * c - 1) % n + 1 for c in span) for b in span)
+        for a in span
+    ))
 
 
 def _keyed_table(fwd: tuple[int, ...], n: int, arity: int) -> tuple[int, ...]:

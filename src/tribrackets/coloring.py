@@ -3,27 +3,28 @@
 The coloring rule is stated once, by :func:`_system`: it numbers the regions and
 gives each constraint's regions in slot order, inputs first, the result last.
 One exact search, :func:`_solutions`, reads it for the counter, the listing and
-the move harness.  The counter multiplies the counts of the connected components
-of the region-constraint incidence graph; the listing and the move harness
-search the whole system jointly.  :func:`_compile` fixes from structure alone
-(per call, or once per move pair) the order the search colors regions in and,
-for each region, the constraint that forces it (none for a branch; a constraint
-forces its last uncolored region) and those it closes.  The search binds the
-keyed tables and walks that schedule on an explicit stack, so no diagram is too
-deep for the recursion limit: a branch tries 1..n, a forced region reads one
-entry of its constraint's keyed table, keyed by the values of the regions before
-it, and every value must hold in the constraints it closes.  Stepping back undoes
-nothing.  count_colorings_bruteforce, the independent reference, shares only that
-numbering and slot order: it tests every assignment through bracket and mul.
+the move harness.  :func:`_compile` fixes from structure alone (once per call,
+or once per move pair) the order the search colors regions in and, for each
+region, the constraint that forces it (none for a branch; a constraint forces
+its last uncolored region) and those it closes.  The listing and the move
+harness walk that schedule jointly; the counter walks each connected component's
+part of it alone and multiplies the counts.  The search binds the keyed tables
+and walks on an explicit stack, so no diagram is too deep for the recursion
+limit: a branch tries 1..n, a forced region reads one entry of its constraint's
+keyed table, keyed by the values of the regions before it, and every value must
+hold in the constraints it closes.  Stepping back undoes nothing.  The reference
+count_colorings_bruteforce shares only that numbering and slot order: it tests
+every assignment through bracket and mul.
 """
 from __future__ import annotations
 
 import heapq
 import itertools
 from collections.abc import Iterator, Sequence
+from operator import itemgetter
 
 # the benchmark tracer wraps the slot solvers here: their only use, until it stops doing so
-from .algebra import TribracketAlgebra, product_solve, tribracket_solve  # noqa: F401
+from .algebra import TribracketAlgebra, _require, product_solve, tribracket_solve  # noqa: F401
 from .diagram import Constraint, ConstraintKind, Diagram, DiagramKind
 
 
@@ -36,7 +37,9 @@ class HandlebodyModeError(ValueError):
     """
 
 
-def _check_mode(alg: TribracketAlgebra, dia: Diagram) -> None:
+def _check_args(alg: TribracketAlgebra, dia: Diagram) -> None:
+    _require(alg, TribracketAlgebra, "algebra")
+    _require(dia, Diagram, "diagram")
     if dia.kind is DiagramKind.HANDLEBODY_LINK and not alg.idempotent:
         raise HandlebodyModeError(
             f"diagram {dia.name!r} is a handlebody-link; the algebra must be idempotent"
@@ -46,13 +49,14 @@ def _check_mode(alg: TribracketAlgebra, dia: Diagram) -> None:
 def _system(names: Sequence[str], constraints: Sequence[Constraint], merges=()) -> tuple:
     """The number of regions, each constraint as its kind and region indices in
     slot order, and each name's index, in ``names`` order; a merge (r1, r2) numbers r2 as r1."""
-    # a crossing (a, b, c, d) reads [a, b, c] = d, and a vertex (l, m, r) reads l*r = m
-    slots = {ConstraintKind.CROSSING: (0, 1, 2, 3), ConstraintKind.VERTEX: (0, 2, 1)}
     merged = {r2: r1 for r1, r2 in merges}
     index = {r: i for i, r in enumerate(r for r in names if r not in merged)}
     regions = len(index)
     index |= {r2: index[r1] for r2, r1 in merged.items()}
-    system = [(c.kind, tuple(index[c.refs[s]] for s in slots[c.kind])) for c in constraints]
+    # a crossing (a, b, c, d) reads [a, b, c] = d, and a vertex (l, m, r) reads l*r = m
+    at, vertex, lrm = index.__getitem__, ConstraintKind.VERTEX, itemgetter(0, 2, 1)
+    system = [(c.kind, tuple(map(at, lrm(c.refs) if c.kind is vertex else c.refs)))
+              for c in constraints]
     return regions, system, index
 
 
@@ -74,22 +78,23 @@ def _compile(regions: int, system: Sequence[tuple[ConstraintKind, tuple[int, ...
     ]
 
 
-def _solutions(alg: TribracketAlgebra, schedule: list[tuple]) -> Iterator[list[int]]:
+def _solutions(alg: TribracketAlgebra, schedule: list[tuple], val=None) -> Iterator[list[int]]:
     """Every coloring of a compiled schedule's regions (only [] if none), as one list
-    of values that changes as the search goes on: copy it to keep a coloring."""
+    of values that changes as the search goes on: copy it to keep a coloring.  It is
+    ``val`` if given, of which the search writes and reads only the schedule's regions."""
     m = alg.n + 1
-    # a read binds its operation's table, built only if read, and r's place values summed
-    ops = {ConstraintKind.CROSSING: alg.tribracket, ConstraintKind.VERTEX: alg.product}
 
+    # a read binds its operation's table, built only if read, and r's place values summed
     def bind(kind, a, b, c, d, fa, fb, fc, fd) -> tuple:
-        return ops[kind].keyed_table, a, b, c, d, ((fa * m + fb) * m + fc) * m + fd
+        op = alg.product if kind is ConstraintKind.VERTEX else alg.tribracket
+        return op.keyed_table, a, b, c, d, ((fa * m + fb) * m + fc) * m + fd
 
     steps = [(r, f and bind(*f), [bind(*x) for x in closes]) for r, f, closes in schedule]
-    regions, span, val = len(steps), range(1, m), [0] * len(steps)
+    end, span, val = len(steps), range(1, m), [0] * len(steps) if val is None else val
     choices: list[tuple[int, Iterator[int]]] = []  # positions with values left to try
     p = 0
     while True:
-        if p == regions:  # a full coloring; then step back
+        if p == end:  # a full coloring; then step back
             yield val
             values = ()
         else:
@@ -181,8 +186,20 @@ def _plan(regions: int, constraints: list[tuple[int, ...]]) -> list[tuple[int, i
     return schedule
 
 
-def _components(regions: int, constraints: Sequence[tuple[ConstraintKind, tuple[int, ...]]]):
-    """Each connected component with a constraint: size, constraints over local indices."""
+def enumerate_colorings(alg: TribracketAlgebra, dia: Diagram) -> list[dict[str, int]]:
+    """All valid colorings from one joint search, sorted by value tuple in region order."""
+    _check_args(alg, dia)
+    regions, system, _ = _system(dia.regions, dia.constraints)
+    found = sorted(tuple(val) for val in _solutions(alg, _compile(regions, system)))
+    return [dict(zip(dia.regions, values)) for values in found]
+
+
+def count_colorings(alg: TribracketAlgebra, dia: Diagram) -> int:
+    """The number of valid region colorings of dia by alg: the product of the counts
+    of the connected components, n for a region that no constraint touches.  It compiles
+    once and walks each component's part of the schedule, the one it would get alone."""
+    _check_args(alg, dia)
+    regions, system, _ = _system(dia.regions, dia.constraints)
     parent = list(range(regions))
 
     def find(r: int) -> int:
@@ -190,36 +207,19 @@ def _components(regions: int, constraints: Sequence[tuple[ConstraintKind, tuple[
             parent[r] = r = parent[parent[r]]
         return r
 
-    for _, refs in constraints:
+    for _, refs in system:
+        root = find(refs[0])
         for r in refs:
-            parent[find(r)] = find(refs[0])
-    local, sizes = [0] * regions, [0] * regions
-    for r in range(regions):
-        root = find(r)
-        local[r], sizes[root] = sizes[root], sizes[root] + 1
-    parts: dict[int, list] = {}
-    for kind, refs in constraints:
-        parts.setdefault(find(refs[0]), []).append((kind, tuple(local[r] for r in refs)))
-    return [(sizes[root], cons) for root, cons in parts.items()]
-
-
-def enumerate_colorings(alg: TribracketAlgebra, dia: Diagram) -> list[dict[str, int]]:
-    """All valid colorings from one joint search, sorted by value tuple in region order."""
-    _check_mode(alg, dia)
-    regions, system, _ = _system(dia.regions, dia.constraints)
-    found = sorted(tuple(val) for val in _solutions(alg, _compile(regions, system)))
-    return [dict(zip(dia.regions, values)) for values in found]
-
-
-def count_colorings(alg: TribracketAlgebra, dia: Diagram) -> int:
-    """The number of valid region colorings of dia by alg: the product of the
-    components' counts, with n for each region that no constraint touches."""
-    _check_mode(alg, dia)
-    comps = _components(*_system(dia.regions, dia.constraints)[:2])
-    count = alg.n ** (len(dia.regions) - sum(size for size, _ in comps))
-    for size, cons in comps:
+            parent[find(r)] = root
+    parts: dict[int, list[tuple]] = {}
+    for step in _compile(regions, system):
+        parts.setdefault(find(step[0]), []).append(step)
+    # a part of one region that closes no constraint is a region no constraint touches
+    walks = [part for part in parts.values() if len(part) > 1 or part[0][2]]
+    count, val = alg.n ** (regions - sum(map(len, walks))), [0] * regions
+    for part in walks:
         if count:  # a factor 0 ends the search
-            count *= sum(1 for _ in _solutions(alg, _compile(size, cons)))
+            count *= sum(1 for _ in _solutions(alg, part, val))
     return count
 
 
@@ -236,7 +236,7 @@ def count_colorings_bruteforce(alg: TribracketAlgebra, dia: Diagram) -> int:
     Raises BruteForceCapError, before testing any, when there are more than
     _BRUTE_FORCE_CAP; a space too long to print in full is written as n^regions.
     """
-    _check_mode(alg, dia)
+    _check_args(alg, dia)
     n = alg.n
     space = n ** len(dia.regions)
     if space > _BRUTE_FORCE_CAP:

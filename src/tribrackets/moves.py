@@ -29,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .algebra import TribracketAlgebra
+from .algebra import TribracketAlgebra, _require
 from .coloring import _compile, _solutions, _system
 from .diagram import Constraint, ConstraintKind, DiagramParseError, _check_regions
 
@@ -207,6 +207,8 @@ def check_move_invariance(alg: TribracketAlgebra, pair: LocalMovePair) -> MoveCh
     Returns PASS when the counts agree everywhere, otherwise the first failing
     boundary coloring (lexicographic order) with both counts.
     """
+    _require(alg, TribracketAlgebra, "algebra")
+    _require(pair, LocalMovePair, "move pair")
     before, after = (_tally(alg, *side) for side in pair._compiled)
     if before.items() == after.items():  # counted tallies hold positive counts only
         return MoveCheckReport(pair.move_id, True)

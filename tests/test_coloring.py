@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -19,12 +20,14 @@ from tribrackets import (
     TribracketAlgebra,
     alexander_tribracket,
     builtin_move_pairs,
+    check_move_invariance,
     count_colorings,
     count_colorings_bruteforce,
     enumerate_colorings,
     load_bundled_algebra,
     verify_algebra,
 )
+from tribrackets import coloring
 from tribrackets.coloring import _compile, _plan, _solutions, _system
 from tribrackets.moves import _compile_fragment
 from tests.conftest import arbitrary_algebras, census_algebras, k2_cases
@@ -418,6 +421,49 @@ class TestDisjointUnions:
             alg = TribracketAlgebra(bad, PartialProduct.empty(2))
             count_colorings(alg, _union([_vertex(), crossing]))
 
+    @given(case=disjoint_unions())
+    @settings(max_examples=150, deadline=None)
+    def test_each_part_of_the_plan_is_the_plan_of_that_part_alone(self, case):
+        # so counting a union walks each component in the order it would be walked alone
+        parts, _, union = case
+
+        def named_plan(dia):
+            regions, system, index = _system(dia.regions, dia.constraints)
+            name, con = dict(zip(index.values(), index)), dia.constraints
+            return [
+                (name[r], f is not None and con[f], [con[i] for i in closes])
+                for r, f, closes in _plan(regions, [refs for _, refs in system])
+            ]
+
+        whole = named_plan(union)
+        for j in range(len(parts)):
+            mine = re.compile(f"c{j}x").match
+            alone = _diagram(
+                filter(mine, union.regions), [c for c in union.constraints if mine(c.refs[0])]
+            )
+            assert named_plan(alone) == [step for step in whole if mine(step[0])]
+
+    def test_one_call_plans_every_region_at_once(self, monkeypatch, full_algebra, diagrams):
+        calls = []
+        plan = coloring._plan
+        monkeypatch.setattr(coloring, "_plan", lambda *args: calls.append(args) or plan(*args))
+        union = _union([diagrams["theta"], diagrams["handcuff"], _vertex()], free=("f",))
+        assert count_colorings(full_algebra, union) == 9 * 3 * 9 * 3
+        assert [(regions, len(cons)) for regions, cons in calls] == [
+            (len(union.regions), len(union.constraints))
+        ]
+
+    def test_a_factor_zero_ends_the_search(self, monkeypatch, cyc_algebra, diagrams):
+        # k2 is connected and counts 0, so only the first of three copies is walked
+        walks = []
+        solutions = coloring._solutions
+        monkeypatch.setattr(
+            coloring, "_solutions", lambda *args: walks.append(args) or solutions(*args)
+        )
+        k2 = diagrams["k2"]
+        assert count_colorings(cyc_algebra, _union([k2, k2, k2], free=("f",))) == 0
+        assert len(walks) == 1
+
     def test_handlebody_union_needs_an_idempotent_product(
         self, full_algebra, diag_algebra, diagrams
     ):
@@ -426,6 +472,29 @@ class TestDisjointUnions:
         with pytest.raises(HandlebodyModeError):
             count_colorings(full_algebra, union)
         assert count_colorings(diag_algebra, union) == 27 * 27
+
+
+class TestWrongArgumentTypes:
+    """Each entry point refuses an algebra, diagram or move pair of the wrong type."""
+
+    ENTRY_POINTS = [
+        count_colorings, enumerate_colorings, count_colorings_bruteforce, check_move_invariance
+    ]
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize(
+        "bad", [None, alexander_tribracket(3, 1, 1), "theta"], ids=["none", "tribracket", "string"]
+    )
+    def test_a_wrong_type_is_refused_with_a_shape_error(self, entry, bad, full_algebra, diagrams):
+        if entry is check_move_invariance:
+            other, what = builtin_move_pairs()[0], "move pair must be a LocalMovePair"
+        else:
+            other, what = diagrams["theta"], "diagram must be a Diagram"
+        got = f", got {re.escape(repr(bad))}$"
+        with pytest.raises(ShapeError, match=f"^the algebra must be a TribracketAlgebra{got}"):
+            entry(bad, other)
+        with pytest.raises(ShapeError, match=f"^the {what}{got}"):
+            entry(full_algebra, bad)
 
 
 @st.composite
