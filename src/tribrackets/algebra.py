@@ -6,7 +6,10 @@ a, row b, column c.  A partial product is an n x n table whose cells may be
 undefined (stored as None).  Both constructors check the carrier size, the
 shape and every entry, raising ShapeError for a size that is not a positive
 int or an entry outside 1..n (a bool is not an int here), so nothing later
-checks entries again.
+checks entries again; they check a table as a whole, and search a table that
+fails for its first bad entry.  parse_algebra reads the tokens '1'..'n' through
+one map, and any other token cell by cell.  Each keyed table is built on first
+use from the forward table and a per-size layout (see :func:`_layout`).
 
 Each axiom is written once, as an entry of one ordered table: its name, the
 number of leading witness coordinates it ranges over, its witness length,
@@ -22,6 +25,7 @@ filter; on a tribracket these imply the other product entries.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -114,6 +118,24 @@ def _check_size(n) -> None:
         raise ShapeError(f"carrier size must be positive, got {n}")
 
 
+def _check_entries(flat: list, n: int, arity: int, what: str) -> None:
+    """Refuse the first entry of a flat arity-``arity`` table that is not an int
+    in 1..n (a bool is not one); a product's (arity 2) None, an undefined cell,
+    passes.  A table of plain ints in range passes on its set of entry types and
+    its least and greatest value, with no loop over the entries."""
+    undefined = arity == 2
+    if set(map(type, flat)) <= ({int, type(None)} if undefined else {int}):
+        values = set(flat) - {None}
+        if not values or 1 <= min(values) and max(values) <= n:
+            return
+    for i, v in enumerate(flat):
+        if not (undefined and v is None) and (
+            type(v) is bool or not isinstance(v, int) or not 1 <= v <= n
+        ):
+            cell = ",".join(str(i // n**k % n + 1) for k in reversed(range(arity)))
+            raise ShapeError(f"{what} ({cell}) = {v!r} is not in 1..{n}")
+
+
 @dataclass(frozen=True)
 class Tribracket:
     """An n x n x n operation tensor with entries in 1..n."""
@@ -124,18 +146,13 @@ class Tribracket:
     def __post_init__(self):
         _check_size(self.n)
         try:
-            tab = tuple(tuple(tuple(row) for row in mat) for mat in self.table)
+            tab = tuple(tuple(map(tuple, mat)) for mat in self.table)
         except TypeError:
             raise ShapeError("table must be nested n x n x n sequences") from None
-        if len(tab) != self.n or any(
-            len(mat) != self.n or any(len(row) != self.n for row in mat)
-            for mat in tab
-        ):
+        # every matrix and every row has n entries
+        if len(tab) != self.n or set(map(len, itertools.chain(tab, *tab))) != {self.n}:
             raise ShapeError(f"table is not {self.n}x{self.n}x{self.n}")
-        for a, b, c in itertools.product(range(1, self.n + 1), repeat=3):
-            v = tab[a - 1][b - 1][c - 1]
-            if type(v) is bool or not isinstance(v, int) or not 1 <= v <= self.n:
-                raise ShapeError(f"entry ({a},{b},{c}) = {v!r} is not in 1..{self.n}")
+        _check_entries([*itertools.chain(*itertools.chain(*tab))], self.n, 3, "entry")
         object.__setattr__(self, "table", tab)
 
     def bracket(self, a: int, b: int, c: int) -> int:
@@ -148,7 +165,7 @@ class Tribracket:
 
         See :func:`_keyed_table`; it has (n+1)**4 entries, 28,561 at n = 12.
         """
-        return _keyed_table(tuple(v for mat in self.table for row in mat for v in row), self.n, 3)
+        return _keyed_table([*itertools.chain(*itertools.chain(*self.table))], self.n, 3)
 
 
 @dataclass(frozen=True)
@@ -161,17 +178,12 @@ class PartialProduct:
     def __post_init__(self):
         _check_size(self.n)
         try:
-            tab = tuple(tuple(row) for row in self.table)
+            tab = tuple(map(tuple, self.table))
         except TypeError:
             raise ShapeError("table must be nested n x n sequences") from None
         if len(tab) != self.n or any(len(row) != self.n for row in tab):
             raise ShapeError(f"table is not {self.n}x{self.n}")
-        for a, b in itertools.product(range(1, self.n + 1), repeat=2):
-            v = tab[a - 1][b - 1]
-            if v is not None and (
-                type(v) is bool or not isinstance(v, int) or not 1 <= v <= self.n
-            ):
-                raise ShapeError(f"product entry ({a},{b}) = {v!r} is not in 1..{self.n}")
+        _check_entries([*itertools.chain(*tab)], self.n, 2, "product entry")
         object.__setattr__(self, "table", tab)
 
     @classmethod
@@ -473,32 +485,48 @@ def _keyed_table(fwd: tuple[int, ...], n: int, arity: int) -> tuple[int, ...]:
       and values that hold.
 
     The table has (n+1)**(arity+1) entries, against (arity+1)*n**arity for
-    one flat table per slot.  It is built by one pass over fwd for the
-    closed and result-open keys, then one per input slot.
+    one flat table per slot.  It is a copy of the defaults in the size's
+    :func:`_layout`, which is built once per size and arity, then written by
+    one pass over fwd for the closed and result-open keys and one per input
+    slot.
     """
-    m = n + 1
-    # every key starts at its default, -1 with at most one open slot and 0
-    # with more: rows[z] lists the defaults over the trailing digits when
-    # the leading digits hold z open slots (2 standing for two or more)
-    rows = ([-1], [-1], [0])
-    for _ in range(arity + 1):
-        rows = (rows[1] + rows[0] * n, rows[2] + rows[1] * n, rows[2] * m)
-    table = rows[0]
-    strides = [m ** (arity - j) for j in range(arity)]
-    keys = [0]  # per fwd index: the key of its inputs with the result open
-    for s in strides:
-        keys = [k + v for k in keys for v in range(s, m * s, s)]
+    default, keys, slots = _layout(n, arity)
+    table = list(default)
     for k, d in zip(keys, fwd):
         if d:
             table[k] = d
             table[k + d] = 0
-    for j, s in enumerate(strides):
-        xs = [x for x in range(1, m) for _ in range(n ** (arity - 1 - j))] * n**j
+    for s, xs in slots:
         for k, x, d in zip(keys, xs, fwd):
-            if d:  # the key with input j open and the result d
+            if d:  # the key with this slot open and the result d
                 k += d - x * s
                 table[k] = x if table[k] < 0 else 0
     return tuple(table)
+
+
+@functools.lru_cache(maxsize=16)
+def _layout(n: int, arity: int) -> tuple:
+    """What :func:`_keyed_table` reads of the size alone: the default of every
+    key (-1 with at most one open slot, 0 with more), the key of each fwd
+    index with the result open, and per input slot its stride and its value
+    at each fwd index.  An entry holds no table contents and costs about one
+    keyed table, 0.3 MB at n = 12 and 26 MB at n = 40; at most 16 are kept."""
+    m = n + 1
+    # rows[z] lists the defaults over the trailing digits when the leading
+    # digits hold z open slots (2 standing for two or more); the last round
+    # needs only rows[0], so the return makes it
+    rows = ([-1], [-1], [0])
+    for _ in range(arity):
+        rows = (rows[1] + rows[0] * n, rows[2] + rows[1] * n, rows[2] * m)
+    strides = [m ** (arity - j) for j in range(arity)]
+    keys = [0]
+    for s in strides:
+        keys = [k + v for k in keys for v in range(s, m * s, s)]
+    slots = tuple(
+        (s, tuple(x for x in range(1, m) for _ in range(n ** (arity - 1 - j))) * n**j)
+        for j, s in enumerate(strides)
+    )
+    return tuple(rows[1] + rows[0] * n), tuple(keys), slots
 
 
 def _slot_read(table: tuple[int, ...], slot, known: tuple[int, ...], n: int) -> int:
@@ -566,32 +594,35 @@ def _content(text: str) -> Iterator[tuple[int, str]]:
 
 
 def _parse_matrix(text: str, n: int, lineno: int, allow_undef: bool) -> list[list[Optional[int]]]:
-    rows = [r.strip() for r in text.split("/")]
+    rows = text.split("/")
     if len(rows) != n:
         raise AlgebraParseError(f"expected {n} rows separated by '/', got {len(rows)}", lineno)
+    tokens = {str(v): v for v in range(1, n + 1)}
+    if allow_undef:
+        tokens["-"] = tokens["0"] = None
     out: list[list[Optional[int]]] = []
     for r in rows:
         cells = r.split()
         if len(cells) != n:
             raise AlgebraParseError(f"expected {n} entries per row, got {len(cells)}", lineno)
-        row: list[Optional[int]] = []
-        for cell in cells:
-            if cell in ("-", "0"):
-                if not allow_undef:
-                    raise AlgebraParseError(
-                        f"undefined entry {cell!r} is not allowed in a tribracket", lineno
-                    )
-                row.append(None)
-            else:
-                try:
-                    v = int(cell)
-                except ValueError:
-                    raise AlgebraParseError(f"bad entry {cell!r}", lineno) from None
-                if not 1 <= v <= n:
-                    raise AlgebraParseError(f"entry {v} out of range 1..{n}", lineno)
-                row.append(v)
-        out.append(row)
+        try:
+            out.append(list(map(tokens.__getitem__, cells)))
+        except KeyError:
+            out.append([tokens[c] if c in tokens else _entry(c, n, lineno) for c in cells])
     return out
+
+
+def _entry(cell: str, n: int, lineno: int) -> int:
+    """The value of a cell that is not a canonical token, such as '01'."""
+    if cell in ("-", "0"):  # not a token: this is a tribracket
+        raise AlgebraParseError(f"undefined entry {cell!r} is not allowed in a tribracket", lineno)
+    try:
+        v = int(cell)
+    except ValueError:
+        raise AlgebraParseError(f"bad entry {cell!r}", lineno) from None
+    if not 1 <= v <= n:
+        raise AlgebraParseError(f"entry {v} out of range 1..{n}", lineno)
+    return v
 
 
 def parse_algebra(text: str) -> tuple[Tribracket, Optional[PartialProduct]]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 
-from .algebra import _content, _LineError
+from .algebra import _content, _LineError, _require
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+")
 
@@ -49,6 +49,7 @@ class Constraint:
     refs: tuple[str, ...]
 
     def __post_init__(self):
+        _require(self.kind, ConstraintKind, "constraint kind")
         want = _ARITY[self.kind]
         if len(self.refs) != want:
             raise DiagramParseError(
@@ -65,6 +66,9 @@ class Diagram:
 
     def __post_init__(self):
         _check_name(self.name)
+        _require(self.kind, DiagramKind, "diagram kind")
+        for con in self.constraints:
+            _require(con, Constraint, "constraint")
         if not self.regions:
             raise DiagramParseError("a diagram needs at least one region")
         _check_regions(self.regions, (r for con in self.constraints for r in con.refs))

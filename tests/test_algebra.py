@@ -25,7 +25,13 @@ from tribrackets import (
     verify_algebra,
     verify_tribracket,
 )
-from tribrackets.algebra import BracketSlot, ProductSlot, product_solve, tribracket_solve
+from tribrackets.algebra import (
+    BracketSlot,
+    ProductSlot,
+    _layout,
+    product_solve,
+    tribracket_solve,
+)
 from tests.conftest import CYC_PRODUCT, DIAG_PRODUCT, FULL_PRODUCT, arbitrary_algebras
 
 
@@ -119,6 +125,26 @@ class TestConstructorsCheckEntries:
         table[1][0][0], table[0][2][1] = 0, 5
         with pytest.raises(ShapeError, match=r"^entry \(1,3,2\) = 5 is not in 1\.\.3$"):
             Tribracket(3, table)
+
+    def test_first_bad_product_entry_is_reported(self):
+        table = [list(row) for row in FULL_PRODUCT.table]
+        table[1][0], table[0][2] = 0, 5
+        with pytest.raises(ShapeError, match=r"^product entry \(1,3\) = 5 is not in 1\.\.3$"):
+            PartialProduct(3, table)
+
+    def test_an_int_subclass_entry_is_accepted_and_kept(self, z3):
+        class Label(int):
+            pass
+
+        entry = Label(z3.bracket(2, 3, 1))
+        t = mutate(z3, 2, 3, 1, entry)
+        assert t == z3 and t.table[1][2][0] is entry
+        row = (Label(1), None, None)
+        assert PartialProduct(3, (row, (None,) * 3, (None,) * 3)).table[0][0] is row[0]
+
+    def test_a_product_with_every_cell_undefined_builds(self):
+        p = PartialProduct(3, [[None] * 3 for _ in range(3)])
+        assert p == PartialProduct.empty(3) and p.mul(2, 3) is None
 
     @pytest.mark.parametrize("value", [0, 4, 1.0, "1", True])
     def test_bad_product_entry_is_refused(self, value):
@@ -526,6 +552,34 @@ class TestKeyedTableDifferential:
         for op, arity in ((z3, 3), (mixed, 3), (row, 2), (FULL_PRODUCT, 2), (CYC_PRODUCT, 2)):
             assert op.keyed_table == reference_keyed_table(forward(op), op.n, arity)
 
+    def test_interleaved_sizes_and_arities_share_no_template(self, z3):
+        # one layout per (size, arity) serves every table of that size
+        ops = [
+            z3, FULL_PRODUCT,
+            alexander_tribracket(5, 1, 1), PartialProduct.diagonal(5),
+            mutate(z3, 2, 3, 1, 1), CYC_PRODUCT,
+            alexander_tribracket(4, 1, 3), PartialProduct.empty(4),
+            alexander_tribracket(5, 2, 3), PartialProduct.diagonal(5),
+        ]
+        built = []
+        for op in ops:
+            arity = 2 if isinstance(op, PartialProduct) else 3
+            built.append((op.keyed_table, reference_keyed_table(forward(op), op.n, arity)))
+            assert built[-1][0] == built[-1][1]
+        # a table built first is unchanged by later builds of its size
+        assert all(table == reference for table, reference in built)
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_larger_linear_tables_match_the_reference(self, n):
+        t = alexander_tribracket(n, 1, 1)
+        assert t.keyed_table == reference_keyed_table(forward(t), n, 3)
+
+    def test_the_layout_cache_keeps_at_most_16_sizes(self):
+        for n in range(1, 21):
+            assert PartialProduct.diagonal(n).keyed_table
+        info = _layout.cache_info()
+        assert (info.maxsize, info.currsize) == (16, 16)
+
 
 @st.composite
 def alexander_params(draw, max_n=12):
@@ -584,6 +638,28 @@ class TestAlgebraFiles:
         dash = serialize_algebra(z3, DIAG_PRODUCT)
         zero = dash.replace("-", "0")
         assert parse_algebra(dash) == parse_algebra(zero)
+
+    @pytest.mark.parametrize(
+        "cell, value",
+        [("2", 2), ("02", 2), ("+2", 2), ("\u0662", 2), (" 2", 2), ("1", 1), ("01", 1)],
+        ids=["canonical", "leading-zero", "plus", "arabic-indic", "extra-space", "one", "zero-one"],
+    )
+    def test_a_tensor_cell_reads_as_int_does(self, cell, value):
+        t, p = parse_algebra(f"n = 2\ntribracket:\n1 {cell} / 2 1\n2 1 / 1 2\n")
+        assert t.bracket(1, 1, 2) == value and p is None
+
+    @pytest.mark.parametrize(
+        "row, table",
+        [
+            ("1 - / 0 2", ((1, None), (None, 2))),
+            ("01 - / 0 +2", ((1, None), (None, 2))),
+            ("- 0 / 0 -", ((None, None), (None, None))),
+        ],
+        ids=["canonical", "with-other-tokens", "all-undefined"],
+    )
+    def test_a_product_reads_dash_and_zero_as_undefined(self, row, table):
+        _, p = parse_algebra(f"n = 2\ntribracket:\n1 2 / 2 1\n2 1 / 1 2\nproduct:\n{row}\n")
+        assert p.table == table
 
     def test_comments_ignored(self, z3):
         text = "# header\n" + serialize_algebra(z3, DIAG_PRODUCT) + "# trailer\n"
@@ -648,6 +724,13 @@ class TestRefusalMessages:
                 3,
             ),
             ("n = 2\ntribracket:\n1 x / 2 1\n", "line 3: bad entry 'x'", 3),
+            ("n = 2\ntribracket:\n1 1_0 / 2 1\n", "line 3: entry 10 out of range 1..2", 3),
+            ("n = 2\ntribracket:\n1 3 / 2 1\n", "line 3: entry 3 out of range 1..2", 3),
+            (
+                "n = 2\ntribracket:\n1 2 / 2 1\n2 1 / 1 0\n",
+                "line 4: undefined entry '0' is not allowed in a tribracket",
+                4,
+            ),
             ("", "empty algebra file", None),
             ("# only a comment\n\n", "empty algebra file", None),
             ("n = 0\n", "line 1: size must be positive", 1),
@@ -665,6 +748,9 @@ class TestRefusalMessages:
             "row-count",
             "undefined-in-tensor",
             "non-integer",
+            "out-of-range-with-underscore",
+            "out-of-range",
+            "zero-in-tensor",
             "empty",
             "only-comments",
             "size-zero",

@@ -77,6 +77,16 @@ class TestVerify:
         assert main(["verify", str(path)]) == 0
         assert capsys.readouterr().out == "PASS\n"
 
+    def test_bundled_verify_reports_match_the_committed_output(self, capsys):
+        # the CI step that pipes the console script into diff reads the same file
+        algebras = Path(tribrackets.__file__).parent / "data" / "algebras"
+        golden = Path(__file__).parent / "data" / "verify_reports.txt"
+        for name in ("z3_bare", "z3_cyc", "z3_diag", "z3_full", "z4_half"):
+            print(f"# {name}.alg")
+            assert main(["verify", str(algebras / f"{name}.alg")]) == 0
+        assert main(["enumerate-products", str(algebras / "z3_full.alg")]) == 0
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
 
 class TestCount:
     def test_prints_one_integer(self, capsys, z3_full_path, theta_path):

@@ -10,6 +10,7 @@ from tribrackets import (
     Diagram,
     DiagramKind,
     DiagramParseError,
+    ShapeError,
     builtin_diagrams,
     load_bundled_diagram,
     parse_diagram,
@@ -146,6 +147,32 @@ class TestParse:
             Diagram("t", DiagramKind.SPATIAL_GRAPH, regions, constraints)
         assert str(err.value) == message
         assert err.value.line is None
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (
+                # a string kind used to skip the handlebody gate: z3_full counted it 9
+                lambda: Diagram("h", "handlebody-link", ("a", "b", "c"),
+                                (Constraint(ConstraintKind.VERTEX, ("a", "b", "c")),)),
+                "the diagram kind must be a DiagramKind, got 'handlebody-link'",
+            ),
+            (
+                lambda: Constraint("crossing", ("a", "b", "c", "d")),
+                "the constraint kind must be a ConstraintKind, got 'crossing'",
+            ),
+            (
+                lambda: Diagram("t", DiagramKind.SPATIAL_GRAPH, ("a", "b", "c"),
+                                (("vertex", ("a", "b", "c")),)),
+                "the constraint must be a Constraint, got ('vertex', ('a', 'b', 'c'))",
+            ),
+        ],
+        ids=["diagram-kind", "constraint-kind", "constraint"],
+    )
+    def test_parts_of_the_wrong_type_are_refused(self, build, message):
+        with pytest.raises(ShapeError) as err:
+            build()
+        assert str(err.value) == message
 
     def test_a_long_chain_parses_in_linear_time(self):
         # each crossing reads the next four regions of a 60,000-region chain
