@@ -17,11 +17,12 @@ whether it reads the product, and a generator of its failures.
 verify_tribracket and verify_algebra run the tensor and the product entries
 over 1..n into an :class:`AxiomReport`, in table order and lexicographic
 witness order, so reports are byte-stable; recheck_violation runs one entry
-over a witness's own coordinates, so reports are self-certifying.  The
-enumerators read the table too: the tensor search keeps a compiled form of
-every tensor entry for partial tables, and the product census runs the
-r5-compat-1/2 entries on each table it derives, behind a compiled r4-compat
-filter; on a tribracket these imply the other product entries.
+over a witness's own coordinates, so reports are self-certifying.  The tensor
+search forces cells by its own Latin and coherence rules and reads the table
+only through verify_tribracket, on each complete tensor.  The product census
+runs the r5-compat-1/2 entries on each table it derives, behind its own
+r4-compat filter on the first row, and hands each kept table to
+verify_algebra; on a tribracket these imply the other product entries.
 """
 from __future__ import annotations
 
@@ -383,23 +384,31 @@ _AXIOMS = (
 _AXIOM_BY_NAME = {ax.name: ax for ax in _AXIOMS}
 
 
+def _check_pair(t: Tribracket, p: Optional[PartialProduct]) -> None:
+    """Refuse a ``t`` that is not a Tribracket or a ``p`` that is not None or a
+    PartialProduct on its set, with a ShapeError."""
+    if p is None:
+        _require(t, Tribracket, "tensor")
+    else:
+        TribracketAlgebra(t, p)
+
+
 def _padded(t: Tribracket, p: Optional[PartialProduct]) -> tuple:
     """The 1-based tables T and P the axiom generators read (P None without p)."""
-    _require(t, Tribracket, "tensor")
-    if p is not None:
-        _require(p, PartialProduct, "product")
+    _check_pair(t, p)
     T = (None, *((None, *((None, *row) for row in mat)) for mat in t.table))
     P = None if p is None else (None, *((None, *row) for row in p.table))
     return T, P
 
 
-def _report(t: Tribracket, p: Optional[PartialProduct], reads_product: bool) -> AxiomReport:
+def _report(t: Tribracket, p: Optional[PartialProduct]) -> AxiomReport:
+    """The failures of the tensor axioms without ``p``, of the product axioms with it."""
     T, P = _padded(t, p)
     full = range(1, t.n + 1)
     return AxiomReport(tuple(
         Violation(ax.name, witness, lhs, rhs)
         for ax in _AXIOMS
-        if ax.reads_product == reads_product
+        if ax.reads_product == (p is not None)
         for witness, lhs, rhs in ax.failures(T, P, *[full] * ax.ranges)
     ))
 
@@ -410,7 +419,7 @@ def verify_tribracket(t: Tribracket) -> AxiomReport:
     Violation order: slot-a, slot-b, slot-c bijectivity, then coherence-1,
     coherence-2, each family in lexicographic witness order.
     """
-    return _report(t, None, reads_product=False)
+    return _report(t, None)
 
 
 def verify_algebra(alg: TribracketAlgebra) -> AxiomReport:
@@ -421,7 +430,8 @@ def verify_algebra(alg: TribracketAlgebra) -> AxiomReport:
     other's: a violation whose lhs or rhs is None records a definedness
     mismatch.  Assumes the tribracket itself already passes verify_tribracket.
     """
-    return _report(alg.tribracket, alg.product, reads_product=True)
+    _require(alg, TribracketAlgebra, "algebra")
+    return _report(alg.tribracket, alg.product)
 
 
 def recheck_violation(v: Violation, t: Tribracket, p: Optional[PartialProduct] = None) -> bool:
@@ -439,8 +449,6 @@ def recheck_violation(v: Violation, t: Tribracket, p: Optional[PartialProduct] =
         raise ValueError(f"unknown axiom id {v.axiom!r}")
     if ax.reads_product and p is None:
         raise ValueError(f"{ax.name} needs the product table")
-    if p is not None and p.n != t.n:
-        raise ShapeError(f"size mismatch: tribracket on {t.n} elements, product on {p.n}")
     if len(v.witness) != ax.width:
         raise ValueError(f"{ax.name} witness {v.witness} does not have {ax.width} values")
     if not all(type(x) is not bool and isinstance(x, int) and 1 <= x <= t.n for x in v.witness):
@@ -458,10 +466,8 @@ def alexander_tribracket(n: int, x: int, y: int) -> Tribracket:
     for name, m in (("x", x), ("y", y)):
         if type(m) is bool or not isinstance(m, int):
             raise ValueError(f"{name} must be an int, got {m!r}")
-    if math.gcd(x, n) != 1:
-        raise ValueError(f"x = {x} is not a unit mod {n}")
-    if math.gcd(y, n) != 1:
-        raise ValueError(f"y = {y} is not a unit mod {n}")
+        if math.gcd(m, n) != 1:
+            raise ValueError(f"{name} = {m} is not a unit mod {n}")
     span = range(1, n + 1)
     return Tribracket(n, tuple(
         tuple(tuple((x * a - x * y * b + y * c - 1) % n + 1 for c in span) for b in span)
@@ -585,12 +591,11 @@ def product_solve(
 # '#' starts a comment; '-' or '0' in the product block mean undefined.
 
 def _content(text: str) -> Iterator[tuple[int, str]]:
-    """(line number, text) of each line of an algebra or diagram file, its '#'
-    comment and outer blanks cut; lines left empty are skipped."""
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
+    """(line number, text) of each line of an algebra or diagram file, a str, its
+    '#' comment and outer blanks cut; lines left empty are skipped."""
+    _require(text, str, "text")
+    cut = (line.split("#", 1)[0].strip() for line in text.splitlines())
+    return ((lineno, line) for lineno, line in enumerate(cut, 1) if line)
 
 
 def _parse_matrix(text: str, n: int, lineno: int, allow_undef: bool) -> list[list[Optional[int]]]:
@@ -669,19 +674,20 @@ def parse_algebra(text: str) -> tuple[Tribracket, Optional[PartialProduct]]:
     return tribracket, product
 
 
+def _bundled(path: str) -> str:
+    """The text of a package data file, such as ``data/algebras/z3_full.alg``."""
+    return resources.files("tribrackets").joinpath(path).read_text(encoding="utf-8")
+
+
 def load_bundled_algebra(name: str) -> TribracketAlgebra:
     """One of the algebras shipped in the package data (it must have a product)."""
-    text = (
-        resources.files("tribrackets")
-        .joinpath(f"data/algebras/{name}.alg")
-        .read_text(encoding="utf-8")
-    )
-    tribracket, product = parse_algebra(text)
-    return TribracketAlgebra(tribracket, product)
+    return TribracketAlgebra(*parse_algebra(_bundled(f"data/algebras/{name}.alg")))
 
 
 def serialize_algebra(t: Tribracket, p: Optional[PartialProduct] = None) -> str:
-    """Inverse of parse_algebra (undefined cells rendered as '-')."""
+    """Inverse of parse_algebra (undefined cells rendered as '-'); a pair that
+    parse_algebra could not have returned is refused with a ShapeError."""
+    _check_pair(t, p)
     lines = [f"n = {t.n}", "tribracket:"]
     for mat in t.table:
         lines.append(" / ".join(" ".join(str(v) for v in row) for row in mat))

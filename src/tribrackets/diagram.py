@@ -15,15 +15,16 @@ defined a*a, and k2 the cells a*b = a; only the handlebody pair reads the tensor
 """
 from __future__ import annotations
 
+import itertools
 import re
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
-from importlib import resources
 
-from .algebra import _content, _LineError, _require
+from .algebra import _bundled, _content, _LineError, _require
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+")
+_LINE_RE = re.compile(r"(name|kind)\s*=\s*(\S+)|(regions|crossing|vertex)\s*:\s*(.*)")
 
 
 class DiagramParseError(_LineError):
@@ -67,29 +68,31 @@ class Diagram:
     def __post_init__(self):
         _check_name(self.name)
         _require(self.kind, DiagramKind, "diagram kind")
-        for con in self.constraints:
-            _require(con, Constraint, "constraint")
         if not self.regions:
             raise DiagramParseError("a diagram needs at least one region")
-        _check_regions(self.regions, (r for con in self.constraints for r in con.refs))
+        _check_regions(self.regions, self.constraints)
 
 
 def _check_name(name: str) -> None:
-    if not _NAME_RE.fullmatch(name):
+    if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
         raise DiagramParseError(f"bad diagram name {name!r}")
 
 
-def _check_regions(regions: tuple[str, ...], named: Iterable[str] = ()) -> set[str]:
-    """The set of ``regions``; a bad or repeated name, or a ``named`` region
-    not among them, is refused."""
+def _check_regions(regions: tuple, constraints: tuple = (), named: Iterable = ()) -> set[str]:
+    """The set of ``regions`` of a constraint system.  Refuses a constraint that is
+    not a Constraint with a ShapeError; a region that is not a str of letters and
+    digits, or is repeated, or is named by a constraint or in ``named`` but not
+    among ``regions``, with a DiagramParseError."""
+    for con in constraints:
+        _require(con, Constraint, "constraint")
     seen = set()
     for r in regions:
-        if not r.isalnum():
+        if not (isinstance(r, str) and r.isalnum()):
             raise DiagramParseError(f"bad region name {r!r}")
         if r in seen:
             raise DiagramParseError(f"duplicate region declaration {r!r}")
         seen.add(r)
-    for r in named:
+    for r in itertools.chain(*(con.refs for con in constraints), named):
         if r not in seen:
             raise DiagramParseError(f"undeclared region {r!r}")
     return seen
@@ -97,56 +100,50 @@ def _check_regions(regions: tuple[str, ...], named: Iterable[str] = ()) -> set[s
 
 def parse_diagram(text: str) -> Diagram:
     """Parse the plain-text diagram format; '#' starts a comment."""
-    name = None
-    kind = None
-    regions: tuple[str, ...] | None = None
+    header = {}  # the value of the name, kind and regions lines, by Diagram field
     constraints: list[Constraint] = []
     for lineno, line in _content(text):
         try:
-            if m := re.fullmatch(r"name\s*=\s*(\S+)", line):
-                if name is not None:
-                    raise DiagramParseError("duplicate name line")
-                name = m.group(1)
-                _check_name(name)
-            elif m := re.fullmatch(r"kind\s*=\s*(\S+)", line):
-                if kind is not None:
-                    raise DiagramParseError("duplicate kind line")
-                try:
-                    kind = DiagramKind(m.group(1))
-                except ValueError:
-                    raise DiagramParseError(
-                        f"unknown kind {m.group(1)!r} (expected spatial-graph or handlebody-link)"
-                    ) from None
-            elif m := re.fullmatch(r"regions\s*:\s*(.*)", line):
-                if regions is not None:
-                    raise DiagramParseError("duplicate regions line")
-                regions = tuple(m.group(1).split())
-                if not regions:
-                    raise DiagramParseError("empty region list")
-                declared = _check_regions(regions)
-            elif m := re.fullmatch(r"(crossing|vertex)\s*:\s*(.*)", line):
-                con = Constraint(ConstraintKind(m.group(1)), tuple(m.group(2).split()))
-                if regions is None:
+            m = _LINE_RE.fullmatch(line)
+            if m is None:
+                raise DiagramParseError(f"unrecognized line {line!r}")
+            key, value = m.group(1, 2) if m[1] else m.group(3, 4)
+            if key in ("crossing", "vertex"):
+                con = Constraint(ConstraintKind(key), tuple(value.split()))
+                if "regions" not in header:
                     raise DiagramParseError("constraint before regions line")
                 for r in con.refs:
                     if r not in declared:
                         raise DiagramParseError(f"undeclared region {r!r}")
                 constraints.append(con)
+                continue
+            if key in header:
+                raise DiagramParseError(f"duplicate {key} line")
+            if key == "name":
+                _check_name(value)
+            elif key == "kind":
+                try:
+                    value = DiagramKind(value)
+                except ValueError:
+                    kinds = "spatial-graph or handlebody-link"
+                    raise DiagramParseError(f"unknown kind {value!r} (expected {kinds})") from None
             else:
-                raise DiagramParseError(f"unrecognized line {line!r}")
+                value = tuple(value.split())
+                if not value:
+                    raise DiagramParseError("empty region list")
+                declared = _check_regions(value)
+            header[key] = value
         except DiagramParseError as exc:  # a refusal while reading a line names the line
             raise DiagramParseError(exc.args[0], lineno) from None
-    if name is None:
-        raise DiagramParseError("missing name line")
-    if kind is None:
-        raise DiagramParseError("missing kind line")
-    if regions is None:
-        raise DiagramParseError("missing regions line")
-    return Diagram(name, kind, regions, tuple(constraints))
+    for key in ("name", "kind", "regions"):
+        if key not in header:
+            raise DiagramParseError(f"missing {key} line")
+    return Diagram(**header, constraints=tuple(constraints))
 
 
 def serialize_diagram(d: Diagram) -> str:
     """Inverse of parse_diagram."""
+    _require(d, Diagram, "diagram")
     lines = [
         f"name = {d.name}",
         f"kind = {d.kind.value}",
@@ -170,12 +167,7 @@ _BUNDLED = (
 
 
 def load_bundled_diagram(name: str) -> Diagram:
-    text = (
-        resources.files("tribrackets")
-        .joinpath(f"data/diagrams/{name}.dia")
-        .read_text(encoding="utf-8")
-    )
-    return parse_diagram(text)
+    return parse_diagram(_bundled(f"data/diagrams/{name}.dia"))
 
 
 def builtin_diagrams() -> list[Diagram]:

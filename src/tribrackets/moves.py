@@ -53,11 +53,12 @@ class LocalMovePair:
     requires_idempotent: bool = False
 
     def __post_init__(self):
-        """Refuse what Diagram refuses (a bad, repeated or undeclared region) and
-        a region merged twice or merged into a merged region."""
+        """Refuse a side that is not a MoveFragment, what _check_regions refuses
+        and a region merged twice or merged into a merged region."""
         for frag in (self.before, self.after):
-            named = itertools.chain(*(c.refs for c in frag.constraints), *frag.merges)
-            _check_regions((*self.boundary, *frag.internal), named)
+            _require(frag, MoveFragment, "move fragment")
+            regions = (*self.boundary, *frag.internal)
+            _check_regions(regions, frag.constraints, itertools.chain(*frag.merges))
             merged = [r2 for _, r2 in frag.merges]
             for r1, r2 in frag.merges:
                 if r1 in merged or merged.count(r2) > 1:

@@ -32,7 +32,13 @@ from tribrackets.algebra import (
     product_solve,
     tribracket_solve,
 )
-from tests.conftest import CYC_PRODUCT, DIAG_PRODUCT, FULL_PRODUCT, arbitrary_algebras
+from tests.conftest import (
+    CYC_PRODUCT,
+    DIAG_PRODUCT,
+    FULL_PRODUCT,
+    Z3_TENSOR,
+    arbitrary_algebras,
+)
 
 
 def units(n):
@@ -692,6 +698,9 @@ class TestAlgebraFiles:
         assert err.value.line is not None
 
 
+Z3_ALGEBRA = TribracketAlgebra(Z3_TENSOR, FULL_PRODUCT)
+
+
 class TestRefusalMessages:
     """Each refusal of a malformed table or file, with its exact message and line."""
 
@@ -767,3 +776,34 @@ class TestRefusalMessages:
             parse_algebra(text)
         assert str(err.value) == message
         assert err.value.line == line
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: parse_algebra(None), "the text must be a str, got None"),
+            (lambda: parse_algebra(b"n = 1"), "the text must be a str, got b'n = 1'"),
+            (
+                lambda: verify_algebra(Z3_TENSOR),
+                f"the algebra must be a TribracketAlgebra, got {Z3_TENSOR!r}",
+            ),
+            (
+                lambda: serialize_algebra(Z3_ALGEBRA),
+                f"the tensor must be a Tribracket, got {Z3_ALGEBRA!r}",
+            ),
+            (
+                lambda: serialize_algebra(Z3_TENSOR, FULL_PRODUCT.table),
+                f"the product must be a PartialProduct, got {FULL_PRODUCT.table!r}",
+            ),
+            (
+                # once written as a file that parse_algebra refuses on its product line
+                lambda: serialize_algebra(Z3_TENSOR, PartialProduct.diagonal(4)),
+                "size mismatch: tribracket on 3 elements, product on 4",
+            ),
+        ],
+        ids=["parse-none", "parse-bytes", "verify-tensor", "serialize-algebra",
+             "serialize-table", "serialize-size-mismatch"],
+    )
+    def test_arguments_of_the_wrong_type_are_refused(self, call, message):
+        with pytest.raises(ShapeError) as err:
+            call()
+        assert str(err.value) == message

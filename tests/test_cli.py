@@ -88,7 +88,24 @@ class TestVerify:
         assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
+DEMO_PAIRS = [
+    ("z3_full", "theta"), ("z3_full", "handcuff"), ("z3_diag", "theta"), ("z3_diag", "handcuff"),
+    ("z3_diag", "hopf_handlebody"), ("z3_diag", "genus2_link"), ("z3_cyc", "k1"), ("z3_cyc", "k2"),
+    ("z4_half", "z4_left"), ("z4_half", "z4_right"),
+]
+
+
 class TestCount:
+    def test_bundled_count_reports_match_the_committed_output(self, capsys):
+        # the CI step that pipes the console script into diff reads the same file
+        data = Path(tribrackets.__file__).parent / "data"
+        golden = Path(__file__).parent / "data" / "count_reports.txt"
+        for algebra, diagram in DEMO_PAIRS:
+            print(f"# {algebra} {diagram}")
+            alg, dia = data / "algebras" / f"{algebra}.alg", data / "diagrams" / f"{diagram}.dia"
+            assert main(["count", "--enumerate", "--oracle", str(alg), str(dia)]) == 0
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
     def test_prints_one_integer(self, capsys, z3_full_path, theta_path):
         assert main(["count", z3_full_path, theta_path]) == 0
         assert capsys.readouterr().out == "9\n"

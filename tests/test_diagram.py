@@ -101,8 +101,9 @@ class TestParse:
             ("regions: a\nregions: b\n", "line 4: duplicate regions line"),
             ("regions:\n", "line 3: empty region list"),
             ("regions: a\nedge: a a\n", "line 4: unrecognized line 'edge: a a'"),
+            ("regions: a\nvertex: a a a\nname = u\n", "line 5: duplicate name line"),
         ],
-        ids=["name", "kind", "regions", "empty-regions", "unrecognized"],
+        ids=["name", "kind", "regions", "empty-regions", "unrecognized", "name-after-constraint"],
     )
     def test_line_errors_keep_message_and_line(self, body, message):
         with pytest.raises(DiagramParseError) as err:
@@ -139,8 +140,11 @@ class TestParse:
                 (Constraint(ConstraintKind.VERTEX, ("a", "b", "a")),),
                 "undeclared region 'b'",
             ),
+            ((1,), (), "bad region name 1"),
+            (("a", None), (), "bad region name None"),
         ],
-        ids=["no-regions", "bad-region", "duplicate-region", "undeclared-region"],
+        ids=["no-regions", "bad-region", "duplicate-region", "undeclared-region", "int-region",
+             "none-region"],
     )
     def test_direct_construction_is_checked(self, regions, constraints, message):
         with pytest.raises(DiagramParseError) as err:
@@ -166,13 +170,24 @@ class TestParse:
                                 (("vertex", ("a", "b", "c")),)),
                 "the constraint must be a Constraint, got ('vertex', ('a', 'b', 'c'))",
             ),
+            (lambda: parse_diagram(b"name = x"), "the text must be a str, got b'name = x'"),
+            (lambda: parse_diagram(b""), "the text must be a str, got b''"),
+            (lambda: parse_diagram(None), "the text must be a str, got None"),
+            (lambda: serialize_diagram(None), "the diagram must be a Diagram, got None"),
         ],
-        ids=["diagram-kind", "constraint-kind", "constraint"],
+        ids=["diagram-kind", "constraint-kind", "constraint", "parse-bytes", "parse-empty-bytes",
+             "parse-none", "serialize-none"],
     )
     def test_parts_of_the_wrong_type_are_refused(self, build, message):
         with pytest.raises(ShapeError) as err:
             build()
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("name", [5, None, b"t"], ids=["int", "none", "bytes"])
+    def test_a_name_that_is_not_a_str_is_a_bad_name(self, name):
+        with pytest.raises(DiagramParseError) as err:
+            Diagram(name, DiagramKind.SPATIAL_GRAPH, ("a",), ())
+        assert str(err.value) == f"bad diagram name {name!r}"
 
     def test_a_long_chain_parses_in_linear_time(self):
         # each crossing reads the next four regions of a 60,000-region chain
@@ -242,3 +257,26 @@ class TestRoundtripProperty:
     @settings(max_examples=80, deadline=None)
     def test_parse_inverts_serialize(self, d):
         assert parse_diagram(serialize_diagram(d)) == d
+
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_header_lines_parse_in_any_order_and_spacing(self, data):
+        d = data.draw(diagrams())
+        blank = st.sampled_from(["", " ", "  ", "\t"])
+
+        def line(key, sign, words):
+            pad = [data.draw(blank) for _ in range(4)]
+            gap = data.draw(st.sampled_from([" ", "  ", " \t "]))
+            text = f"{pad[0]}{key}{pad[1]}{sign}{pad[2]}{gap.join(words)}{pad[3]}"
+            return text + data.draw(st.sampled_from(["", "# note", "  # a comment"]))
+
+        body = [line("regions", ":", d.regions)]
+        body += [line(c.kind.value, ":", c.refs) for c in d.constraints]
+        # the name and kind lines go anywhere; the regions line stays before the constraints
+        for key, value in (("name", d.name), ("kind", d.kind.value)):
+            body.insert(data.draw(st.integers(0, len(body))), line(key, "=", [value]))
+        lines = []
+        for text in body:
+            lines += data.draw(st.lists(st.sampled_from(["", "  ", "# comment"]), max_size=2))
+            lines.append(text)
+        assert parse_diagram("\n".join(lines) + "\n") == d

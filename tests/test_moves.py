@@ -16,6 +16,7 @@ from tribrackets import (
     MoveCheckReport,
     MoveFragment,
     PartialProduct,
+    ShapeError,
     Tribracket,
     TribracketAlgebra,
     builtin_move_pairs,
@@ -214,6 +215,32 @@ class TestMalformedPairs:
         for merges in ((("w", "e"), ("e", "s")), (("w", "w"),), (("w", "s"), ("e", "s"))):
             with pytest.raises(DiagramParseError, match="chains or repeats a merge"):
                 LocalMovePair("m", ("w", "e", "s"), MoveFragment((), (), merges), self.EMPTY)
+
+    def test_a_constraint_that_is_not_a_constraint_is_refused(self):
+        # once AttributeError: 'tuple' object has no attribute 'refs'
+        for before, after in ((MoveFragment((), (("a",),)), self.EMPTY),
+                              (self.EMPTY, MoveFragment((), (("a",),)))):
+            with pytest.raises(ShapeError) as err:
+                LocalMovePair("t", ("a",), before, after)
+            assert str(err.value) == "the constraint must be a Constraint, got ('a',)"
+
+    @pytest.mark.parametrize("side", ["before", "after"])
+    @pytest.mark.parametrize("bad", [None, (), "fragment"], ids=["none", "tuple", "str"])
+    def test_a_side_that_is_not_a_fragment_is_refused(self, side, bad):
+        sides = {"before": self.EMPTY, "after": self.EMPTY, side: bad}
+        with pytest.raises(ShapeError) as err:
+            LocalMovePair("t", ("a",), **sides)
+        assert str(err.value) == f"the move fragment must be a MoveFragment, got {bad!r}"
+
+    @pytest.mark.parametrize(
+        "boundary, internal",
+        [((1,), ()), (("a",), (1,)), (("a", 1), ("b",))],
+        ids=["boundary", "internal", "second-boundary"],
+    )
+    def test_a_region_that_is_not_a_str_is_a_bad_name(self, boundary, internal):
+        with pytest.raises(DiagramParseError) as err:
+            LocalMovePair("t", boundary, MoveFragment(internal, ()), self.EMPTY)
+        assert str(err.value) == "bad region name 1"
 
     def test_every_builtin_pair_rebuilds(self):
         for pair in builtin_move_pairs():
