@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import itertools
 import re
-from collections.abc import Iterable
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
-from .algebra import _bundled, _content, _LineError, _require
+from .algebra import ShapeError, _bundled, _content, _LineError, _require
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+")
 _LINE_RE = re.compile(r"(name|kind)\s*=\s*(\S+)|(regions|crossing|vertex)\s*:\s*(.*)")
@@ -51,6 +51,7 @@ class Constraint:
 
     def __post_init__(self):
         _require(self.kind, ConstraintKind, "constraint kind")
+        _require_sequence(self.refs, "constraint's region list")
         want = _ARITY[self.kind]
         if len(self.refs) != want:
             raise DiagramParseError(
@@ -78,13 +79,25 @@ def _check_name(name: str) -> None:
         raise DiagramParseError(f"bad diagram name {name!r}")
 
 
-def _check_regions(regions: tuple, constraints: tuple = (), named: Iterable = ()) -> set[str]:
-    """The set of ``regions`` of a constraint system.  Refuses a constraint that is
-    not a Constraint with a ShapeError; a region that is not a str of letters and
-    digits, or is repeated, or is named by a constraint or in ``named`` but not
-    among ``regions``, with a DiagramParseError."""
+def _require_sequence(value, what: str) -> None:
+    """Refuse a str, or anything but a sequence, where a sequence belongs."""
+    if isinstance(value, str) or not isinstance(value, Sequence):
+        raise ShapeError(f"the {what} must be a sequence, not {type(value).__name__}: {value!r}")
+
+
+def _check_regions(regions: tuple, constraints: tuple = (), merges: tuple = ()) -> set[str]:
+    """The set of ``regions`` of a constraint system.  Refuses a region, constraint
+    or merge list that is not a sequence (a str included) and a constraint that is
+    not a Constraint with a ShapeError; a merge that is not a pair, and a region
+    that is not a str of letters and digits, or is repeated, or is named by a
+    constraint or a merge but not among ``regions``, with a DiagramParseError."""
+    for value, what in ((regions, "region"), (constraints, "constraint"), (merges, "merge")):
+        _require_sequence(value, f"{what} list")
     for con in constraints:
         _require(con, Constraint, "constraint")
+    for m in merges:
+        if isinstance(m, str) or not isinstance(m, Sequence) or len(m) != 2:
+            raise DiagramParseError(f"merge {m!r} is not a pair of regions")
     seen = set()
     for r in regions:
         if not (isinstance(r, str) and r.isalnum()):
@@ -92,7 +105,7 @@ def _check_regions(regions: tuple, constraints: tuple = (), named: Iterable = ()
         if r in seen:
             raise DiagramParseError(f"duplicate region declaration {r!r}")
         seen.add(r)
-    for r in itertools.chain(*(con.refs for con in constraints), named):
+    for r in itertools.chain(*(con.refs for con in constraints), *merges):
         if r not in seen:
             raise DiagramParseError(f"undeclared region {r!r}")
     return seen

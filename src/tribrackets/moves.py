@@ -24,7 +24,6 @@ admit no extension on that side.
 from __future__ import annotations
 
 import functools
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
@@ -55,10 +54,11 @@ class LocalMovePair:
     def __post_init__(self):
         """Refuse a side that is not a MoveFragment, what _check_regions refuses
         and a region merged twice or merged into a merged region."""
+        _check_regions(self.boundary)  # each list alone first: a str is not a list
         for frag in (self.before, self.after):
             _require(frag, MoveFragment, "move fragment")
-            regions = (*self.boundary, *frag.internal)
-            _check_regions(regions, frag.constraints, itertools.chain(*frag.merges))
+            _check_regions(frag.internal)
+            _check_regions((*self.boundary, *frag.internal), frag.constraints, frag.merges)
             merged = [r2 for _, r2 in frag.merges]
             for r1, r2 in frag.merges:
                 if r1 in merged or merged.count(r2) > 1:

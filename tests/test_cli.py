@@ -230,6 +230,13 @@ class TestEnumerationVerbs:
         assert out.count("tribracket:") == 2
         assert out.strip().endswith("# 2 tribrackets on 2 elements")
 
+    def test_census_reports_match_the_committed_output(self, capsys):
+        # the CI step that pipes the console script into diff reads the same file
+        golden = Path(__file__).parent / "data" / "census_reports.txt"
+        assert main(["enumerate-tribrackets", "4"]) == 0
+        assert main(["enumerate-tribrackets", "5", "--max-candidates", "40"]) == 0
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
     def test_a_capped_census_prints_its_prefix_and_says_it_is_partial(self, capsys):
         assert main(["enumerate-tribrackets", "3"]) == 0
         blocks = capsys.readouterr().out.split("\n\n")

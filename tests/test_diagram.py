@@ -183,6 +183,29 @@ class TestParse:
             build()
         assert str(err.value) == message
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            # once a diagram of the regions 'a' and 'b'
+            (lambda: Diagram("d", DiagramKind.SPATIAL_GRAPH, "ab", ()),
+             "the region list must be a sequence, not str: 'ab'"),
+            # once TypeError: 'NoneType' object is not iterable
+            (lambda: Diagram("d", DiagramKind.SPATIAL_GRAPH, ("a",), None),
+             "the constraint list must be a sequence, not NoneType: None"),
+            # once TypeError: object of type 'NoneType' has no len()
+            (lambda: Constraint(ConstraintKind.VERTEX, None),
+             "the constraint's region list must be a sequence, not NoneType: None"),
+            # once a crossing of the regions 'a', 'b', 'c' and 'd'
+            (lambda: Constraint(ConstraintKind.CROSSING, "abcd"),
+             "the constraint's region list must be a sequence, not str: 'abcd'"),
+        ],
+        ids=["regions-str", "constraints-none", "refs-none", "refs-str"],
+    )
+    def test_a_str_or_non_sequence_for_a_list_is_refused(self, build, message):
+        with pytest.raises(ShapeError) as err:
+            build()
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("name", [5, None, b"t"], ids=["int", "none", "bytes"])
     def test_a_name_that_is_not_a_str_is_a_bad_name(self, name):
         with pytest.raises(DiagramParseError) as err:

@@ -390,12 +390,21 @@ class TestBudgetAtInteriorNodes:
         return ticks
 
     def test_timeout_is_checked_at_every_node(self, monkeypatch):
-        # the deadline passes after 1000 search nodes, long before the first
-        # order-5 tensor is complete
+        # the deadline passes after 200 clock readings, long before the first
+        # order-5 tensor is complete (the search reads the clock 794 times
+        # before it)
         ticks = self._ticking_clock(monkeypatch)
-        result = enumerate_tribrackets(5, EnumerationBudget(timeout=1000))
+        result = enumerate_tribrackets(5, EnumerationBudget(timeout=200))
         assert not result.complete and len(result) == 0
-        assert next(ticks) < 2000  # stopped soon after the deadline
+        assert next(ticks) < 400  # stopped soon after the deadline
+
+    def test_forcing_halves_the_order4_search(self, monkeypatch):
+        # one clock reading at the start, one per set-up row (16) and one per
+        # value tried (2,340); forcing coherence only forwards tries 5,068
+        ticks = self._ticking_clock(monkeypatch)
+        result = enumerate_tribrackets(4, EnumerationBudget(timeout=10**9))
+        assert result.complete and len(result) == 168
+        assert next(ticks) <= 2500
 
     def test_timeout_bounds_the_set_up(self):
         # the set-up at order 30 builds 30^4 witnesses, about 2 s; the

@@ -242,6 +242,37 @@ class TestMalformedPairs:
             LocalMovePair("t", boundary, MoveFragment(internal, ()), self.EMPTY)
         assert str(err.value) == "bad region name 1"
 
+    @pytest.mark.parametrize(
+        "boundary, fragment, message",
+        [
+            # once a pair over the boundary regions 'a' and 'b'
+            ("ab", EMPTY, "the region list must be a sequence, not str: 'ab'"),
+            # the rest once raised a bare TypeError
+            (None, EMPTY, "the region list must be a sequence, not NoneType: None"),
+            (("a",), MoveFragment(None, ()),
+             "the region list must be a sequence, not NoneType: None"),
+            (("a",), MoveFragment((), None),
+             "the constraint list must be a sequence, not NoneType: None"),
+            (("a",), MoveFragment((), (), None),
+             "the merge list must be a sequence, not NoneType: None"),
+        ],
+        ids=["boundary-str", "boundary-none", "internal-none", "constraints-none", "merges-none"],
+    )
+    def test_a_str_or_non_sequence_for_a_list_is_refused(self, boundary, fragment, message):
+        with pytest.raises(ShapeError) as err:
+            LocalMovePair("t", boundary, fragment, self.EMPTY)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "merge", [("a",), ("a", "b", "a"), "ab"], ids=["one", "three", "str"]
+    )
+    def test_a_merge_that_is_not_a_pair_is_refused(self, merge):
+        # once ValueError: not enough (or too many) values to unpack; "ab" was
+        # read as the merge of 'a' into 'b'
+        with pytest.raises(DiagramParseError) as err:
+            LocalMovePair("m", ("a", "b"), MoveFragment((), (), (merge,)), self.EMPTY)
+        assert str(err.value) == f"merge {merge!r} is not a pair of regions"
+
     def test_every_builtin_pair_rebuilds(self):
         for pair in builtin_move_pairs():
             assert dataclasses.replace(pair) == pair
