@@ -21,7 +21,6 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections.abc import Iterator, Sequence
-from operator import itemgetter
 
 # the benchmark tracer wraps the slot solvers here: their only use, until it stops doing so
 from .algebra import TribracketAlgebra, _require, product_solve, tribracket_solve  # noqa: F401
@@ -53,10 +52,14 @@ def _system(names: Sequence[str], constraints: Sequence[Constraint], merges=()) 
     index = {r: i for i, r in enumerate(r for r in names if r not in merged)}
     regions = len(index)
     index |= {r2: index[r1] for r2, r1 in merged.items()}
-    # a crossing (a, b, c, d) reads [a, b, c] = d, and a vertex (l, m, r) reads l*r = m
-    at, vertex, lrm = index.__getitem__, ConstraintKind.VERTEX, itemgetter(0, 2, 1)
-    system = [(c.kind, tuple(map(at, lrm(c.refs) if c.kind is vertex else c.refs)))
-              for c in constraints]
+    vertex, system = ConstraintKind.VERTEX, []
+    for c in constraints:  # a crossing (a, b, c, d) reads [a, b, c] = d, a vertex (l, m, r) l*r = m
+        if c.kind is vertex:
+            l, m, r = c.refs
+            system.append((vertex, (index[l], index[r], index[m])))
+        else:
+            a, b, x, d = c.refs
+            system.append((c.kind, (index[a], index[b], index[x], index[d])))
     return regions, system, index
 
 
@@ -68,9 +71,9 @@ def _compile(regions: int, system: Sequence[tuple[ConstraintKind, tuple[int, ...
     A read is the kind, four regions whose values are the key's digits while r
     reads 0, and for each digit whether r fills it."""
     def read(i: int, r: int) -> tuple:
-        kind, refs = system[i]
-        pad = 4 - len(refs)  # r pads a vertex's first digit, which r does not fill
-        return (kind, *(r,) * pad, *refs, *(False,) * pad, *[x == r for x in refs])
+        kind, refs = system[i]  # r pads a vertex's first digit, which r does not fill
+        a, b, c, d = refs if len(refs) == 4 else (r, *refs)
+        return kind, a, b, c, d, len(refs) == 4 and a == r, b == r, c == r, d == r
 
     return [
         (r, f is not None and read(f, r), [read(i, r) for i in closes if i != f])
@@ -144,45 +147,50 @@ def _plan(regions: int, constraints: list[tuple[int, ...]]) -> list[tuple[int, i
     constraint's last uncolored region, whatever slots it fills.  The score
     ranks r by its constraints that coloring r leaves one region uncolored,
     then those with a colored region, then how many constraints r touches,
-    then the lowest index.  Stale heap entries are skipped: O((R + slots) log R).
+    then the lowest index.  r's heap key is one int whose digits are the
+    constraint count less each score, then r; it is pushed again only when a
+    score rises.  Stale keys are skipped: O((R + slots) log R).
     """
-    sets = [dict.fromkeys(refs) for refs in constraints]  # per constraint: its regions
-    left = [len(s) for s in sets]  # per constraint: its uncolored regions
+    sets = [{*refs} for refs in constraints]  # per constraint: its regions
+    left = list(map(len, sets))  # per constraint: its uncolored regions
+    top, base = len(sets), max(len(sets), regions) + 1
+    first, second = base**3, base**2  # a key's drop when its first or second score rises by 1
+    key = [((top * base + top) * base + top) * base + r for r in range(regions)]
     touch: list[list[int]] = [[] for _ in range(regions)]  # constraints per region
     for i, s in enumerate(sets):
+        drop = base + (len(s) == 2) * first  # r's degree rises, and its first score if i is a pair
         for r in s:
             touch[r].append(i)
-    # per region: its first two scores
-    near = [sum(left[i] == 2 for i in touch[r]) for r in range(regions)]
-    started = [0] * regions
-    heap = [(-near[r], 0, -len(touch[r]), r) for r in range(regions)]
+            key[r] -= drop
+    heap = key.copy()
     heapq.heapify(heap)
-    forcer: dict[int, int | None] = {}  # per region met: the constraint forcing it
+    met = [False] * regions  # per region: scheduled or queued
     schedule: list[tuple[int, int | None, list]] = []
     while len(schedule) < regions:
-        e1, e2, _, r = heapq.heappop(heap)
-        if r in forcer or e1 != -near[r] or e2 != -started[r]:
+        k = heapq.heappop(heap)
+        r = k % base
+        if met[r] or k != key[r]:
             continue
-        forcer[r] = None
-        queue = [r]
+        met[r] = True
+        queue: list[tuple[int, int | None]] = [(r, None)]
         while queue:
-            x = queue.pop()
+            x, f = queue.pop()
             shut: list[int] = []
-            schedule.append((x, forcer[x], shut))
+            schedule.append((x, f, shut))
             for i in touch[x]:
                 left[i] = u = left[i] - 1
-                if not u:
+                if u == 1:  # i's last uncolored region, if not yet met: i forces it
+                    for y in sets[i]:
+                        if not met[y]:
+                            met[y] = True
+                            queue.append((y, i))
+                elif not u:
                     shut.append(i)
-                for y in sets[i]:
-                    if y in forcer:
-                        continue
-                    if u == 1:  # y is i's last uncolored region: i forces it
-                        forcer[y] = i
-                        queue.append(y)
-                    else:
-                        near[y] += u == 2
-                        started[y] += u + 1 == len(sets[i])
-                        heapq.heappush(heap, (-near[y], -started[y], -len(touch[y]), y))
+                elif drop := (u == 2) * first + (u + 1 == len(sets[i])) * second:  # scores rise
+                    for y in sets[i]:
+                        if not met[y]:
+                            key[y] -= drop
+                            heapq.heappush(heap, key[y])
     return schedule
 
 
@@ -200,20 +208,21 @@ def count_colorings(alg: TribracketAlgebra, dia: Diagram) -> int:
     once and walks each component's part of the schedule, the one it would get alone."""
     _check_args(alg, dia)
     regions, system, _ = _system(dia.regions, dia.constraints)
-    parent = list(range(regions))
-
-    def find(r: int) -> int:
+    parent = list(range(regions))  # a union-find forest of the components, path halving
+    for _, refs in system:
+        root = None
+        for r in refs:
+            while parent[r] != r:
+                parent[r] = r = parent[parent[r]]
+            if root is None:
+                root = r
+            parent[r] = root
+    parts: dict[int, list[tuple]] = {}  # per component, in order of its first region
+    for step in _compile(regions, system):
+        r = step[0]
         while parent[r] != r:
             parent[r] = r = parent[parent[r]]
-        return r
-
-    for _, refs in system:
-        root = find(refs[0])
-        for r in refs:
-            parent[find(r)] = root
-    parts: dict[int, list[tuple]] = {}
-    for step in _compile(regions, system):
-        parts.setdefault(find(step[0]), []).append(step)
+        parts.setdefault(r, []).append(step)
     # a part of one region that closes no constraint is a region no constraint touches
     walks = [part for part in parts.values() if len(part) > 1 or part[0][2]]
     count, val = alg.n ** (regions - sum(map(len, walks))), [0] * regions

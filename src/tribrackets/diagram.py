@@ -69,6 +69,7 @@ class Diagram:
     def __post_init__(self):
         _check_name(self.name)
         _require(self.kind, DiagramKind, "diagram kind")
+        _require_sequence(self.regions, "region list")  # so None or 0 is not taken for empty
         if not self.regions:
             raise DiagramParseError("a diagram needs at least one region")
         _check_regions(self.regions, self.constraints)

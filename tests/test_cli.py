@@ -87,6 +87,16 @@ class TestVerify:
         assert main(["enumerate-products", str(algebras / "z3_full.alg")]) == 0
         assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
+    def test_product_census_reports_match_the_committed_output(self, capsys):
+        # pins the product census on two tensors whose first rows mostly fail r5-compat-1;
+        # the verify-reports CI step diffs the console script against the same file
+        data = Path(__file__).parent / "data"
+        for name in ("alexander_11_1_4", "alexander_9_1_4"):
+            print(f"# {name}.alg")
+            assert main(["enumerate-products", str(data / f"{name}.alg")]) == 0
+        golden = data / "product_reports.txt"
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
 
 DEMO_PAIRS = [
     ("z3_full", "theta"), ("z3_full", "handcuff"), ("z3_diag", "theta"), ("z3_diag", "handcuff"),

@@ -762,3 +762,83 @@ class TestSearchOrder:
         runs = [(*run[:-1], sorted(run[-1])) for run in _search_runs(diagrams)]
         digest = hashlib.sha256(repr(runs).encode()).hexdigest()
         assert digest == self.SORTED_DIGEST
+
+
+def _random_part(rng, prefix):
+    """A connected system of 3-5 regions and 2-4 crossings or vertices; regions may repeat."""
+    regions = [f"{prefix}r{i}" for i in range(rng.randint(3, 5))]
+    while True:
+        cons = []
+        for _ in range(rng.randint(2, 4)):
+            kind = rng.choice((ConstraintKind.CROSSING, ConstraintKind.VERTEX))
+            arity = 4 if kind is ConstraintKind.CROSSING else 3
+            cons.append(Constraint(kind, tuple(rng.choice(regions) for _ in range(arity))))
+        seen = set(cons[0].refs)
+        for _ in cons:  # enough passes to reach every connected constraint
+            for con in cons:
+                if seen & set(con.refs):
+                    seen |= set(con.refs)
+        if seen == set(regions):
+            return regions, cons
+
+
+def _grown_chain(rng):
+    """10 regions grown from 2-3 free ones, each forced by a constraint on the regions
+    grown just before it, then one crossing closing on 4 consecutive regions."""
+    names = [f"g{i}" for i in range(rng.randint(2, 3))]
+    cons = []
+    while len(names) < 10:
+        new = f"g{len(names)}"
+        if rng.random() < 0.3:
+            refs = names[-2:]
+            refs.insert(rng.randrange(3), new)
+            cons.append(Constraint(ConstraintKind.VERTEX, tuple(refs)))
+        else:
+            refs = names[-3:]
+            while len(refs) < 3:
+                refs.append(rng.choice(names))
+            rng.shuffle(refs)
+            refs.insert(rng.randrange(4), new)
+            cons.append(Constraint(ConstraintKind.CROSSING, tuple(refs)))
+        names.append(new)
+    start = rng.randrange(len(names) - 3)
+    window = names[start:start + 4]
+    rng.shuffle(window)
+    cons.append(Constraint(ConstraintKind.CROSSING, tuple(window)))
+    return names, cons
+
+
+class TestCompileDigest:
+    """``_compile`` on seeded random systems, pinned by one digest of their schedules.
+
+    Two shapes: unions of 2-3 connected parts with crossings, vertices and
+    repeated regions, and 10-region grown chains, each with its regions and
+    constraints shuffled.  The digest was taken before the planner was reworked
+    to take fewer passes; the schedules must not change with it.
+    """
+
+    DIGEST = "e84731b09f6b0c0c67d42fba28873d4eaf988cbfc931ea9aa6d78b2e02723d3e"
+
+    @staticmethod
+    def _schedules():
+        rng = random.Random("compile-digest")
+        systems = []
+        for _ in range(300):
+            names, cons = [], []
+            for j in range(rng.randint(2, 3)):
+                part = _random_part(rng, f"c{j}")
+                names += part[0]
+                cons += part[1]
+            systems.append((names, cons))
+            systems.append(_grown_chain(rng))
+        schedules = []
+        for names, cons in systems:
+            rng.shuffle(names)
+            rng.shuffle(cons)
+            regions, system, _ = _system(names, cons)
+            schedules.append(_compile(regions, system))
+        return schedules
+
+    def test_schedules_match_the_pinned_digest(self):
+        digest = hashlib.sha256(repr(self._schedules()).encode()).hexdigest()
+        assert digest == self.DIGEST

@@ -189,6 +189,13 @@ class TestParse:
             # once a diagram of the regions 'a' and 'b'
             (lambda: Diagram("d", DiagramKind.SPATIAL_GRAPH, "ab", ()),
              "the region list must be a sequence, not str: 'ab'"),
+            # once "a diagram needs at least one region", for each of the next three
+            (lambda: Diagram("d", DiagramKind.SPATIAL_GRAPH, None, ()),
+             "the region list must be a sequence, not NoneType: None"),
+            (lambda: Diagram("d", DiagramKind.SPATIAL_GRAPH, 0, ()),
+             "the region list must be a sequence, not int: 0"),
+            (lambda: Diagram("d", DiagramKind.SPATIAL_GRAPH, "", ()),
+             "the region list must be a sequence, not str: ''"),
             # once TypeError: 'NoneType' object is not iterable
             (lambda: Diagram("d", DiagramKind.SPATIAL_GRAPH, ("a",), None),
              "the constraint list must be a sequence, not NoneType: None"),
@@ -199,7 +206,8 @@ class TestParse:
             (lambda: Constraint(ConstraintKind.CROSSING, "abcd"),
              "the constraint's region list must be a sequence, not str: 'abcd'"),
         ],
-        ids=["regions-str", "constraints-none", "refs-none", "refs-str"],
+        ids=["regions-str", "regions-none", "regions-int", "regions-empty-str", "constraints-none",
+             "refs-none", "refs-str"],
     )
     def test_a_str_or_non_sequence_for_a_list_is_refused(self, build, message):
         with pytest.raises(ShapeError) as err:
