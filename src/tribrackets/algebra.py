@@ -21,8 +21,8 @@ over a witness's own coordinates, so reports are self-certifying.  The tensor
 search forces cells by its own Latin and coherence rules and reads the table
 only through verify_tribracket, on each complete tensor.  The product census
 runs the r5-compat-1/2 entries on each table it derives, behind its own
-first-row filters (r4-compat, r5-compat-1 at a = b = 1), and hands each kept
-table to verify_algebra; on a tribracket these imply the other product entries.
+r4-compat filter on the first row, and hands each kept table to
+verify_algebra; on a tribracket these imply the other product entries.
 """
 from __future__ import annotations
 

@@ -208,21 +208,20 @@ def count_colorings(alg: TribracketAlgebra, dia: Diagram) -> int:
     once and walks each component's part of the schedule, the one it would get alone."""
     _check_args(alg, dia)
     regions, system, _ = _system(dia.regions, dia.constraints)
-    parent = list(range(regions))  # a union-find forest of the components, path halving
-    for _, refs in system:
-        root = None
-        for r in refs:
-            while parent[r] != r:
-                parent[r] = r = parent[parent[r]]
-            if root is None:
-                root = r
-            parent[r] = root
-    parts: dict[int, list[tuple]] = {}  # per component, in order of its first region
-    for step in _compile(regions, system):
-        r = step[0]
+    parent = list(range(regions))
+
+    def find(r: int) -> int:
         while parent[r] != r:
             parent[r] = r = parent[parent[r]]
-        parts.setdefault(r, []).append(step)
+        return r
+
+    for _, refs in system:
+        root = find(refs[0])
+        for r in refs:
+            parent[find(r)] = root
+    parts: dict[int, list[tuple]] = {}
+    for step in _compile(regions, system):
+        parts.setdefault(find(step[0]), []).append(step)
     # a part of one region that closes no constraint is a region no constraint touches
     walks = [part for part in parts.values() if len(part) > 1 or part[0][2]]
     count, val = alg.n ** (regions - sum(map(len, walks))), [0] * regions

@@ -255,11 +255,9 @@ def enumerate_products(t: Tribracket) -> list[PartialProduct]:
 
     r5-compat-1 at b = 1 reads a*[a,1,c] = [a,1,1*c], and c -> [a,1,c] is a
     bijection, so a compatible product is fixed by its first row.  The search
-    builds each first row cell by cell (cells undefined first, then ascending),
-    drops a partial row once r5-compat-1 at a = b = 1 fails on the cells set,
-    derives rows 2..n of each full row, and keeps a table when the axiom
-    table's r5-compat-1/2 find no failure; distinct first rows keep the output
-    sorted by flattened table.
+    tries each first row (cells undefined first, then ascending), derives rows
+    2..n, and keeps a table when the axiom table's r5-compat-1/2 find no
+    failure; distinct first rows keep the output sorted by flattened table.
     A value v of 1*c is tried only when r4-compat holds at each cell it fixes,
     [a, [a,1,v], [a,1,c]] = [a,1,v] for every a.  A compatible product passes
     there, so none is lost; a kept table passes r4-compat at every cell, as
@@ -288,27 +286,12 @@ def enumerate_products(t: Tribracket) -> list[PartialProduct]:
         [None] + [v for v in full if all(T[a][T[a][1][v]][T[a][1][c]] == T[a][1][v] for a in full)]
         for c in full
     ]
-    # r5-compat-1 at a = b = 1 reads cells c and t11[c] of row 1, with t11[c] = [1,1,c]
-    t11, due = T[1][1], [[] for _ in range(n + 1)]
-    for c in full:
-        due[max(c, t11[c])].append(c)  # tested at the later of its two cells
     out: list[PartialProduct] = []
-    first, tries = [None] * (n + 1), [iter(firsts[0])]
-    while tries:  # first row cell by cell, each cell's values in the order of firsts
-        c = len(tries)
-        for first[c] in tries[-1]:
-            if all(first[t11[x]] == (None if first[x] is None else t11[first[x]]) for x in due[c]):
-                break
-        else:
-            tries.pop()
-            continue
-        if c < n:
-            tries.append(iter(firsts[c]))
-            continue
-        P = [None, tuple(first)]  # padded 1-based, as the axiom table reads it
+    for first in itertools.product(*firsts):
+        P = [None, (None, *first)]  # padded 1-based, as the axiom table reads it
         for a in range(2, n + 1):
             row_a1, row = T[a][1], [None] * (n + 1)
-            for c, v in zip(full, first[1:]):
+            for c, v in zip(full, first):
                 row[row_a1[c]] = None if v is None else row_a1[v]
             P.append(row)
         if any(next(law(T, P, full, full, full), None) for law in laws):
