@@ -35,7 +35,7 @@ USAGE_ERROR = 2
 MATH_FAILURE = 1
 
 
-class _CliError(Exception):
+class _CliError(ValueError):
     def __init__(self, message: str, code: int = USAGE_ERROR):
         super().__init__(message)
         self.code = code
@@ -253,12 +253,9 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return USAGE_ERROR
-    except _CliError as exc:
+    except ValueError as exc:  # refused input: _CliError, ShapeError, HandlebodyModeError, ...
         print(str(exc), file=sys.stderr)
-        return exc.code
-    except ValueError as exc:  # refused input: ShapeError, HandlebodyModeError, ...
-        print(str(exc), file=sys.stderr)
-        return USAGE_ERROR
+        return exc.code if isinstance(exc, _CliError) else USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -69,10 +69,8 @@ class Diagram:
     def __post_init__(self):
         _check_name(self.name)
         _require(self.kind, DiagramKind, "diagram kind")
-        _require_sequence(self.regions, "region list")  # so None or 0 is not taken for empty
-        if not self.regions:
+        if not _check_regions(self.regions, constraints=self.constraints):
             raise DiagramParseError("a diagram needs at least one region")
-        _check_regions(self.regions, self.constraints)
 
 
 def _check_name(name: str) -> None:
@@ -86,13 +84,15 @@ def _require_sequence(value, what: str) -> None:
         raise ShapeError(f"the {what} must be a sequence, not {type(value).__name__}: {value!r}")
 
 
-def _check_regions(regions: tuple, constraints: tuple = (), merges: tuple = ()) -> set[str]:
-    """The set of ``regions`` of a constraint system.  Refuses a region, constraint
-    or merge list that is not a sequence (a str included) and a constraint that is
-    not a Constraint with a ShapeError; a merge that is not a pair, and a region
-    that is not a str of letters and digits, or is repeated, or is named by a
-    constraint or a merge but not among ``regions``, with a DiagramParseError."""
-    for value, what in ((regions, "region"), (constraints, "constraint"), (merges, "merge")):
+def _check_regions(regions: tuple, internal=(), constraints=(), merges=()) -> set[str]:
+    """The set of ``regions`` and ``internal`` regions (a move side's boundary and its
+    own) of a constraint system.  Refuses a region, constraint or merge list that is not
+    a sequence (a str included) and a constraint that is not a Constraint with a
+    ShapeError; a merge that is not a pair, a region merged twice or merged into a merged
+    region, and a region that is not a str of letters and digits, or is repeated, or is
+    named by a constraint or a merge but not declared, with a DiagramParseError."""
+    for value, what in ((regions, "region"), (internal, "region"), (constraints, "constraint"),
+                        (merges, "merge")):
         _require_sequence(value, f"{what} list")
     for con in constraints:
         _require(con, Constraint, "constraint")
@@ -100,16 +100,24 @@ def _check_regions(regions: tuple, constraints: tuple = (), merges: tuple = ()) 
         if isinstance(m, str) or not isinstance(m, Sequence) or len(m) != 2:
             raise DiagramParseError(f"merge {m!r} is not a pair of regions")
     seen = set()
-    for r in regions:
+    for r in itertools.chain(regions, internal):
         if not (isinstance(r, str) and r.isalnum()):
             raise DiagramParseError(f"bad region name {r!r}")
         if r in seen:
             raise DiagramParseError(f"duplicate region declaration {r!r}")
         seen.add(r)
-    for r in itertools.chain(*(con.refs for con in constraints), *merges):
-        if r not in seen:
-            raise DiagramParseError(f"undeclared region {r!r}")
+    _check_declared(itertools.chain(*(con.refs for con in constraints), *merges), seen)
+    merged = [r2 for _, r2 in merges]
+    for r1, r2 in merges:
+        if r1 in merged or merged.count(r2) > 1:
+            raise DiagramParseError(f"merge ({r1!r}, {r2!r}) chains or repeats a merge")
     return seen
+
+
+def _check_declared(refs, declared: set[str]) -> None:
+    for r in refs:
+        if r not in declared:
+            raise DiagramParseError(f"undeclared region {r!r}")
 
 
 def parse_diagram(text: str) -> Diagram:
@@ -126,9 +134,7 @@ def parse_diagram(text: str) -> Diagram:
                 con = Constraint(ConstraintKind(key), tuple(value.split()))
                 if "regions" not in header:
                     raise DiagramParseError("constraint before regions line")
-                for r in con.refs:
-                    if r not in declared:
-                        raise DiagramParseError(f"undeclared region {r!r}")
+                _check_declared(con.refs, declared)
                 constraints.append(con)
                 continue
             if key in header:

@@ -38,6 +38,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import sys
 import time
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -45,6 +46,7 @@ from typing import Iterator, Optional
 from .algebra import (
     _AXIOM_BY_NAME,
     PartialProduct,
+    ShapeError,
     Tribracket,
     TribracketAlgebra,
     _check_size,
@@ -59,7 +61,7 @@ class EnumerationBudget:
     """Caps for a search: complete tables verified and wall-clock seconds.
 
     ``max_candidates`` counts the complete tables handed to the verifier,
-    not the partial tables visited; ``timeout`` is checked between the rows
+    not the partial tables visited; ``timeout`` is checked before each cell
     of the set-up and before every value the search tries.
     Anything but a positive int cap (not a bool) and a positive finite real
     timeout raises ValueError.
@@ -106,33 +108,34 @@ def enumerate_tribrackets(
 
     The search and its forcing rules are described in the module docstring;
     every complete table it reaches is handed to verify_tribracket.  Complete
-    for n <= 5 in seconds; n = 6 wants a budget.
+    for n <= 5 in seconds; n = 6 wants a budget.  An n with n^4 > sys.maxsize
+    (n > 55,108 on 64-bit Python) is refused with ShapeError.
     """
     _check_size(n)
+    if n**4 > sys.maxsize:  # no list could index the n^4 witnesses
+        raise ShapeError(f"carrier size {n} is too large for a census: n^4 exceeds {sys.maxsize}")
     budget = budget or EnumerationBudget()
     deadline = None if budget.timeout is None else time.monotonic() + budget.timeout
     left = budget.max_candidates or math.inf  # complete tables the verifier may still see
     nn, size = n * n, n**3
-    # A witness (a, b, c, d) is stored as its cells [a,b,c] and [b,c,d], the
-    # offsets of matrix a and of row [a,b], the offset c*n + d of [u,c,d]
-    # within matrix u, and d.  It waits in the watch list of an undecided
-    # cell it needs, and is looked at again once that cell is decided.
+    # slots[k] holds the lines through cell k = [a,b,c] and its coordinates, (r, c, s, b, t, a),
+    # with r = a*nn + b*n (the row), s = size + a*nn + c*n and t = 2*size + b*nn + c*n.
+    # A witness (a, b, c, d) is stored as its cells [a,b,c] and [b,c,d], the offsets of
+    # matrix a and of row [a,b], the offset c*n + d of [u,c,d] within matrix u, and d.  It
+    # waits in the watch list of an undecided cell it needs, and is looked at again once
+    # that cell is decided.
+    slots: list[tuple[int, ...]] = []
     watch: dict[int, list[tuple[int, ...]]] = {}  # a cell's list made on its first witness
-    for am, b in itertools.product(range(0, size, nn), range(n)):  # am: matrix a's offset
+    for a, b, c in itertools.product(range(n), repeat=3):  # cell [a,b,c] is ab + c
         if deadline is not None and time.monotonic() > deadline:
             return EnumerationResult([], False)
-        for c, d in itertools.product(range(n), repeat=2):
-            abc, bcd = am + b * n + c, b * nn + c * n + d
-            watch.setdefault(max(abc, bcd), []).append((abc, bcd, am, am + b * n, c * n + d, d))
-
+        am, ab, bc = a * nn, a * nn + b * n, b * nn + c * n
+        slots.append((ab, c, size + am + c * n, b, 2 * size + bc, a))
+        for d in range(n):
+            abc, bcd = ab + c, bc + d
+            watch.setdefault(max(abc, bcd), []).append((abc, bcd, am, ab, c * n + d, d))
     T = [_UNDECIDED] * size
-    # The lines through [a,b,c] start at where[r], where[s], where[t], with r = a*nn + b*n
-    # (the row), s = size + a*nn + c*n and t = 2*size + b*nn + c*n; where[line + v] is
-    # the coordinate at which the line holds v, and free[line] its undecided cells.
-    slots = [
-        (a * nn + b * n, c, size + a * nn + c * n, b, 2 * size + b * nn + c * n, a)
-        for a, b, c in itertools.product(range(n), repeat=3)
-    ]
+    # where[line + v] is the coordinate at which a line holds v, and free[line] its undecided cells
     where, free = [_UNDECIDED] * (3 * size), [n] * (3 * size)
     trail: list = []  # cells decided and watch lists appended to, to undo
     queue: list[int] = []  # cells decided whose lines and witnesses are still to see

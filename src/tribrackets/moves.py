@@ -30,7 +30,7 @@ from operator import itemgetter
 
 from .algebra import TribracketAlgebra, _require
 from .coloring import _compile, _solutions, _system
-from .diagram import Constraint, ConstraintKind, DiagramParseError, _check_regions
+from .diagram import Constraint, ConstraintKind, _check_regions
 
 _C = ConstraintKind.CROSSING
 _V = ConstraintKind.VERTEX
@@ -52,17 +52,10 @@ class LocalMovePair:
     requires_idempotent: bool = False
 
     def __post_init__(self):
-        """Refuse a side that is not a MoveFragment, what _check_regions refuses
-        and a region merged twice or merged into a merged region."""
-        _check_regions(self.boundary)  # each list alone first: a str is not a list
+        """Refuse a side that is not a MoveFragment, or what _check_regions refuses."""
         for frag in (self.before, self.after):
             _require(frag, MoveFragment, "move fragment")
-            _check_regions(frag.internal)
-            _check_regions((*self.boundary, *frag.internal), frag.constraints, frag.merges)
-            merged = [r2 for _, r2 in frag.merges]
-            for r1, r2 in frag.merges:
-                if r1 in merged or merged.count(r2) > 1:
-                    raise DiagramParseError(f"merge ({r1!r}, {r2!r}) chains or repeats a merge")
+            _check_regions(self.boundary, frag.internal, frag.constraints, frag.merges)
 
     @functools.cached_property
     def _compiled(self) -> tuple[tuple[list, list[int]], ...]:

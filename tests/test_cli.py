@@ -264,6 +264,18 @@ class TestEnumerationVerbs:
             "# 0 tribrackets on 30 elements (partial: budget exhausted)\n"
         )
 
+    def test_an_order_too_large_for_a_census_is_a_usage_error_without_a_traceback(self):
+        # once exit 1 with an OverflowError traceback
+        env = dict(os.environ, PYTHONPATH=str(Path(tribrackets.__file__).parents[1]))
+        argv = ["enumerate-tribrackets", str(10**20), "--timeout", "0.05"]
+        done = subprocess.run(
+            [sys.executable, "-m", "tribrackets", *argv], capture_output=True, text=True, env=env
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == (
+            f"carrier size {10**20} is too large for a census: n^4 exceeds {sys.maxsize}\n"
+        )
+
     @pytest.mark.parametrize("flag", ["--max-candidates", "--timeout"])
     def test_zero_budget_is_a_usage_error(self, capsys, flag):
         assert main(["enumerate-tribrackets", "3", flag, "0"]) == 2

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import sys
 import time
 import tracemalloc
 
@@ -9,6 +10,7 @@ import pytest
 from tribrackets import (
     EnumerationBudget,
     PartialProduct,
+    ShapeError,
     Tribracket,
     TribracketAlgebra,
     UnverifiedTribracketError,
@@ -391,7 +393,7 @@ class TestBudgetAtInteriorNodes:
 
     def test_timeout_is_checked_at_every_node(self, monkeypatch):
         # the deadline passes after 200 clock readings, long before the first
-        # order-5 tensor is complete (the search reads the clock 794 times
+        # order-5 tensor is complete (the search reads the clock 894 times
         # before it)
         ticks = self._ticking_clock(monkeypatch)
         result = enumerate_tribrackets(5, EnumerationBudget(timeout=200))
@@ -399,7 +401,7 @@ class TestBudgetAtInteriorNodes:
         assert next(ticks) < 400  # stopped soon after the deadline
 
     def test_forcing_halves_the_order4_search(self, monkeypatch):
-        # one clock reading at the start, one per set-up row (16) and one per
+        # one clock reading at the start, one per set-up cell (64) and one per
         # value tried (2,340); forcing coherence only forwards tries 5,068
         ticks = self._ticking_clock(monkeypatch)
         result = enumerate_tribrackets(4, EnumerationBudget(timeout=10**9))
@@ -408,15 +410,15 @@ class TestBudgetAtInteriorNodes:
 
     def test_timeout_bounds_the_set_up(self):
         # the set-up at order 30 builds 30^4 witnesses, about 2 s; the
-        # deadline is checked between its rows, so it stops within one
+        # deadline is checked before each of its cells, so it stops within one
         start = time.monotonic()
         result = enumerate_tribrackets(30, EnumerationBudget(timeout=0.05))
         assert time.monotonic() - start < 1.0
         assert not result.complete and len(result) == 0
 
     def test_timeout_bounds_the_set_up_memory(self, monkeypatch):
-        # the deadline passes after two rows (a, b) of the order-40 set-up, of
-        # 40^2 witnesses each; no list is made ahead for each of the 40^3 cells
+        # the deadline passes after two cells of the order-40 set-up, of 40
+        # witnesses each; no list is made ahead for each of the 40^3 cells
         self._ticking_clock(monkeypatch)
         tracemalloc.start()
         try:
@@ -426,6 +428,37 @@ class TestBudgetAtInteriorNodes:
             tracemalloc.stop()
         assert not result.complete and len(result) == 0
         assert peak < 2 * 2**20
+
+    def test_timeout_bounds_the_set_up_at_order_3000(self):
+        # once a MemoryError under a 2 GB address-space cap: the deadline was
+        # read once per row (a, b) of 3000^2 witnesses
+        tracemalloc.start()
+        try:
+            start = time.monotonic()
+            result = enumerate_tribrackets(3000, EnumerationBudget(timeout=0.05))
+            elapsed = time.monotonic() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not result.complete and len(result) == 0
+        assert elapsed < 0.5 and peak < 4 * 2**20
+
+    LARGEST = math.isqrt(math.isqrt(sys.maxsize))  # the last n with n^4 <= sys.maxsize
+
+    @pytest.mark.parametrize("n", [LARGEST + 1, 10**20], ids=["largest+1", "1e20"])
+    def test_an_order_whose_witnesses_no_list_can_index_is_refused(self, n):
+        # 10**20 once raised OverflowError while the set-up built its ranges
+        with pytest.raises(ShapeError) as err:
+            enumerate_tribrackets(n, EnumerationBudget(timeout=0.05))
+        assert str(err.value) == (
+            f"carrier size {n} is too large for a census: n^4 exceeds {sys.maxsize}"
+        )
+
+    def test_the_largest_order_runs_under_its_budget(self, monkeypatch):
+        # the deadline passes after two cells, of LARGEST witnesses each
+        self._ticking_clock(monkeypatch)
+        result = enumerate_tribrackets(self.LARGEST, EnumerationBudget(timeout=2))
+        assert not result.complete and len(result) == 0
 
 
 class TestMaxCandidatesAtOrder4:
