@@ -34,6 +34,13 @@ from .moves import builtin_move_pairs, check_move_invariance
 USAGE_ERROR = 2
 MATH_FAILURE = 1
 
+# In-process calls share each parsed algebra file by its text, and with it the keyed
+# tables cached on its frozen objects, in at most _CACHE_BYTES by the estimate in
+# _parse_shared: an entry is about 24 MB at n = 40, so a bound on entries would not do.
+_CACHE_BYTES = 64 << 20
+_parsed: dict[str, tuple[tuple, int]] = {}  # text -> (pair, estimated bytes), oldest use first
+_held = 0  # the estimated bytes in _parsed
+
 
 class _CliError(ValueError):
     def __init__(self, message: str, code: int = USAGE_ERROR):
@@ -52,16 +59,34 @@ def _load(path: str, parse):
         raise _CliError(f"{path}: {exc}") from exc
 
 
+def _parse_shared(text: str) -> tuple:
+    """``parse_algebra(text)``, shared by the calls that read the same text; a refused
+    text is not kept, nor one whose entry alone is over the budget."""
+    global _held
+    entry = _parsed.pop(text, None)
+    if entry is None:
+        pair = parse_algebra(text)
+        n = pair[0].n  # 8 bytes a cell of both nested tables and both keyed tables
+        entry = pair, len(text) + 8 * ((n + 1) ** 4 + (n + 1) ** 3 + n**3 + n**2)
+        if entry[1] > _CACHE_BYTES:
+            return pair
+        _held += entry[1]
+        while _held > _CACHE_BYTES:  # evict the least recently used first
+            _held -= _parsed.pop(next(iter(_parsed)))[1]
+    _parsed[text] = entry
+    return entry[0]
+
+
 def _load_algebra(path: str) -> TribracketAlgebra:
     """The algebra of the file at ``path``, which must have a product block."""
-    tribracket, product = _load(path, parse_algebra)
+    tribracket, product = _load(path, _parse_shared)
     if product is None:
         raise _CliError(f"{path}: the file has no product block")
     return TribracketAlgebra(tribracket, product)
 
 
 def _cmd_verify(args) -> int:
-    tribracket, product = _load(args.algebra, parse_algebra)
+    tribracket, product = _load(args.algebra, _parse_shared)
     report = verify_tribracket(tribracket)
     if report.passed and product is not None:
         report = verify_algebra(TribracketAlgebra(tribracket, product))
@@ -79,7 +104,7 @@ def _cmd_enumerate_tribrackets(args) -> int:
 
 
 def _cmd_enumerate_products(args) -> int:
-    tribracket, _ = _load(args.algebra, parse_algebra)
+    tribracket, _ = _load(args.algebra, _parse_shared)
     search = enumerate_idempotent_products if args.idempotent else enumerate_products
     try:
         products = search(tribracket)
@@ -116,7 +141,7 @@ def _cmd_check_moves(args) -> int:
         wanted = args.moves.split(",")
         unknown = [m for m in wanted if m not in {pair.move_id for pair in pairs}]
         if unknown:
-            raise _CliError(f"unknown move ids: {', '.join(unknown)}")
+            raise _CliError(f"unknown move ids: {', '.join(m or repr(m) for m in unknown)}")
         pairs = [pair for pair in pairs if pair.move_id in wanted]
         gated = [pair.move_id for pair in pairs if pair.requires_idempotent]
         if gated and not args.include_ih:

@@ -116,6 +116,8 @@ def _check_regions(regions: tuple, internal=(), constraints=(), merges=()) -> se
 
 def _check_declared(refs, declared: set[str]) -> None:
     for r in refs:
+        if not isinstance(r, str):  # before the set lookup, which an unhashable r would fail
+            raise DiagramParseError(f"bad region name {r!r}")
         if r not in declared:
             raise DiagramParseError(f"undeclared region {r!r}")
 

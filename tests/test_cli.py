@@ -14,11 +14,12 @@ from tribrackets import (
     DiagramKind,
     Tribracket,
     builtin_move_pairs,
+    parse_algebra,
     serialize_algebra,
     serialize_diagram,
 )
 from tribrackets.cli import _build_parser, main
-from tests.conftest import DIAG_PRODUCT, FULL_PRODUCT, Z3_TENSOR
+from tests.conftest import CYC_PRODUCT, DIAG_PRODUCT, FULL_PRODUCT, Z3_TENSOR
 
 
 @pytest.fixture
@@ -345,10 +346,13 @@ class TestCheckMoves:
         "flags, message",
         [
             (["--moves", "R9,r1a"], "unknown move ids: R9, r1a\n"),
-            (["--moves", "R1a,", "--include-ih"], "unknown move ids: \n"),
+            (["--moves", "R1a,", "--include-ih"], "unknown move ids: ''\n"),
             (["--moves", "IH"], "IH needs --include-ih\n"),
             (["--moves", "R1a,IH"], "IH needs --include-ih\n"),
-            (["--moves", ""], "unknown move ids: \n"),
+            # an empty id is shown as '': it once printed "unknown move ids: ", naming nothing
+            (["--moves", ""], "unknown move ids: ''\n"),
+            (["--moves", ",R1a"], "unknown move ids: ''\n"),
+            (["--moves", "R9,,r1a"], "unknown move ids: R9, '', r1a\n"),
         ],
     )
     def test_a_filter_naming_a_move_it_would_skip_is_refused(
@@ -450,7 +454,8 @@ class TestClosedStdout:
 
 
 class TestNoStateBetweenCalls:
-    """One process reuses the parser and the move catalogue across main() calls."""
+    """One process reuses the parser, the move catalogue and each parsed algebra file
+    across main() calls."""
 
     def run_in_sequence(self, capsys, calls):
         results = []
@@ -502,3 +507,108 @@ class TestNoStateBetweenCalls:
         del pairs[3:]
         assert builtin_move_pairs() == expected
         assert self.run_in_sequence(capsys, [argv]) == before
+
+
+class TestSharedParses:
+    """In-process calls share each parsed algebra file by its text, within a byte budget."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """The texts parsed through ``cli.parse_algebra``, starting from an empty cache."""
+        cli = tribrackets.cli
+        monkeypatch.setattr(cli, "_parsed", {})
+        monkeypatch.setattr(cli, "_held", 0)
+        texts = []
+
+        def spy(text):
+            texts.append(text)
+            return parse_algebra(text)
+
+        monkeypatch.setattr(cli, "parse_algebra", spy)
+        return texts
+
+    @staticmethod
+    def estimate(text, n=3):
+        return len(text) + 8 * ((n + 1) ** 4 + (n + 1) ** 3 + n**3 + n**2)
+
+    def write(self, tmp_path, name, product):
+        path = tmp_path / f"{name}.alg"
+        path.write_text(serialize_algebra(Z3_TENSOR, product))
+        return str(path)
+
+    def test_two_calls_on_the_same_text_parse_once(self, capsys, parses, tmp_path):
+        # two paths, one text: the key is the content, not the path
+        first, second = (self.write(tmp_path, name, FULL_PRODUCT) for name in ("a", "b"))
+        assert main(["check-moves", first, "--moves", "R3a"]) == 0
+        assert main(["verify", second]) == 0
+        assert capsys.readouterr().out == "R3a  PASS\nPASS\n"
+        assert len(parses) == 1
+        tribracket, _ = tribrackets.cli._parse_shared(parses[0])
+        assert len(parses) == 1
+        assert "keyed_table" in vars(tribracket)  # the check's keyed table stays with the parse
+
+    def test_a_rewritten_file_is_parsed_again_and_its_new_table_used(
+        self, capsys, parses, tmp_path, theta_path
+    ):
+        path = self.write(tmp_path, "alg", FULL_PRODUCT)
+        assert main(["count", path, theta_path]) == 0
+        self.write(tmp_path, "alg", DIAG_PRODUCT)
+        assert main(["count", path, theta_path]) == 0
+        assert capsys.readouterr().out == "9\n3\n"  # theta counts the defined cells a*b
+        assert len(parses) == 2 and parses[0] != parses[1]
+
+    def test_a_refused_file_is_refused_again(self, capsys, parses, tmp_path):
+        path = tmp_path / "bad.alg"
+        path.write_text("n = 3\ntribracket:\n1 2 3\n")
+        refusals = []
+        for _ in range(2):
+            assert main(["verify", str(path)]) == 2
+            refusals.append(capsys.readouterr().err)
+        assert refusals[0] == refusals[1] and refusals[0].startswith(f"{path}: line 3: ")
+        assert len(parses) == 2
+        assert tribrackets.cli._parsed == {} and tribrackets.cli._held == 0
+
+    def test_the_least_recently_used_entry_is_evicted_first(
+        self, capsys, monkeypatch, parses, tmp_path
+    ):
+        full, diag, cyc = (self.write(tmp_path, name, product) for name, product in
+                           (("full", FULL_PRODUCT), ("diag", DIAG_PRODUCT), ("cyc", CYC_PRODUCT)))
+        texts = [Path(p).read_text() for p in (full, diag, cyc)]
+        sizes = [self.estimate(t) for t in texts]
+        # room for full and cyc, not for all three
+        monkeypatch.setattr(tribrackets.cli, "_CACHE_BYTES", sum(sizes) - 1)
+        for path in (full, diag, full, cyc):  # diag is now the least recently used
+            main(["verify", path])
+        assert list(tribrackets.cli._parsed) == [texts[0], texts[2]]
+        assert tribrackets.cli._held == sizes[0] + sizes[2]
+        main(["verify", full])
+        main(["verify", diag])  # parsed again, evicting cyc
+        assert list(tribrackets.cli._parsed) == [texts[0], texts[1]]
+        assert parses == [texts[0], texts[1], texts[2], texts[1]]
+        assert capsys.readouterr().out == "PASS\n" * 6
+
+    def test_an_entry_over_the_whole_budget_is_not_kept(
+        self, capsys, monkeypatch, parses, z3_full_path
+    ):
+        text = Path(z3_full_path).read_text()
+        monkeypatch.setattr(tribrackets.cli, "_CACHE_BYTES", self.estimate(text) - 1)
+        for _ in range(2):
+            assert main(["verify", z3_full_path]) == 0
+        assert parses == [text, text]
+        assert tribrackets.cli._parsed == {} and tribrackets.cli._held == 0
+        monkeypatch.setattr(tribrackets.cli, "_CACHE_BYTES", self.estimate(text))
+        assert main(["verify", z3_full_path]) == 0
+        assert list(tribrackets.cli._parsed) == [text]
+
+    def test_bundled_move_reports_cold_then_warm(self, capsys, parses):
+        # the CI step on the built package runs the same four files twice in one process
+        algebras = Path(tribrackets.__file__).parent / "data" / "algebras"
+        golden = (Path(__file__).parent / "data" / "move_reports.txt").read_text(encoding="utf-8")
+        for _ in range(2):
+            codes = [
+                main(["check-moves", "--include-ih", str(algebras / f"{name}.alg")])
+                for name in ("z3_full", "z3_diag", "z3_cyc", "z4_half")
+            ]
+            assert codes == [1, 0, 1, 1]
+            assert capsys.readouterr().out == golden
+        assert len(parses) == 4

@@ -142,9 +142,15 @@ class TestParse:
             ),
             ((1,), (), "bad region name 1"),
             (("a", None), (), "bad region name None"),
+            # once a bare TypeError: unhashable type: 'list'
+            (
+                ("a",),
+                (Constraint(ConstraintKind.VERTEX, ("a", ["x"], "a")),),
+                "bad region name ['x']",
+            ),
         ],
         ids=["no-regions", "bad-region", "duplicate-region", "undeclared-region", "int-region",
-             "none-region"],
+             "none-region", "unhashable-reference"],
     )
     def test_direct_construction_is_checked(self, regions, constraints, message):
         with pytest.raises(DiagramParseError) as err:

@@ -211,6 +211,15 @@ class TestMalformedPairs:
             with pytest.raises(DiagramParseError, match="undeclared region 'zz'"):
                 LocalMovePair("und", ("w", "e"), self.EMPTY, MoveFragment((), (), (merge,)))
 
+    @pytest.mark.parametrize(
+        "merge, name", [((["w"], "e"), "['w']"), (("w", ["e"]), "['e']")], ids=["first", "second"]
+    )
+    def test_a_merge_naming_a_region_that_is_not_a_str_is_a_bad_name(self, merge, name):
+        # once a bare TypeError: unhashable type: 'list'
+        with pytest.raises(DiagramParseError) as err:
+            LocalMovePair("m", ("w", "e"), MoveFragment((), (), (merge,)), self.EMPTY)
+        assert str(err.value) == f"bad region name {name}"
+
     def test_a_merged_region_may_not_be_merged_again(self):
         for merges in ((("w", "e"), ("e", "s")), (("w", "w"),), (("w", "s"), ("e", "s"))):
             with pytest.raises(DiagramParseError, match="chains or repeats a merge"):
