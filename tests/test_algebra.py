@@ -3,7 +3,9 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import event, given, settings
@@ -29,6 +31,7 @@ from tribrackets.algebra import (
     BracketSlot,
     ProductSlot,
     _layout,
+    _report,
     product_solve,
     tribracket_solve,
 )
@@ -39,6 +42,7 @@ from tests.conftest import (
     Z3_TENSOR,
     arbitrary_algebras,
 )
+from tests.test_moves import crossing_tensors
 
 
 def units(n):
@@ -284,6 +288,119 @@ class TestGoldenReports:
         first = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), None)
         assert first is None, f"line {first + 1}: {got[first]!r} != {want[first]!r}"
         assert len(got) == len(want)
+
+
+COHERENCE_REPORTS = Path(__file__).parent / "data" / "coherence_reports.txt"
+COHERENCE_KINDS = ({"coherence-1"}, {"coherence-2"}, {"coherence-1", "coherence-2"})
+
+
+def isotope(t: Tribracket, pa, pb, pc, pv) -> Tribracket:
+    """t with its slots a, b, c and its values permuted by 0-based pa, pb, pc and pv."""
+    n, table = t.n, t.table
+    return Tribracket(n, [[[pv[table[pa[a]][pb[b]][pc[c]] - 1] + 1 for c in range(n)]
+                           for b in range(n)] for a in range(n)])
+
+
+def coherence_cases(seed=5, each=8):
+    """Seeded isotopes of order-3 and order-4 census tensors whose reports
+    coherence_reports.txt pins, ``each`` failing coherence-1 alone, coherence-2
+    alone and both (an isotope of order 3 fails both or neither).  An isotope
+    keeps every slot bijective, so only coherence can fail; every case in
+    axiom_reports.txt also fails a slot."""
+    rng = random.Random(seed)
+    census = [enumerate_tribrackets(n).items for n in (3, 4)]
+    kept = {frozenset(kind): 0 for kind in COHERENCE_KINDS}
+    while min(kept.values()) < each:
+        t = rng.choice(rng.choice(census))
+        iso = isotope(t, *(rng.sample(range(t.n), t.n) for _ in range(4)))
+        kind = frozenset(v.axiom for v in verify_tribracket(iso).violations)
+        if kept.get(kind, each) < each:
+            kept[kind] += 1
+            yield iso
+
+
+def coherence_reports() -> str:
+    return "".join(
+        f"case {i} n={t.n} verify_tribracket: {verify_tribracket(t).summary()}\n"
+        for i, t in enumerate(coherence_cases())
+    )
+
+
+class TestCoherenceReports:
+    def test_reports_equal_the_committed_file(self):
+        # the file was written before verify_tribracket decided pass or fail on
+        # whole lines; the reports of tables failing coherence alone must not move
+        want = COHERENCE_REPORTS.read_text(encoding="utf-8").splitlines()
+        got = coherence_reports().splitlines()
+        first = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), None)
+        assert first is None, f"line {first + 1}: {got[first]!r} != {want[first]!r}"
+        assert len(got) == len(want)
+
+
+def projection(n: int, slot: int) -> Tribracket:
+    """[a, b, c] is the coordinate ``slot`` of (a, b, c): both coherence laws hold,
+    and only that slot is bijective."""
+    span = range(1, n + 1)
+    return Tribracket(n, [[[(a, b, c)[slot] for c in span] for b in span] for a in span])
+
+
+class TestVerifyDecision:
+    """verify_tribracket decides on whole lines; the axiom table is the reference."""
+
+    def assert_agrees(self, t: Tribracket) -> str:
+        want = _report(t, None)
+        assert verify_tribracket(t) == want
+        if want.passed:
+            return "passes"
+        if "bijection" in want.violations[0].axiom:  # the slot axioms come first
+            return "fails a slot"
+        return "fails coherence alone"
+
+    @given(alg=arbitrary_algebras(sizes=(1, 2, 3, 4)))
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_tables(self, alg):
+        event(self.assert_agrees(alg.tribracket))
+
+    @given(t=crossing_tensors())
+    @settings(max_examples=300, deadline=None)
+    def test_isotopes_of_census_tensors(self, t):
+        # an isotope keeps every slot bijective, so coherence decides its outcome
+        event(self.assert_agrees(t))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_projections_fail_only_on_slots(self, n, slot):
+        t = projection(n, slot)
+        self.assert_agrees(t)
+        failing = {v.axiom for v in verify_tribracket(t).violations}
+        assert failing == (set() if n == 1 else
+                           {f"slot-{s}-bijection" for i, s in enumerate("abc") if i != slot})
+
+    def test_int_subclass_entries(self):
+        class Label(int):
+            pass
+
+        z3 = alexander_tribracket(3, 1, 1)
+        for t in (z3, isotope(z3, [0, 1, 2], [0, 1, 2], [0, 2, 1], [0, 1, 2])):
+            labelled = [[[*map(Label, row)] for row in mat] for mat in t.table]
+            self.assert_agrees(Tribracket(3, labelled))
+
+    def test_a_tensor_that_is_not_a_tribracket_is_refused_before_any_check(self, z3):
+        # the stand-in carries a table that passes, so only the type check can refuse it
+        stand_in = SimpleNamespace(n=z3.n, table=z3.table)
+        with pytest.raises(ShapeError, match="^the tensor must be a Tribracket, got namespace"):
+            verify_tribracket(stand_in)
+
+    def test_order_40_holds_o_n3_values(self):
+        # all n^4 compositions at once would peak near 55 MB; the axiom table's generators at 0.6 MB
+        t = alexander_tribracket(40, 1, 1)
+        tracemalloc.start()
+        try:
+            assert verify_tribracket(t).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def altered(v: Violation) -> Violation:

@@ -86,6 +86,9 @@ class TestVerify:
             print(f"# {name}.alg")
             assert main(["verify", str(algebras / f"{name}.alg")]) == 0
         assert main(["enumerate-products", str(algebras / "z3_full.alg")]) == 0
+        # every slot of this isotope is bijective, so only coherence fails
+        print("# alexander_3_1_1_swapped.alg")
+        assert main(["verify", str(golden.parent / "alexander_3_1_1_swapped.alg")]) == 1
         assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
     def test_product_census_reports_match_the_committed_output(self, capsys):
