@@ -20,15 +20,16 @@ witness order, so reports are byte-stable; recheck_violation runs one entry
 over a witness's own coordinates, so reports are self-certifying.
 
 verify_tribracket first decides pass or fail on whole lines of the table:
-every line of every slot must hold n distinct values, and each coherence law
-is an equality of composed lines, one gather of n values per composition
-(see _tensor_axioms_hold).  Only a table that fails runs the tensor entries
-of the axiom table, so the witnesses still come from the table.  The tensor
-search forces cells by its own Latin and coherence rules and reads the table
-only through verify_tribracket, on each complete tensor.  The product census
-runs the r5-compat-1/2 entries on each table it derives, behind its own
-r4-compat filter on the first row, and hands each kept table to
-verify_algebra; on a tribracket these imply the other product entries.
+every line of slots a and c must hold n distinct values (with coherence-1
+they imply slot b), and each coherence law is an equality of composed
+lines, one gather of n values per composition (see _tensor_axioms_hold).
+Only a table that fails runs the tensor entries of the axiom table, so the
+witnesses still come from the table.  The tensor search forces cells by its
+own Latin and coherence rules and reads the table only through
+verify_tribracket, on each complete tensor.  The product census runs the
+r5-compat-1/2 entries on each table it derives, behind its own r4-compat
+filter on the first row, and hands each kept table to verify_algebra; on a
+tribracket these imply the other product entries.
 """
 from __future__ import annotations
 
@@ -427,6 +428,12 @@ def _tensor_axioms_hold(t: Tribracket) -> bool:
 
     * Slot bijectivity says that no value repeats along a line of a slot; as
       the entries lie in 1..n, that is every line holding n distinct values.
+      Only slots a and c are checked: with coherence-1 they imply slot b.  Say
+      [a,b,c] = [a,b',c] = u, and take d with [b,c,d] = c (slot c).  Then
+      coherence-1 at (a, b, c, d), [a,b,[b,c,d]] = [a,u,[u,c,d]], reads
+      u = L(a,u)(L(u,c)(d)); as L(a,u)∘L(u,c) is a bijection (slot c), d is
+      the one value it maps to u, fixed by (a, u, c) alone.  So the d taken
+      for b' is the same: [b,c,d] = c = [b',c,d], and slot a gives b = b'.
     * Coherence-1 at (a, b, c, d) reads L(a,b)(L(b,c)(d)) = L(a,u)(L(u,c)(d))
       with u = [a,b,c], so it holds for every d exactly when
       L(a,b)∘L(b,c) = L(a,u)∘L(u,c).
@@ -443,7 +450,7 @@ def _tensor_axioms_hold(t: Tribracket) -> bool:
     """
     n, tab = t.n, t.table
     cols = [[*zip(*rows)] for rows in zip(*tab)]  # cols[x][y] is A(x, y)
-    lines = itertools.chain(itertools.chain(*tab), *map(zip, *zip(*tab)), *cols)  # slots c, b, a
+    lines = itertools.chain(itertools.chain(*tab), *cols)  # slots c and a
     if {*map(len, map(set, lines))} != {n}:
         return False
     # get_l[x][y](pad_l[s][x]) is L(s,x)∘L(x,y) and get_a[s][x](pad_a[x][y]) is A(x,y)∘A(s,x):

@@ -8,18 +8,23 @@ or once per move pair) the order the search colors regions in and, for each
 region, the constraint that forces it (none for a branch; a constraint forces
 its last uncolored region) and those it closes.  The listing and the move
 harness walk that schedule jointly; the counter walks each connected component's
-part of it alone and multiplies the counts.  The search binds the keyed tables
-and walks on an explicit stack, so no diagram is too deep for the recursion
-limit: a branch tries 1..n, a forced region reads one entry of its constraint's
-keyed table, keyed by the values of the regions before it, and every value must
-hold in the constraints it closes.  Stepping back undoes nothing.  The reference
-count_colorings_bruteforce shares only that numbering and slot order: it tests
-every assignment through bracket and mul.
+part of it alone and multiplies the counts.  A part of R regions branching on
+b is planned again on a smallest set whose forcing closure is the part, if one
+is smaller: sought only where b exceeds R less its distinct constraint region
+sets of 2+ regions (each forces one at most), within n^(b - 1) subsets tried.
+The search binds the keyed tables and walks on an explicit stack, so no diagram
+is too deep for the recursion limit: a branch tries 1..n, a forced region reads
+one entry of its constraint's keyed table, keyed by the values of the regions
+before it, and every value must hold in the constraints it closes.  Stepping
+back undoes nothing.  The reference count_colorings_bruteforce shares only that
+numbering and slot order: it tests every assignment through bracket and mul.
 """
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
+import operator
 from collections.abc import Iterator, Sequence
 
 # the benchmark tracer wraps the slot solvers here: their only use, until it stops doing so
@@ -63,8 +68,9 @@ def _system(names: Sequence[str], constraints: Sequence[Constraint], merges=()) 
     return regions, system, index
 
 
-def _compile(regions: int, system: Sequence[tuple[ConstraintKind, tuple[int, ...]]]):
-    """The schedule of :func:`_plan` over regions 0..regions-1, from structure alone.
+def _compile(regions: int, system: Sequence[tuple[ConstraintKind, tuple[int, ...]]], *allowed):
+    """The schedule of :func:`_plan` over regions 0..regions-1, from structure alone,
+    branching on the ``allowed`` regions, if given, before any other.
 
     ``system`` is as :func:`_system` gives it.  Per position: r, the read of its
     forcing constraint (False for a branch) and those of the constraints it closes.
@@ -76,8 +82,8 @@ def _compile(regions: int, system: Sequence[tuple[ConstraintKind, tuple[int, ...
         return kind, a, b, c, d, len(refs) == 4 and a == r, b == r, c == r, d == r
 
     return [
-        (r, f is not None and read(f, r), [read(i, r) for i in closes if i != f])
-        for r, f, closes in _plan(regions, [refs for _, refs in system])
+        (r, f is not None and read(f, r), closes and [read(i, r) for i in closes if i != f])
+        for r, f, closes in _plan(regions, [refs for _, refs in system], *allowed)
     ]
 
 
@@ -138,7 +144,9 @@ def _solutions(alg: TribracketAlgebra, schedule: list[tuple], val=None) -> Itera
         p += 1
 
 
-def _plan(regions: int, constraints: list[tuple[int, ...]]) -> list[tuple[int, int | None, list]]:
+def _plan(
+    regions: int, constraints: list[tuple[int, ...]], allowed: Sequence[int] = ()
+) -> list[tuple[int, int | None, list]]:
     """The search's schedule: each region in the order it is colored (fail
     first), with the constraint forcing it (None for a branch) and those it closes.
 
@@ -150,12 +158,18 @@ def _plan(regions: int, constraints: list[tuple[int, ...]]) -> list[tuple[int, i
     then the lowest index.  r's heap key is one int whose digits are the
     constraint count less each score, then r; it is pushed again only when a
     score rises.  Stale keys are skipped: O((R + slots) log R).
+
+    Given ``allowed``, any other region's key sorts after all of theirs.  So
+    allowing the regions the plan branches on unasked changes nothing, and nor
+    does allowing none of a connected component's, whose keys all rise alike.
     """
     sets = [{*refs} for refs in constraints]  # per constraint: its regions
     left = list(map(len, sets))  # per constraint: its uncolored regions
     top, base = len(sets), max(len(sets), regions) + 1
     first, second = base**3, base**2  # a key's drop when its first or second score rises by 1
     key = [((top * base + top) * base + top) * base + r for r in range(regions)]
+    for r in set(range(regions)).difference(allowed) if allowed else ():
+        key[r] += base**4  # above any key of a region allowed to branch
     touch: list[list[int]] = [[] for _ in range(regions)]  # constraints per region
     for i, s in enumerate(sets):
         drop = base + (len(s) == 2) * first  # r's degree rises, and its first score if i is a pair
@@ -205,7 +219,8 @@ def enumerate_colorings(alg: TribracketAlgebra, dia: Diagram) -> list[dict[str, 
 def count_colorings(alg: TribracketAlgebra, dia: Diagram) -> int:
     """The number of valid region colorings of dia by alg: the product of the counts
     of the connected components, n for a region that no constraint touches.  It compiles
-    once and walks each component's part of the schedule, the one it would get alone."""
+    once and walks each component's part of the schedule, the one it would get alone,
+    or, if :func:`_fewer_branches` finds fewer regions to branch on, their plan."""
     _check_args(alg, dia)
     regions, system, _ = _system(dia.regions, dia.constraints)
     parent = list(range(regions))
@@ -219,16 +234,63 @@ def count_colorings(alg: TribracketAlgebra, dia: Diagram) -> int:
         root = find(refs[0])
         for r in refs:
             parent[find(r)] = root
-    parts: dict[int, list[tuple]] = {}
-    for step in _compile(regions, system):
-        parts.setdefault(find(step[0]), []).append(step)
-    # a part of one region that closes no constraint is a region no constraint touches
-    walks = [part for part in parts.values() if len(part) > 1 or part[0][2]]
-    count, val = alg.n ** (regions - sum(map(len, walks))), [0] * regions
-    for part in walks:
+
+    def walks(schedule: list[tuple]) -> list[list[tuple]]:
+        parts: dict[int, list[tuple]] = {}
+        for step in schedule:
+            if not step[1]:  # a branch, then the regions it forces, all in its component
+                part = parts.setdefault(find(step[0]), [])
+            part.append(step)
+        # a part of one region that closes no constraint is a region no constraint touches
+        return [part for part in parts.values() if len(part) > 1 or part[0][2]]
+
+    n, parts = alg.n, walks(_compile(regions, system))
+    allowed = [r for part in parts for r in _fewer_branches(part, n)]
+    if allowed:  # a part without an allowed region keeps its schedule
+        parts = walks(_compile(regions, system, allowed))
+    count, val = n ** (regions - sum(map(len, parts))), [0] * regions
+    for part in parts:
         if count:  # a factor 0 ends the search
-            count *= sum(1 for _ in _solutions(alg, part, val))
+            count *= operator.countOf(_solutions(alg, part, val), val)  # it yields val
     return count
+
+
+def _fewer_branches(part: list[tuple], n: int) -> list[int]:
+    """A smallest set of a compiled part's regions whose forcing closure is the part,
+    if it is smaller than the b the part branches on and the search is in budget; else [].
+
+    A constraint forces at most one region, the last of its 2+ distinct regions, so
+    at least R less the number of such sets branch.  The R - b forcing sets differ,
+    and any other closes where it forces nothing, so it can equal only the set forcing
+    there.  Subsets are tried by size from that bound, in schedule order; the search
+    is refused if they number over n^(b - 1), about one walk of a smaller plan."""
+    size, branches = len(part), [step[1] for step in part].count(False)
+    if branches < 2 or math.comb(size, branches - 1) > (budget := n ** (branches - 1)):
+        return []  # its last size alone is over budget
+    other = {frozenset(s) for _, f, shut in part for x in shut
+             if len(s := {*x[1:5]}) > 1 and s != (f and {*f[1:5]})}
+    sizes = range(max(1, branches - len(other)), branches)
+    if not sizes or sum(math.comb(size, k) for k in sizes) > budget:
+        return []
+    bit = {r: 1 << i for i, (r, _, _) in enumerate(part)}
+    sets = [m for _, f, shut in part for x in (f, *shut)
+            if x and (m := sum(map(bit.get, {*x[1:5]}))) & (m - 1)]
+    for k in sizes:
+        for chosen in itertools.combinations(range(size), k):
+            if _forced(sets, sum(1 << i for i in chosen)) == (1 << size) - 1:
+                return [part[i][0] for i in chosen]
+    return []
+
+
+def _forced(sets: list[int], colored: int) -> int:
+    """colored, as bits, with each region forced from it: a set's one uncolored region."""
+    grown = -1
+    while grown != colored:
+        grown = colored
+        for s in sets:
+            if (left := s & ~colored) and not left & (left - 1):
+                colored |= left
+    return colored
 
 
 class BruteForceCapError(ValueError):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 import random
@@ -401,6 +402,61 @@ class TestVerifyDecision:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+@functools.cache
+def latin_squares(n):
+    """Every Latin square of order n on 1..n, as row tuples, in lexicographic order."""
+    rows = list(itertools.permutations(range(1, n + 1)))
+    squares = [()]
+    for _ in range(n):
+        squares = [sq + (row,) for sq in squares for row in rows
+                   if all(v != q[j] for q in sq for j, v in enumerate(row))]
+    return squares
+
+
+def latin_slabs(slabs) -> Tribracket:
+    """The tensor whose b-slab (a, c) -> [a, b, c] is slabs[b - 1]: slots a and c are
+    bijective, and slot b need not be."""
+    n = len(slabs)
+    return Tribracket(n, [[slabs[b][a] for b in range(n)] for a in range(n)])
+
+
+@st.composite
+def latin_slab_tensors(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    return latin_slabs([draw(st.sampled_from(latin_squares(n))) for _ in range(n)])
+
+
+class TestSlotBLemma:
+    """Slots a and c bijective and coherence-1 imply slot b bijective, so
+    verify_tribracket checks no slot-b line (the proof is in _tensor_axioms_hold)."""
+
+    @staticmethod
+    def failing(t: Tribracket) -> set:
+        report = _report(t, None)
+        assert verify_tribracket(t) == report
+        return {v.axiom for v in report.violations}
+
+    @given(t=latin_slab_tensors())
+    @settings(max_examples=300, deadline=None)
+    def test_a_table_failing_only_slot_b_is_refused_by_coherence_1(self, t):
+        failing = self.failing(t)
+        assert not failing & {"slot-a-bijection", "slot-c-bijection"}
+        if "slot-b-bijection" in failing:
+            assert "coherence-1" in failing
+            event("slot b fails")
+        else:
+            event("slot b holds")
+
+    def test_every_order_3_table_of_latin_slabs(self):
+        tables = [latin_slabs(slabs) for slabs in itertools.product(latin_squares(3), repeat=3)]
+        failing = [*map(self.failing, tables)]
+        coherent = [t for t, axioms in zip(tables, failing) if "coherence-1" not in axioms]
+        assert (len(tables), len(coherent)) == (1728, 12)
+        # the 12 are the census's tribrackets; slot b fails on 1,704 of the other 1,716
+        assert {t.table for t in coherent} == {t.table for t in enumerate_tribrackets(3)}
+        assert sum("slot-b-bijection" in axioms for axioms in failing) == 1704
 
 
 def altered(v: Violation) -> Violation:

@@ -108,6 +108,9 @@ DEMO_PAIRS = [
     ("z4_half", "z4_left"), ("z4_half", "z4_right"),
 ]
 
+# grown chains whose counts re-plan on fewer branch regions (see tests/test_coloring.py)
+CHAIN_PAIRS = [("alexander_7_1_1_mid", "chain_7_mid"), ("alexander_11_1_1_diag", "chain_11_diag")]
+
 
 class TestCount:
     def test_bundled_count_reports_match_the_committed_output(self, capsys):
@@ -119,6 +122,14 @@ class TestCount:
             alg, dia = data / "algebras" / f"{algebra}.alg", data / "diagrams" / f"{diagram}.dia"
             assert main(["count", "--enumerate", "--oracle", str(alg), str(dia)]) == 0
         assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+    def test_grown_chain_counts_match_the_committed_counts(self, capsys):
+        # the count-reports CI step diffs the console script against the same file
+        data = Path(__file__).parent / "data"
+        for algebra, diagram in CHAIN_PAIRS:
+            print(f"# {algebra} {diagram}")
+            assert main(["count", str(data / f"{algebra}.alg"), str(data / f"{diagram}.dia")]) == 0
+        assert capsys.readouterr().out == (data / "chain_counts.txt").read_text(encoding="utf-8")
 
     def test_prints_one_integer(self, capsys, z3_full_path, theta_path):
         assert main(["count", z3_full_path, theta_path]) == 0

@@ -1,7 +1,11 @@
+import functools
 import hashlib
 import itertools
+import math
 import random
 import re
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +29,8 @@ from tribrackets import (
     count_colorings_bruteforce,
     enumerate_colorings,
     load_bundled_algebra,
+    parse_algebra,
+    parse_diagram,
     verify_algebra,
 )
 from tribrackets import coloring
@@ -309,16 +315,24 @@ class TestExactOnAnyInput:
         alg = TribracketAlgebra(alexander_tribracket(3, 1, 1), PartialProduct.diagonal(3))
         assert count_colorings(alg, _shuffled_chain(1200)) == 27
 
-    def test_twenty_thousand_region_shuffled_crossing_chain(self):
+    def test_twenty_thousand_region_shuffled_crossing_chain(self, monkeypatch):
+        # the search for fewer branch regions is refused by its budget: it tries no subset
+        tried = []
+        monkeypatch.setattr(coloring, "_forced", lambda *args: tried.append(args))
         alg = TribracketAlgebra(alexander_tribracket(3, 1, 1), PartialProduct.diagonal(3))
         assert count_colorings(alg, _shuffled_chain(20_000)) == 27
+        assert tried == []
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_theta_with_eight_thousand_random_kinks(self, diagrams, seed):
+    def test_theta_with_eight_thousand_random_kinks(self, monkeypatch, diagrams, seed):
         # a kink (w, e, e, l) forces its last uncolored region, l or e, so the
-        # count stays theta's 9; with seed 0 the plan branches on six regions, not two
+        # count stays theta's 9; with seed 0 the plan branches on six regions, not
+        # two, and the search for fewer is refused by its budget: it tries no subset
+        tried = []
+        monkeypatch.setattr(coloring, "_forced", lambda *args: tried.append(args))
         alg = load_bundled_algebra("z3_full")
         assert count_colorings(alg, _kinked(diagrams["theta"], 8000, seed)) == 9
+        assert tried == []
 
 
 def _shuffled_chain(size):
@@ -782,12 +796,12 @@ def _random_part(rng, prefix):
             return regions, cons
 
 
-def _grown_chain(rng):
-    """10 regions grown from 2-3 free ones, each forced by a constraint on the regions
+def _grown_chain(rng, size=10):
+    """size regions grown from 2-3 free ones, each forced by a constraint on the regions
     grown just before it, then one crossing closing on 4 consecutive regions."""
     names = [f"g{i}" for i in range(rng.randint(2, 3))]
     cons = []
-    while len(names) < 10:
+    while len(names) < size:
         new = f"g{len(names)}"
         if rng.random() < 0.3:
             refs = names[-2:]
@@ -842,3 +856,215 @@ class TestCompileDigest:
     def test_schedules_match_the_pinned_digest(self):
         digest = hashlib.sha256(repr(self._schedules()).encode()).hexdigest()
         assert digest == self.DIGEST
+
+
+def _walks(alg, dia):
+    """count_colorings(alg, dia), and the parts of the schedule it walked."""
+    with mock.patch.object(coloring, "_solutions", wraps=coloring._solutions) as spy:
+        count = count_colorings(alg, dia)
+    return count, [call.args[1] for call in spy.call_args_list]
+
+
+def _branches(part):
+    return sum(not f for _, f, _ in part)
+
+
+def _forcing_closure(colored, sets):
+    """colored and every region forced from it: a set of regions with one uncolored forces it."""
+    colored, grown = set(colored), True
+    while grown:
+        grown = False
+        for s in sets:
+            if len(left := s - colored) == 1:
+                colored |= left
+                grown = True
+    return colored
+
+
+def _minimum_forcing_set(regions, sets):
+    """The size of a smallest set of regions whose forcing closure is all of regions."""
+    for k in range(1, len(regions) + 1):
+        if any(_forcing_closure(chosen, sets) == regions
+               for chosen in itertools.combinations(sorted(regions), k)):
+            return k
+
+
+def _linear(n):
+    return TribracketAlgebra(alexander_tribracket(n, 1, 1), PartialProduct.diagonal(n))
+
+
+@functools.cache
+def _replanned_chains():
+    """Seeded 6-region grown chains, shuffled, that count_colorings re-plans at n = 4."""
+    rng, found = random.Random("replanned"), []
+    for _ in range(100):
+        names, cons = _grown_chain(rng, 6)
+        rng.shuffle(names)
+        rng.shuffle(cons)
+        dia = _diagram(names, cons)
+        walked = _walks(_linear(4), dia)[1]
+        if sum(map(_branches, walked)) < _planned_branches(dia, walked):
+            found.append(dia)
+    return found[:8]
+
+
+def _planned_branches(dia, walked):
+    """The number of regions of the walked parts that dia's plan branches on."""
+    regions, system, _ = _system(dia.regions, dia.constraints)
+    mine = {r for part in walked for r, _, _ in part}
+    return _branches([step for step in _compile(regions, system) if step[0] in mine])
+
+
+def _seeded_systems(count):
+    """Seeded unions of 2-3 random connected parts and 10-region grown chains, shuffled."""
+    rng, systems = random.Random("replan"), []
+    for _ in range(count):
+        parts = [_random_part(rng, f"c{j}") for j in range(rng.randint(2, 3))]
+        systems.append(([r for p in parts for r in p[0]], [c for p in parts for c in p[1]]))
+        systems.append(_grown_chain(rng))
+    for names, cons in systems:
+        rng.shuffle(names)
+        rng.shuffle(cons)
+    return systems
+
+
+class TestReplan:
+    """count_colorings re-plans a part on a smallest forcing set when the plan branches on
+    more regions than it may need and the search for one is within budget."""
+
+    @given(alg=arbitrary_algebras(sizes=(4,)), chain=st.integers(min_value=0, max_value=7))
+    @settings(max_examples=100, deadline=None)
+    def test_replanned_counts_match_brute_force_on_arbitrary_tables(self, alg, chain):
+        dia = _replanned_chains()[chain]
+        assert count_colorings(alg, dia) == count_colorings_bruteforce(alg, dia)
+
+    def test_the_walk_is_planned_on_a_minimum_forcing_set_where_the_budget_admits_one(self):
+        searched = refused = fewer = tried = 0
+        for names, cons in _seeded_systems(40):
+            dia = _diagram(names, cons)
+            regions, system, _ = _system(names, cons)
+            planned = _compile(regions, system)
+            for n in range(2, 12):
+                count, walked = _walks(_linear(n), dia)
+                assert count >= n  # every constant coloring counts
+                for part in walked:
+                    mine = {r for r, _, _ in part}
+                    own = [step for step in planned if step[0] in mine]
+                    b = _branches(own)
+                    sets = {frozenset(refs) & mine for _, refs in system} - {frozenset()}
+                    sets = [s for s in sets if len(s) > 1]
+                    low = max(1, len(mine) - len(sets))
+                    subsets = sum(math.comb(len(mine), k) for k in range(low, b))
+                    # the search on the part as planned: subsets tried, and the set it found
+                    with mock.patch.object(coloring, "_forced", wraps=coloring._forced) as spy:
+                        found = coloring._fewer_branches(own, n)
+                    if low < b and subsets <= n ** (b - 1):
+                        searched += 1
+                        fewer += _branches(part) < b
+                        assert 0 < spy.call_count <= subsets
+                        assert _branches(part) == _minimum_forcing_set(mine, sets)
+                        assert len(found) in (0, _branches(part))
+                    else:
+                        refused += low < b
+                        assert (spy.call_count, found, _branches(part)) == (0, [], b)
+                    tried += spy.call_count
+        assert (searched, fewer, refused, tried) == (164, 106, 176, 5070)
+
+    def test_a_unions_replanned_part_is_that_component_replanned_alone(self, diagrams):
+        chains = _replanned_chains()
+        alg = _linear(4)
+        for j in range(0, len(chains), 2):
+            union = _union([chains[j], diagrams["theta"], chains[j + 1]], free=("f",))
+
+            def named(dia):
+                _, walked = _walks(alg, dia)
+                _, _, index = _system(dia.regions, dia.constraints)
+                name = dict(zip(index.values(), index))
+
+                def read(x):
+                    return x and (x[0], *map(name.get, x[1:5]), *x[5:])
+
+                return {
+                    name[part[0][0]][:3]: [(name[r], read(f), [*map(read, shut)])
+                                           for r, f, shut in part]
+                    for part in walked
+                }
+
+            whole = named(union)
+            walked = _walks(alg, union)[1]
+            assert sum(map(_branches, walked)) < _planned_branches(union, walked)
+            assert len(whole) == 3
+            for prefix, part in whole.items():
+                mine = re.compile(prefix).match
+                alone = _diagram(
+                    filter(mine, union.regions), [c for c in union.constraints if mine(c.refs[0])]
+                )
+                assert named(alone) == {prefix: part}
+
+    def test_allowing_the_plans_own_branch_regions_keeps_the_plan(self):
+        for names, cons in _seeded_systems(100):
+            regions, system, _ = _system(names, cons)
+            refs = [refs for _, refs in system]
+            plan = _plan(regions, refs)
+            assert _plan(regions, refs, [r for r, f, _ in plan if f is None]) == plan
+
+
+def _rank(rows, p):
+    """The rank over GF(p) of integer rows, by Gaussian elimination."""
+    rows, rank = [[v % p for v in row] for row in rows], 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inverse = pow(rows[rank][col], -1, p)
+        rows[rank] = [v * inverse % p for v in rows[rank]]
+        for i, row in enumerate(rows):
+            if i != rank and row[col]:
+                rows[i] = [(v - row[col] * w) % p for v, w in zip(row, rows[rank])]
+        rank += 1
+    return rank
+
+
+class TestCommittedChains:
+    """tests/data/chain_counts.txt holds the counts of two grown chains over alexander(p, 1, 1),
+    p prime: [a,b,c] = a - b + c, and each constraint is linear over GF(p), so a count is
+    p^(regions - rank).  A vertex (l, m, r) reads l + r = 2m under the midpoint product and
+    l = r = m under the diagonal one."""
+
+    def test_counts_are_the_affine_closed_form_and_the_plans_are_replanned(self):
+        data = Path(__file__).parent / "data"
+        text = (data / "chain_counts.txt").read_text(encoding="utf-8").split("\n")
+        pairs = [(line.split()[1:], int(count)) for line, count in zip(text[::2], text[1::2])]
+        assert [names for names, _ in pairs] == [
+            ["alexander_7_1_1_mid", "chain_7_mid"], ["alexander_11_1_1_diag", "chain_11_diag"]
+        ]
+        for (algebra, diagram), count in pairs:
+            tensor, product = parse_algebra((data / f"{algebra}.alg").read_text(encoding="utf-8"))
+            dia = parse_diagram((data / f"{diagram}.dia").read_text(encoding="utf-8"))
+            p = tensor.n
+            assert tensor == alexander_tribracket(p, 1, 1)
+            column = {r: i for i, r in enumerate(dia.regions)}
+            rows = []
+            for con in dia.constraints:
+                if con.kind is ConstraintKind.CROSSING:
+                    terms = [zip(con.refs, (1, -1, 1, -1))]
+                elif product == PartialProduct.diagonal(p):
+                    l, m, r = con.refs
+                    terms = [((l, 1), (r, -1)), ((m, 1), (l, -1))]
+                else:
+                    assert all(product.mul(a, b) % p == (a + b) * pow(2, -1, p) % p
+                               for a in range(1, p + 1) for b in range(1, p + 1))
+                    l, m, r = con.refs
+                    terms = [((l, 1), (r, 1), (m, -2))]
+                for term in terms:
+                    row = [0] * len(column)
+                    for region, coefficient in term:
+                        row[column[region]] += coefficient
+                    rows.append(row)
+            assert count == p ** (len(dia.regions) - _rank(rows, p))
+            alg = TribracketAlgebra(tensor, product)
+            regions, system, _ = _system(dia.regions, dia.constraints)
+            walked = _walks(alg, dia)
+            assert walked[0] == count
+            assert sum(map(_branches, walked[1])) < _branches(_compile(regions, system))
