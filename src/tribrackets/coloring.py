@@ -3,10 +3,11 @@
 The coloring rule is stated once, by :func:`_system`: it numbers the regions and
 gives each constraint's regions in slot order, inputs first, the result last.
 One exact search, :func:`_solutions`, reads it for the counter, the listing and
-the move harness.  :func:`_compile` fixes from structure alone (once per call,
-or once per move pair) the order the search colors regions in and, for each
-region, the constraint that forces it (none for a branch; a constraint forces
-its last uncolored region) and those it closes.  The listing and the move
+the move harness.  :func:`_compile` fixes from structure alone (once per listing,
+move pair, or diagram and carrier size n for the counter, which keeps it on the
+diagram) the order the search colors regions in and, for each region, the
+constraint that forces it (none for a branch; a constraint forces its last
+uncolored region) and those it closes.  The listing and the move
 harness walk that schedule jointly; the counter walks each connected component's
 part of it alone and multiplies the counts.  A part of R regions branching on
 b is planned again on a smallest set whose forcing closure is the part, if one
@@ -218,10 +219,24 @@ def enumerate_colorings(alg: TribracketAlgebra, dia: Diagram) -> list[dict[str, 
 
 def count_colorings(alg: TribracketAlgebra, dia: Diagram) -> int:
     """The number of valid region colorings of dia by alg: the product of the counts
-    of the connected components, n for a region that no constraint touches.  It compiles
-    once and walks each component's part of the schedule, the one it would get alone,
-    or, if :func:`_fewer_branches` finds fewer regions to branch on, their plan."""
+    of the connected components, n for a region that no constraint touches.  It walks
+    each component's part of the schedule, the one it would get alone, or, if
+    :func:`_fewer_branches` finds fewer regions to branch on, their plan.  The parts
+    are planned on dia's first count at each carrier size n and kept on dia."""
     _check_args(alg, dia)
+    n = alg.n
+    if n not in dia._plans:  # a plan reads nothing of the algebra but n
+        dia._plans[n] = _count_plan(dia, n)
+    regions, parts = dia._plans[n]
+    count, val = n ** (regions - sum(map(len, parts))), [0] * regions
+    for part in parts:
+        if count:  # a factor 0 ends the search
+            count *= operator.countOf(_solutions(alg, part, val), val)  # it yields val
+    return count
+
+
+def _count_plan(dia: Diagram, n: int) -> tuple[int, list[list[tuple]]]:
+    """dia's number of regions, and the compiled parts count_colorings walks at size n."""
     regions, system, _ = _system(dia.regions, dia.constraints)
     parent = list(range(regions))
 
@@ -244,15 +259,11 @@ def count_colorings(alg: TribracketAlgebra, dia: Diagram) -> int:
         # a part of one region that closes no constraint is a region no constraint touches
         return [part for part in parts.values() if len(part) > 1 or part[0][2]]
 
-    n, parts = alg.n, walks(_compile(regions, system))
+    parts = walks(_compile(regions, system))
     allowed = [r for part in parts for r in _fewer_branches(part, n)]
     if allowed:  # a part without an allowed region keeps its schedule
         parts = walks(_compile(regions, system, allowed))
-    count, val = n ** (regions - sum(map(len, parts))), [0] * regions
-    for part in parts:
-        if count:  # a factor 0 ends the search
-            count *= operator.countOf(_solutions(alg, part, val), val)  # it yields val
-    return count
+    return regions, parts
 
 
 def _fewer_branches(part: list[tuple], n: int) -> list[int]:

@@ -15,6 +15,7 @@ defined a*a, and k2 the cells a*b = a; only the handlebody pair reads the tensor
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from collections.abc import Sequence
@@ -71,6 +72,11 @@ class Diagram:
         _require(self.kind, DiagramKind, "diagram kind")
         if not _check_regions(self.regions, constraints=self.constraints):
             raise DiagramParseError("a diagram needs at least one region")
+
+    @functools.cached_property
+    def _plans(self) -> dict[int, tuple]:
+        """The coloring counter's plan per carrier size n; not a field, and holds no table."""
+        return {}
 
 
 def _check_name(name: str) -> None:

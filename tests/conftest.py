@@ -1,4 +1,5 @@
 import functools
+import itertools
 import signal
 
 import pytest
@@ -79,6 +80,23 @@ def census_algebras():
         for t in enumerate_tribrackets(n)
         for p in enumerate_products(t)
     ]
+
+
+def latin_squares(n):
+    """Every Latin square of order n on 1..n, as row tuples, in lexicographic order."""
+    rows = list(itertools.permutations(range(1, n + 1)))
+    squares = [()]
+    for _ in range(n):
+        squares = [sq + (row,) for sq in squares for row in rows
+                   if all(v != q[j] for q in sq for j, v in enumerate(row))]
+    return squares
+
+
+def latin_slabs(slabs) -> Tribracket:
+    """The tensor whose b-slab (a, c) -> [a, b, c] is slabs[b - 1]: slots a and c are
+    bijective, and slot b need not be."""
+    n = len(slabs)
+    return Tribracket(n, [[slabs[b][a] for b in range(n)] for a in range(n)])
 
 
 def k2_cases(alg):

@@ -42,6 +42,8 @@ from tests.conftest import (
     FULL_PRODUCT,
     Z3_TENSOR,
     arbitrary_algebras,
+    latin_slabs,
+    latin_squares,
 )
 from tests.test_moves import crossing_tensors
 
@@ -405,23 +407,6 @@ class TestVerifyDecision:
 
 
 @functools.cache
-def latin_squares(n):
-    """Every Latin square of order n on 1..n, as row tuples, in lexicographic order."""
-    rows = list(itertools.permutations(range(1, n + 1)))
-    squares = [()]
-    for _ in range(n):
-        squares = [sq + (row,) for sq in squares for row in rows
-                   if all(v != q[j] for q in sq for j, v in enumerate(row))]
-    return squares
-
-
-def latin_slabs(slabs) -> Tribracket:
-    """The tensor whose b-slab (a, c) -> [a, b, c] is slabs[b - 1]: slots a and c are
-    bijective, and slot b need not be."""
-    n = len(slabs)
-    return Tribracket(n, [[slabs[b][a] for b in range(n)] for a in range(n)])
-
-
 @st.composite
 def latin_slab_tensors(draw):
     n = draw(st.integers(min_value=1, max_value=4))

@@ -1,9 +1,12 @@
+import dataclasses
 import functools
+import gc
 import hashlib
 import itertools
 import math
 import random
 import re
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -31,6 +34,7 @@ from tribrackets import (
     load_bundled_algebra,
     parse_algebra,
     parse_diagram,
+    serialize_diagram,
     verify_algebra,
 )
 from tribrackets import coloring
@@ -1068,3 +1072,80 @@ class TestCommittedChains:
             walked = _walks(alg, dia)
             assert walked[0] == count
             assert sum(map(_branches, walked[1])) < _branches(_compile(regions, system))
+
+
+def _fresh(dia):
+    """A new, never counted Diagram equal to dia."""
+    return parse_diagram(serialize_diagram(dia))
+
+
+def _leaves(obj):
+    """Every object reachable from obj through lists, tuples and dicts, containers included."""
+    yield obj
+    if isinstance(obj, (list, tuple, dict)):
+        for item in obj.items() if isinstance(obj, dict) else obj:
+            yield from _leaves(item)
+
+
+class TestPlanKept:
+    """count_colorings plans a diagram once per carrier size n and keeps the plan on it;
+    the argument checks, and the tables, stay per call."""
+
+    @pytest.mark.parametrize("replanned", [False, True], ids=["theta", "replanned_chain"])
+    def test_a_diagram_is_planned_once_per_carrier_size(self, monkeypatch, diagrams, replanned):
+        dia = _fresh(_replanned_chains()[0] if replanned else diagrams["theta"])
+        calls = []
+        plan = coloring._plan
+        monkeypatch.setattr(coloring, "_plan", lambda *args: calls.append(args) or plan(*args))
+        planned = []
+        empty = TribracketAlgebra(alexander_tribracket(4, 1, 1), PartialProduct.empty(4))
+        for alg in (_linear(4), empty, _linear(3), _mixed_algebra()):
+            assert count_colorings(alg, dia) == count_colorings_bruteforce(alg, dia)
+            planned.append(len(calls))
+        # the chain is planned twice at n = 4, the second time on fewer branch regions
+        first = 2 if replanned else 1
+        assert planned[:2] == [first, first]
+        assert planned[2] == planned[3] > first
+        assert [*dia._plans] == [4, 3]
+
+    def test_the_kept_plan_is_invisible_and_holds_no_table(self, diagrams):
+        text = serialize_diagram(diagrams["hopf_handlebody"])
+        dia, fresh = parse_diagram(text), parse_diagram(text)
+        alg = TribracketAlgebra(alexander_tribracket(3, 1, 1), PartialProduct.diagonal(3))
+        refs = [weakref.ref(x) for x in (alg, alg.tribracket, alg.product)]
+        assert count_colorings(alg, dia) == count_colorings_bruteforce(alg, dia)
+        assert dia._plans and "_plans" not in vars(fresh)
+        assert (dia, hash(dia), repr(dia)) == (fresh, hash(fresh), repr(fresh))
+        assert dataclasses.fields(dia) == dataclasses.fields(fresh)
+        assert [getattr(dia, f.name) for f in dataclasses.fields(dia)] == [
+            getattr(fresh, f.name) for f in dataclasses.fields(fresh)
+        ]
+        tables = (alg.tribracket.keyed_table, alg.product.keyed_table)
+        for x in _leaves(dia._plans):
+            assert isinstance(x, (list, tuple, dict, int, ConstraintKind)), x
+            assert all(x is not t for t in tables)
+        del alg, tables, x
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None, None]
+        assert dia._plans
+
+    def test_the_argument_checks_stay_per_call(self, full_algebra, diag_algebra, diagrams):
+        hopf = _fresh(diagrams["hopf_handlebody"])
+        assert count_colorings(diag_algebra, hopf) == count_colorings_bruteforce(
+            diag_algebra, hopf
+        )
+        with pytest.raises(HandlebodyModeError):  # n = 3, as the kept plan's
+            count_colorings(full_algebra, hopf)
+        for bad in (full_algebra.tribracket, None, "z3_diag"):
+            with pytest.raises(ShapeError):
+                count_colorings(bad, hopf)
+        assert [*hopf._plans] == [3]
+
+    @given(n=st.sampled_from((2, 3, 4)), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_one_diagram_over_two_arbitrary_tables_of_one_size(self, n, data):
+        dia = data.draw(random_diagrams(max_regions=5, max_constraints=4))
+        for _ in range(2):
+            alg = data.draw(arbitrary_algebras(sizes=(n,)))
+            assert count_colorings(alg, dia) == count_colorings_bruteforce(alg, dia)
+        assert [*dia._plans] == [n]

@@ -3,6 +3,7 @@ import functools
 import hashlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,8 @@ from tests.conftest import (
     Z3_TENSOR,
     arbitrary_algebras,
     census_algebras,
+    latin_slabs,
+    latin_squares,
 )
 
 
@@ -575,6 +578,31 @@ class TestCrossingMovesAreTheirAxioms:
         for move_id, axioms in CROSSING_MOVE_AXIOMS.items():
             passed = check_move_invariance(alg, pairs[move_id]).passed
             assert passed == failing.isdisjoint(axioms), (move_id, sorted(failing))
+
+    def test_r2c_r2d_and_r3a_passing_imply_r2a_and_r2b_passing(self):
+        # the slot-b lemma at the move level: R2c/R2d pass when slots a and c are
+        # bijective, R3a when coherence holds, and those make slot b bijective, which
+        # with slot c is what R2a/R2b check; over every order-2 tensor and every
+        # order-3 table whose b-slabs are Latin squares, with the empty product
+        order2 = [Tribracket(2, [[cells[:2], cells[2:4]], [cells[4:6], cells[6:]]])
+                  for cells in itertools.product((1, 2), repeat=8)]
+        order3 = [latin_slabs(slabs) for slabs in itertools.product(latin_squares(3), repeat=3)]
+        pairs, tally = pairs_by_id(), Counter()
+        for t in order2 + order3:
+            alg = TribracketAlgebra(t, PartialProduct.empty(t.n))
+            passed = {m for m in ("R2a", "R2b", "R2c", "R2d", "R3a")
+                      if check_move_invariance(alg, pairs[m]).passed}
+            premise = {"R2c", "R2d", "R3a"} <= passed
+            if premise:
+                assert {"R2a", "R2b"} <= passed, t
+            tally[t.n, premise, "R2a" in passed, "R2b" in passed] += 1
+        # the premise holds on the census's 2 and 12 tensors; R2a/R2b pass on as many
+        # more, whose slots b and c are bijective but which fail coherence (and at
+        # order 2 slot a)
+        assert tally == {
+            (2, True, True, True): 2, (2, False, True, True): 2, (2, False, False, False): 252,
+            (3, True, True, True): 12, (3, False, True, True): 12, (3, False, False, False): 1704,
+        }
 
     def test_the_kinks_do_not_need_slot_a_bijectivity(self):
         # [a, b, c] is a on the diagonal b = c and 1 off it
