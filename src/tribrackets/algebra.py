@@ -504,9 +504,11 @@ def recheck_violation(v: Violation, t: Tribracket, p: Optional[PartialProduct] =
     Runs the axiom over the witness's own leading coordinates and looks for
     the witness with both reported sides among the failures.  Raises
     ValueError for an unknown axiom id, a product axiom without ``p``, or a
-    witness of the wrong length or with a value outside 1..n, and ShapeError
-    for tables that are not a Tribracket and a PartialProduct or differ in size.
+    witness of the wrong length or with a value outside 1..n, and ShapeError for
+    a v that is not a Violation and tables that are not a Tribracket and a
+    PartialProduct or differ in size.
     """
+    _require(v, Violation, "violation")
     T, P = _padded(t, p)
     ax = _AXIOM_BY_NAME.get(v.axiom)
     if ax is None:

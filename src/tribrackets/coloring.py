@@ -4,27 +4,25 @@ The coloring rule is stated once, by :func:`_system`: it numbers the regions and
 gives each constraint's regions in slot order, inputs first, the result last.
 One exact search, :func:`_solutions`, reads it for the counter, the listing and
 the move harness.  :func:`_compile` fixes from structure alone (once per listing,
-move pair, or diagram and carrier size n for the counter, which keeps it on the
-diagram) the order the search colors regions in and, for each region, the
-constraint that forces it (none for a branch; a constraint forces its last
-uncolored region) and those it closes.  The listing and the move
-harness walk that schedule jointly; the counter walks each connected component's
-part of it alone and multiplies the counts.  A part of R regions branching on
-b is planned again on a smallest set whose forcing closure is the part, if one
-is smaller: sought only where b exceeds R less its distinct constraint region
-sets of 2+ regions (each forces one at most), within n^(b - 1) subsets tried.
-The search binds the keyed tables and walks on an explicit stack, so no diagram
-is too deep for the recursion limit: a branch tries 1..n, a forced region reads
-one entry of its constraint's keyed table, keyed by the values of the regions
-before it, and every value must hold in the constraints it closes.  Stepping
-back undoes nothing.  The reference count_colorings_bruteforce shares only that
-numbering and slot order: it tests every assignment through bracket and mul.
+move pair, or diagram for the counter, which keeps it on the diagram whatever n)
+the order the search colors regions in and, for each region, the constraint that
+forces it (none for a branch; a constraint forces its last uncolored region) and
+those it closes.  The listing and the move harness walk that schedule jointly;
+the counter walks each connected component's part of it alone and multiplies the
+counts.  A part is planned again on the regions a peel keeps, if they are fewer
+than it branches on: the peel drops, one at a time, a region whose constraint
+would force it back from the regions still kept.  The search binds the keyed
+tables and walks on an explicit stack, so no diagram is too deep for the
+recursion limit: a branch tries 1..n, a forced region reads one entry of its
+constraint's keyed table, keyed by the values of the regions before it, and every
+value must hold in the constraints it closes.  Stepping back undoes nothing.  The
+reference count_colorings_bruteforce shares only that numbering and slot order:
+it tests every assignment through bracket and mul.
 """
 from __future__ import annotations
 
 import heapq
 import itertools
-import math
 import operator
 from collections.abc import Iterator, Sequence
 
@@ -220,23 +218,19 @@ def enumerate_colorings(alg: TribracketAlgebra, dia: Diagram) -> list[dict[str, 
 def count_colorings(alg: TribracketAlgebra, dia: Diagram) -> int:
     """The number of valid region colorings of dia by alg: the product of the counts
     of the connected components, n for a region that no constraint touches.  It walks
-    each component's part of the schedule, the one it would get alone, or, if
-    :func:`_fewer_branches` finds fewer regions to branch on, their plan.  The parts
-    are planned on dia's first count at each carrier size n and kept on dia."""
+    each component's part of the schedule, planned once from dia's structure and kept
+    on dia: the one it would get alone, or that of :func:`_fewer_branches`' regions."""
     _check_args(alg, dia)
-    n = alg.n
-    if n not in dia._plans:  # a plan reads nothing of the algebra but n
-        dia._plans[n] = _count_plan(dia, n)
-    regions, parts = dia._plans[n]
-    count, val = n ** (regions - sum(map(len, parts))), [0] * regions
+    regions, parts = dia._count_plan
+    count, val = alg.n ** (regions - sum(map(len, parts))), [0] * regions
     for part in parts:
         if count:  # a factor 0 ends the search
             count *= operator.countOf(_solutions(alg, part, val), val)  # it yields val
     return count
 
 
-def _count_plan(dia: Diagram, n: int) -> tuple[int, list[list[tuple]]]:
-    """dia's number of regions, and the compiled parts count_colorings walks at size n."""
+def _count_plan(dia: Diagram) -> tuple[int, list[list[tuple]]]:
+    """dia's number of regions, and the compiled parts count_colorings walks at any n."""
     regions, system, _ = _system(dia.regions, dia.constraints)
     parent = list(range(regions))
 
@@ -260,48 +254,47 @@ def _count_plan(dia: Diagram, n: int) -> tuple[int, list[list[tuple]]]:
         return [part for part in parts.values() if len(part) > 1 or part[0][2]]
 
     parts = walks(_compile(regions, system))
-    allowed = [r for part in parts for r in _fewer_branches(part, n)]
+    allowed = [r for part in parts for r in _fewer_branches(part)]
     if allowed:  # a part without an allowed region keeps its schedule
         parts = walks(_compile(regions, system, allowed))
     return regions, parts
 
 
-def _fewer_branches(part: list[tuple], n: int) -> list[int]:
-    """A smallest set of a compiled part's regions whose forcing closure is the part,
-    if it is smaller than the b the part branches on and the search is in budget; else [].
-
-    A constraint forces at most one region, the last of its 2+ distinct regions, so
-    at least R less the number of such sets branch.  The R - b forcing sets differ,
-    and any other closes where it forces nothing, so it can equal only the set forcing
-    there.  Subsets are tried by size from that bound, in schedule order; the search
-    is refused if they number over n^(b - 1), about one walk of a smaller plan."""
+def _fewer_branches(part: list[tuple]) -> list[int]:
+    """The regions a peel of a compiled part keeps, if fewer than the b it branches on;
+    else [].  While a kept region lies in a constraint whose 2+ distinct regions are all
+    kept, it drops the one in the fewest such, the earliest first: that constraint forces
+    it from the rest, so the kept regions force the part.  Skipped where fewer than b
+    cannot: R less the distinct region sets is b or more (each forces one at most), or
+    no set has b regions or fewer (k force one only through k + 1).  O(slots log R)."""
     size, branches = len(part), [step[1] for step in part].count(False)
-    if branches < 2 or math.comb(size, branches - 1) > (budget := n ** (branches - 1)):
-        return []  # its last size alone is over budget
-    other = {frozenset(s) for _, f, shut in part for x in shut
-             if len(s := {*x[1:5]}) > 1 and s != (f and {*f[1:5]})}
-    sizes = range(max(1, branches - len(other)), branches)
-    if not sizes or sum(math.comb(size, k) for k in sizes) > budget:
+    if branches < 2 or not any(map(operator.itemgetter(2), part)):
+        return []  # each read forces a region: R less the reads is b
+    sets = {s for _, f, shut in part for x in (f, *shut)
+            if x and len(s := frozenset(x[1:5])) > 1}
+    if size - len(sets) >= branches or min(map(len, sets)) > branches:
         return []
-    bit = {r: 1 << i for i, (r, _, _) in enumerate(part)}
-    sets = [m for _, f, shut in part for x in (f, *shut)
-            if x and (m := sum(map(bit.get, {*x[1:5]}))) & (m - 1)]
-    for k in sizes:
-        for chosen in itertools.combinations(range(size), k):
-            if _forced(sets, sum(1 << i for i in chosen)) == (1 << size) - 1:
-                return [part[i][0] for i in chosen]
-    return []
-
-
-def _forced(sets: list[int], colored: int) -> int:
-    """colored, as bits, with each region forced from it: a set's one uncolored region."""
-    grown = -1
-    while grown != colored:
-        grown = colored
-        for s in sets:
-            if (left := s & ~colored) and not left & (left - 1):
-                colored |= left
-    return colored
+    at = {r: p for p, (r, _, _) in enumerate(part)}
+    sets = [[*map(at.get, s)] for s in sets]
+    touch: list[list[int]] = [[] for _ in part]  # per position: its sets
+    for i, s in enumerate(sets):
+        for p in s:
+            touch[p].append(i)
+    live = [len(t) for t in touch]  # per position: its sets with every region kept
+    heap = [d * size + p for p, d in enumerate(live) if d]
+    heapq.heapify(heap)
+    while heap:
+        d, p = divmod(heapq.heappop(heap), size)
+        if d == live[p]:  # not stale: drop p, which ends each of its live sets
+            for i in touch[p]:
+                for q in sets[i]:
+                    live[q] -= 1
+                    if live[q]:
+                        heapq.heappush(heap, live[q] * size + q)
+                sets[i] = ()  # ended
+            live[p] = -1
+    kept = [r for r, d in zip(at, live) if d >= 0]
+    return kept if len(kept) < branches else []
 
 
 class BruteForceCapError(ValueError):

@@ -74,9 +74,10 @@ class Diagram:
             raise DiagramParseError("a diagram needs at least one region")
 
     @functools.cached_property
-    def _plans(self) -> dict[int, tuple]:
-        """The coloring counter's plan per carrier size n; not a field, and holds no table."""
-        return {}
+    def _count_plan(self) -> tuple:
+        """The coloring counter's plan, made on the first count; not a field, no table."""
+        from .coloring import _count_plan  # coloring imports this module
+        return _count_plan(self)
 
 
 def _check_name(name: str) -> None:

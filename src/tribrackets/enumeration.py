@@ -51,6 +51,7 @@ from .algebra import (
     TribracketAlgebra,
     _check_size,
     _padded,
+    _require,
     verify_algebra,
     verify_tribracket,
 )
@@ -109,12 +110,14 @@ def enumerate_tribrackets(
     The search and its forcing rules are described in the module docstring;
     every complete table it reaches is handed to verify_tribracket.  Complete
     for n <= 5 in seconds; n = 6 wants a budget.  An n with n^4 > sys.maxsize
-    (n > 55,108 on 64-bit Python) is refused with ShapeError.
+    (n > 55,108 on 64-bit Python), or a budget that is not None or an
+    EnumerationBudget, is refused with ShapeError.
     """
     _check_size(n)
     if n**4 > sys.maxsize:  # no list could index the n^4 witnesses
         raise ShapeError(f"carrier size {n} is too large for a census: n^4 exceeds {sys.maxsize}")
-    budget = budget or EnumerationBudget()
+    budget = EnumerationBudget() if budget is None else budget
+    _require(budget, EnumerationBudget, "budget")
     deadline = None if budget.timeout is None else time.monotonic() + budget.timeout
     left = budget.max_candidates or math.inf  # complete tables the verifier may still see
     nn, size = n * n, n**3

@@ -489,6 +489,11 @@ class TestRecheckViolation:
         with pytest.raises(ShapeError, match=f"^the {wrong} must be a "):
             recheck_violation(Violation("r4-compat", (1, 1), 1, 2), t, p)
 
+    @pytest.mark.parametrize("v", ["x", None, ("coherence-1", (1, 1, 1, 1), 1, 2)])
+    def test_a_violation_that_is_not_a_violation_is_refused(self, z3, v):
+        with pytest.raises(ShapeError, match="^the violation must be a Violation, got "):
+            recheck_violation(v, z3, FULL_PRODUCT)
+
     @pytest.mark.parametrize(
         "axiom, witness", [("r5-compat-1", (3, 3, 3)), ("coherence-1", (1, 1, 1, 1))]
     )

@@ -3,7 +3,6 @@ import functools
 import gc
 import hashlib
 import itertools
-import math
 import random
 import re
 import weakref
@@ -319,24 +318,20 @@ class TestExactOnAnyInput:
         alg = TribracketAlgebra(alexander_tribracket(3, 1, 1), PartialProduct.diagonal(3))
         assert count_colorings(alg, _shuffled_chain(1200)) == 27
 
-    def test_twenty_thousand_region_shuffled_crossing_chain(self, monkeypatch):
-        # the search for fewer branch regions is refused by its budget: it tries no subset
-        tried = []
-        monkeypatch.setattr(coloring, "_forced", lambda *args: tried.append(args))
+    def test_twenty_thousand_region_shuffled_crossing_chain(self):
+        # the peel finds that the three seeds force the rest
         alg = TribracketAlgebra(alexander_tribracket(3, 1, 1), PartialProduct.diagonal(3))
-        assert count_colorings(alg, _shuffled_chain(20_000)) == 27
-        assert tried == []
+        count, walked = _walks(alg, _shuffled_chain(20_000))
+        assert (count, [*map(_branches, walked)]) == (27, [3])
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_theta_with_eight_thousand_random_kinks(self, monkeypatch, diagrams, seed):
+    def test_theta_with_eight_thousand_random_kinks(self, diagrams, seed):
         # a kink (w, e, e, l) forces its last uncolored region, l or e, so the
-        # count stays theta's 9; with seed 0 the plan branches on six regions, not
-        # two, and the search for fewer is refused by its budget: it tries no subset
-        tried = []
-        monkeypatch.setattr(coloring, "_forced", lambda *args: tried.append(args))
+        # count stays theta's 9; with seed 0 the plan branches on six regions, and
+        # the peel finds that two force the rest
         alg = load_bundled_algebra("z3_full")
-        assert count_colorings(alg, _kinked(diagrams["theta"], 8000, seed)) == 9
-        assert tried == []
+        count, walked = _walks(alg, _kinked(diagrams["theta"], 8000, seed))
+        assert (count, [*map(_branches, walked)]) == (9, [2])
 
 
 def _shuffled_chain(size):
@@ -933,8 +928,8 @@ def _seeded_systems(count):
 
 
 class TestReplan:
-    """count_colorings re-plans a part on a smallest forcing set when the plan branches on
-    more regions than it may need and the search for one is within budget."""
+    """count_colorings re-plans a part on the regions a peel keeps when they are fewer
+    than the plan branches on."""
 
     @given(alg=arbitrary_algebras(sizes=(4,)), chain=st.integers(min_value=0, max_value=7))
     @settings(max_examples=100, deadline=None)
@@ -942,37 +937,30 @@ class TestReplan:
         dia = _replanned_chains()[chain]
         assert count_colorings(alg, dia) == count_colorings_bruteforce(alg, dia)
 
-    def test_the_walk_is_planned_on_a_minimum_forcing_set_where_the_budget_admits_one(self):
-        searched = refused = fewer = tried = 0
+    def test_the_walk_branches_on_a_forcing_set_no_larger_than_the_plans(self):
+        # on every seeded part it is also a smallest forcing set
+        parts = fewer = 0
         for names, cons in _seeded_systems(40):
             dia = _diagram(names, cons)
             regions, system, _ = _system(names, cons)
             planned = _compile(regions, system)
+            walks = []
             for n in range(2, 12):
                 count, walked = _walks(_linear(n), dia)
                 assert count >= n  # every constant coloring counts
-                for part in walked:
-                    mine = {r for r, _, _ in part}
-                    own = [step for step in planned if step[0] in mine]
-                    b = _branches(own)
-                    sets = {frozenset(refs) & mine for _, refs in system} - {frozenset()}
-                    sets = [s for s in sets if len(s) > 1]
-                    low = max(1, len(mine) - len(sets))
-                    subsets = sum(math.comb(len(mine), k) for k in range(low, b))
-                    # the search on the part as planned: subsets tried, and the set it found
-                    with mock.patch.object(coloring, "_forced", wraps=coloring._forced) as spy:
-                        found = coloring._fewer_branches(own, n)
-                    if low < b and subsets <= n ** (b - 1):
-                        searched += 1
-                        fewer += _branches(part) < b
-                        assert 0 < spy.call_count <= subsets
-                        assert _branches(part) == _minimum_forcing_set(mine, sets)
-                        assert len(found) in (0, _branches(part))
-                    else:
-                        refused += low < b
-                        assert (spy.call_count, found, _branches(part)) == (0, [], b)
-                    tried += spy.call_count
-        assert (searched, fewer, refused, tried) == (164, 106, 176, 5070)
+                walks.append(walked)
+            assert all(walked == walks[0] for walked in walks)  # one plan whatever n
+            for part in walks[0]:
+                mine = {r for r, _, _ in part}
+                b = _branches([step for step in planned if step[0] in mine])
+                sets = {frozenset(refs) & mine for _, refs in system} - {frozenset()}
+                sets = [s for s in sets if len(s) > 1]
+                branches = {r for r, f, _ in part if not f}
+                assert _forcing_closure(branches, sets) == mine
+                assert len(branches) == _minimum_forcing_set(mine, sets) <= b
+                parts += 1
+                fewer += len(branches) < b
+        assert (parts, fewer) == (138, 20)
 
     def test_a_unions_replanned_part_is_that_component_replanned_alone(self, diagrams):
         chains = _replanned_chains()
@@ -1080,33 +1068,32 @@ def _fresh(dia):
 
 
 def _leaves(obj):
-    """Every object reachable from obj through lists, tuples and dicts, containers included."""
+    """Every object reachable from obj through lists and tuples, containers included."""
     yield obj
-    if isinstance(obj, (list, tuple, dict)):
-        for item in obj.items() if isinstance(obj, dict) else obj:
+    if isinstance(obj, (list, tuple)):
+        for item in obj:
             yield from _leaves(item)
 
 
 class TestPlanKept:
-    """count_colorings plans a diagram once per carrier size n and keeps the plan on it;
-    the argument checks, and the tables, stay per call."""
+    """count_colorings plans a diagram once, whatever n, and keeps the plan on it; the
+    argument checks, and the tables, stay per call."""
 
     @pytest.mark.parametrize("replanned", [False, True], ids=["theta", "replanned_chain"])
-    def test_a_diagram_is_planned_once_per_carrier_size(self, monkeypatch, diagrams, replanned):
+    def test_a_diagram_is_planned_once_whatever_n(self, monkeypatch, diagrams, replanned):
         dia = _fresh(_replanned_chains()[0] if replanned else diagrams["theta"])
         calls = []
         plan = coloring._plan
         monkeypatch.setattr(coloring, "_plan", lambda *args: calls.append(args) or plan(*args))
-        planned = []
+        planned, kept = [], []
         empty = TribracketAlgebra(alexander_tribracket(4, 1, 1), PartialProduct.empty(4))
-        for alg in (_linear(4), empty, _linear(3), _mixed_algebra()):
+        for alg in (_linear(4), empty, _linear(3), _mixed_algebra(), _linear(2)):
             assert count_colorings(alg, dia) == count_colorings_bruteforce(alg, dia)
             planned.append(len(calls))
-        # the chain is planned twice at n = 4, the second time on fewer branch regions
-        first = 2 if replanned else 1
-        assert planned[:2] == [first, first]
-        assert planned[2] == planned[3] > first
-        assert [*dia._plans] == [4, 3]
+            kept.append(vars(dia)["_count_plan"])
+        # the chain is planned twice, the second time on fewer branch regions
+        assert planned == [2 if replanned else 1] * 5
+        assert all(plan is kept[0] for plan in kept)
 
     def test_the_kept_plan_is_invisible_and_holds_no_table(self, diagrams):
         text = serialize_diagram(diagrams["hopf_handlebody"])
@@ -1114,20 +1101,20 @@ class TestPlanKept:
         alg = TribracketAlgebra(alexander_tribracket(3, 1, 1), PartialProduct.diagonal(3))
         refs = [weakref.ref(x) for x in (alg, alg.tribracket, alg.product)]
         assert count_colorings(alg, dia) == count_colorings_bruteforce(alg, dia)
-        assert dia._plans and "_plans" not in vars(fresh)
+        assert "_count_plan" in vars(dia) and "_count_plan" not in vars(fresh)
         assert (dia, hash(dia), repr(dia)) == (fresh, hash(fresh), repr(fresh))
         assert dataclasses.fields(dia) == dataclasses.fields(fresh)
         assert [getattr(dia, f.name) for f in dataclasses.fields(dia)] == [
             getattr(fresh, f.name) for f in dataclasses.fields(fresh)
         ]
         tables = (alg.tribracket.keyed_table, alg.product.keyed_table)
-        for x in _leaves(dia._plans):
-            assert isinstance(x, (list, tuple, dict, int, ConstraintKind)), x
+        for x in _leaves(dia._count_plan):
+            assert isinstance(x, (list, tuple, int, ConstraintKind)), x
             assert all(x is not t for t in tables)
         del alg, tables, x
         gc.collect()
         assert [ref() for ref in refs] == [None, None, None]
-        assert dia._plans
+        assert "_count_plan" in vars(dia)
 
     def test_the_argument_checks_stay_per_call(self, full_algebra, diag_algebra, diagrams):
         hopf = _fresh(diagrams["hopf_handlebody"])
@@ -1139,7 +1126,7 @@ class TestPlanKept:
         for bad in (full_algebra.tribracket, None, "z3_diag"):
             with pytest.raises(ShapeError):
                 count_colorings(bad, hopf)
-        assert [*hopf._plans] == [3]
+        assert "_count_plan" in vars(hopf)
 
     @given(n=st.sampled_from((2, 3, 4)), data=st.data())
     @settings(max_examples=150, deadline=None)
@@ -1148,4 +1135,13 @@ class TestPlanKept:
         for _ in range(2):
             alg = data.draw(arbitrary_algebras(sizes=(n,)))
             assert count_colorings(alg, dia) == count_colorings_bruteforce(alg, dia)
-        assert [*dia._plans] == [n]
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_one_diagram_over_arbitrary_tables_of_other_sizes(self, data):
+        dia = data.draw(random_diagrams(max_regions=5, max_constraints=4))
+        first = data.draw(arbitrary_algebras(sizes=(2, 3, 4)))
+        assert count_colorings(first, dia) == count_colorings_bruteforce(first, dia)
+        sizes = tuple(k for k in (2, 3, 4) if k != first.n)
+        for alg in data.draw(st.lists(arbitrary_algebras(sizes=sizes), min_size=1, max_size=3)):
+            assert count_colorings(alg, dia) == count_colorings_bruteforce(alg, dia)

@@ -212,6 +212,12 @@ class TestEnumerateTribrackets:
         with pytest.raises(ValueError, match=field):
             EnumerationBudget(**{field: value})
 
+    @pytest.mark.parametrize("budget", [5, 0, False, "", (), 1.5, "x"])
+    def test_a_budget_that_is_not_an_enumeration_budget_is_refused(self, budget):
+        # a falsy one too: it is not taken for None and run unbounded
+        with pytest.raises(ShapeError, match="^the budget must be a EnumerationBudget, got "):
+            enumerate_tribrackets(3, budget=budget)
+
     @pytest.mark.parametrize("cap, timeout", [(1, 0.5), (168, 2), (None, 1e-9)])
     def test_good_caps_and_timeouts_are_kept(self, cap, timeout):
         budget = EnumerationBudget(cap, timeout)
