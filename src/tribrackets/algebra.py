@@ -9,7 +9,7 @@ int or an entry outside 1..n (a bool is not an int here), so nothing later
 checks entries again; they check a table as a whole, and search a table that
 fails for its first bad entry.  parse_algebra reads the tokens '1'..'n' through
 one map, and any other token cell by cell.  Each keyed table is built on first
-use from the forward table and a per-size layout (see :func:`_layout`).
+use from the forward table alone (see :func:`_keyed_table`), once per object.
 
 Each axiom is written once, as an entry of one ordered table: its name, the
 number of leading witness coordinates it ranges over, its witness length,
@@ -33,11 +33,11 @@ tribracket these imply the other product entries.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -53,6 +53,21 @@ def _require(value, kind: type, what: str) -> None:
     """Refuse an argument that is not a ``kind`` with a ShapeError naming it."""
     if not isinstance(value, kind):
         raise ShapeError(f"the {what} must be a {kind.__name__}, got {value!r}")
+
+
+def _require_sequence(value, what: str) -> None:
+    """Refuse a str, or anything but a sequence, where a sequence belongs."""
+    if isinstance(value, str) or not isinstance(value, Sequence):
+        raise ShapeError(f"the {what} must be a sequence, not {type(value).__name__}: {value!r}")
+
+
+def _keep_tuples(obj, *fields: str) -> None:
+    """Store each named sequence field of a checked frozen ``obj`` as a tuple, so that
+    it hashes, equals its parse and cannot change under a kept result; a tuple stays."""
+    for field in fields:
+        value = getattr(obj, field)
+        if type(value) is not tuple:
+            object.__setattr__(obj, field, tuple(value))
 
 
 class _LineError(ValueError):
@@ -95,6 +110,11 @@ class Violation:
     witness: tuple[int, ...]
     lhs: Optional[int]
     rhs: Optional[int]
+
+    def __post_init__(self):
+        if type(self.witness) is not tuple:  # the verifiers' own witnesses pass at once
+            _require_sequence(self.witness, "witness")
+            _keep_tuples(self, "witness")
 
 
 @dataclass(frozen=True)
@@ -557,48 +577,34 @@ def _keyed_table(fwd: tuple[int, ...], n: int, arity: int) -> tuple[int, ...]:
       and values that hold.
 
     The table has (n+1)**(arity+1) entries, against (arity+1)*n**arity for
-    one flat table per slot.  It is a copy of the defaults in the size's
-    :func:`_layout`, which is built once per size and arity, then written by
-    one pass over fwd for the closed and result-open keys and one per input
-    slot.
+    one flat table per slot.  Each call starts from every key's default (-1
+    with at most one open slot, 0 with more) and the key of each fwd index
+    with the result open, then writes one pass over fwd for the closed and
+    result-open keys and one per input slot; it keeps nothing between calls.
     """
-    default, keys, slots = _layout(n, arity)
-    table = list(default)
+    m = n + 1
+    # rows[z] lists the defaults over the trailing digits when the leading
+    # digits hold z open slots (2 standing for two or more); the last round
+    # needs only rows[0], so the table makes it
+    rows = ([-1], [-1], [0])
+    for _ in range(arity):
+        rows = (rows[1] + rows[0] * n, rows[2] + rows[1] * n, rows[2] * m)
+    table = rows[1] + rows[0] * n
+    strides = [m ** (arity - j) for j in range(arity)]
+    keys = [0]
+    for s in strides:
+        keys = [k + v for k in keys for v in range(s, m * s, s)]
     for k, d in zip(keys, fwd):
         if d:
             table[k] = d
             table[k + d] = 0
-    for s, xs in slots:
+    for j, s in enumerate(strides):  # slot j's value x at each fwd index
+        xs = [x for x in range(1, m) for _ in range(n ** (arity - 1 - j))] * n**j
         for k, x, d in zip(keys, xs, fwd):
             if d:  # the key with this slot open and the result d
                 k += d - x * s
                 table[k] = x if table[k] < 0 else 0
     return tuple(table)
-
-
-@functools.lru_cache(maxsize=16)
-def _layout(n: int, arity: int) -> tuple:
-    """What :func:`_keyed_table` reads of the size alone: the default of every
-    key (-1 with at most one open slot, 0 with more), the key of each fwd
-    index with the result open, and per input slot its stride and its value
-    at each fwd index.  An entry holds no table contents and costs about one
-    keyed table, 0.3 MB at n = 12 and 26 MB at n = 40; at most 16 are kept."""
-    m = n + 1
-    # rows[z] lists the defaults over the trailing digits when the leading
-    # digits hold z open slots (2 standing for two or more); the last round
-    # needs only rows[0], so the return makes it
-    rows = ([-1], [-1], [0])
-    for _ in range(arity):
-        rows = (rows[1] + rows[0] * n, rows[2] + rows[1] * n, rows[2] * m)
-    strides = [m ** (arity - j) for j in range(arity)]
-    keys = [0]
-    for s in strides:
-        keys = [k + v for k in keys for v in range(s, m * s, s)]
-    slots = tuple(
-        (s, tuple(x for x in range(1, m) for _ in range(n ** (arity - 1 - j))) * n**j)
-        for j, s in enumerate(strides)
-    )
-    return tuple(rows[1] + rows[0] * n), tuple(keys), slots
 
 
 def _slot_read(table: tuple[int, ...], slot, known: tuple[int, ...], n: int) -> int:

@@ -37,6 +37,8 @@ MATH_FAILURE = 1
 # In-process calls share each parsed algebra file by its text, and with it the keyed
 # tables cached on its frozen objects, in at most _CACHE_BYTES by the estimate in
 # _parse_shared: an entry is about 24 MB at n = 40, so a bound on entries would not do.
+# A keyed table's build keeps nothing past its object, so _CACHE_BYTES bounds everything
+# the process keeps per algebra.
 _CACHE_BYTES = 64 << 20
 _parsed: dict[str, tuple[tuple, int]] = {}  # text -> (pair, estimated bytes), oldest use first
 _held = 0  # the estimated bytes in _parsed

@@ -22,7 +22,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
-from .algebra import ShapeError, _bundled, _content, _LineError, _require
+from .algebra import _bundled, _content, _keep_tuples, _LineError, _require, _require_sequence
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+")
 _LINE_RE = re.compile(r"(name|kind)\s*=\s*(\S+)|(regions|crossing|vertex)\s*:\s*(.*)")
@@ -58,6 +58,7 @@ class Constraint:
             raise DiagramParseError(
                 f"{self.kind.value} constraint needs {want} regions, got {len(self.refs)}"
             )
+        _keep_tuples(self, "refs")
 
 
 @dataclass(frozen=True)
@@ -72,6 +73,7 @@ class Diagram:
         _require(self.kind, DiagramKind, "diagram kind")
         if not _check_regions(self.regions, constraints=self.constraints):
             raise DiagramParseError("a diagram needs at least one region")
+        _keep_tuples(self, "regions", "constraints")
 
     @functools.cached_property
     def _count_plan(self) -> tuple:
@@ -83,12 +85,6 @@ class Diagram:
 def _check_name(name: str) -> None:
     if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
         raise DiagramParseError(f"bad diagram name {name!r}")
-
-
-def _require_sequence(value, what: str) -> None:
-    """Refuse a str, or anything but a sequence, where a sequence belongs."""
-    if isinstance(value, str) or not isinstance(value, Sequence):
-        raise ShapeError(f"the {what} must be a sequence, not {type(value).__name__}: {value!r}")
 
 
 def _check_regions(regions: tuple, internal=(), constraints=(), merges=()) -> set[str]:

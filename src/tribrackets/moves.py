@@ -28,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .algebra import TribracketAlgebra, _require
+from .algebra import TribracketAlgebra, _keep_tuples, _require
 from .coloring import _compile, _solutions, _system
 from .diagram import Constraint, ConstraintKind, _check_regions
 
@@ -52,10 +52,17 @@ class LocalMovePair:
     requires_idempotent: bool = False
 
     def __post_init__(self):
-        """Refuse a side that is not a MoveFragment, or what _check_regions refuses."""
+        """Refuse a side that is not a MoveFragment, or what _check_regions refuses;
+        then keep tuples, each merge pair included."""
         for frag in (self.before, self.after):
             _require(frag, MoveFragment, "move fragment")
             _check_regions(self.boundary, frag.internal, frag.constraints, frag.merges)
+        _keep_tuples(self, "boundary")
+        for side in ("before", "after"):
+            frag = getattr(self, side)
+            kept = _frag(frag.internal, frag.constraints, map(tuple, frag.merges))
+            if kept != frag:
+                object.__setattr__(self, side, kept)
 
     @functools.cached_property
     def _compiled(self) -> tuple[tuple[list, list[int]], ...]:

@@ -31,7 +31,6 @@ from tribrackets import (
 from tribrackets.algebra import (
     BracketSlot,
     ProductSlot,
-    _layout,
     _report,
     product_solve,
     tribracket_solve,
@@ -457,6 +456,18 @@ class TestRecheckViolation:
             assert recheck_violation(v, t, p), v
             assert not recheck_violation(altered(v), t, p), v
 
+    def test_a_witness_given_as_a_list_reproduces(self):
+        bad = Tribracket(3, [[[1] * 3] * 3] * 3)
+        v = verify_tribracket(bad).violations[0]
+        listed = Violation(v.axiom, list(v.witness), v.lhs, v.rhs)
+        assert (listed, hash(listed)) == (v, hash(v))  # once False: a list is never a tuple
+        assert recheck_violation(listed, bad) and recheck_violation(v, bad)
+
+    @pytest.mark.parametrize("witness", [None, 1, "1111"], ids=["none", "int", "str"])
+    def test_a_witness_that_is_not_a_sequence_is_refused(self, witness):
+        with pytest.raises(ShapeError, match="^the witness must be a sequence, not "):
+            Violation("coherence-1", witness, 1, 2)
+
     @pytest.mark.parametrize(
         "violation, product, message",
         [
@@ -722,7 +733,7 @@ class TestKeyedTableDifferential:
             assert op.keyed_table == reference_keyed_table(forward(op), op.n, arity)
 
     def test_interleaved_sizes_and_arities_share_no_template(self, z3):
-        # one layout per (size, arity) serves every table of that size
+        # each table is built from its own forward table, whatever was built before
         ops = [
             z3, FULL_PRODUCT,
             alexander_tribracket(5, 1, 1), PartialProduct.diagonal(5),
@@ -743,11 +754,33 @@ class TestKeyedTableDifferential:
         t = alexander_tribracket(n, 1, 1)
         assert t.keyed_table == reference_keyed_table(forward(t), n, 3)
 
-    def test_the_layout_cache_keeps_at_most_16_sizes(self):
-        for n in range(1, 21):
-            assert PartialProduct.diagonal(n).keyed_table
-        info = _layout.cache_info()
-        assert (info.maxsize, info.currsize) == (16, 16)
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_diagonal_and_empty_products_match_the_reference(self, n):
+        for p in (PartialProduct.diagonal(n), PartialProduct.empty(n)):
+            assert p.keyed_table == reference_keyed_table(forward(p), n, 2)
+
+    @pytest.mark.parametrize("n", range(9, 13))
+    def test_linear_tables_to_n_12_match_the_reference(self, n):
+        x = max(units(n))  # n - 1, a unit other than 1
+        for t in (alexander_tribracket(n, 1, 1), alexander_tribracket(n, x, x)):
+            assert t.keyed_table == reference_keyed_table(forward(t), n, 3)
+
+
+class TestKeyedTableMemory:
+    def test_a_dropped_table_leaves_nothing_behind(self):
+        # each build keeps nothing past its object: 37 MB stayed here when a
+        # per-size layout was kept between builds
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for n in (20, 30, 40):
+                ops = alexander_tribracket(n, 1, 1), PartialProduct.diagonal(n)
+                assert all(op.keyed_table for op in ops)
+                del ops
+            left = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert left < 2**20, f"{left / 2**20:.1f} MB left"
 
 
 @st.composite

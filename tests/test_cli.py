@@ -1,7 +1,9 @@
+import gc
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,9 @@ from tribrackets import (
     ConstraintKind,
     Diagram,
     DiagramKind,
+    PartialProduct,
     Tribracket,
+    alexander_tribracket,
     builtin_move_pairs,
     parse_algebra,
     serialize_algebra,
@@ -613,6 +617,31 @@ class TestSharedParses:
         monkeypatch.setattr(tribrackets.cli, "_CACHE_BYTES", self.estimate(text))
         assert main(["verify", z3_full_path]) == 0
         assert list(tribrackets.cli._parsed) == [text]
+
+    @pytest.mark.parametrize("n", [12, 40])
+    def test_the_estimate_is_what_a_kept_parse_holds(self, capsys, parses, tmp_path, diagrams, n):
+        # _CACHE_BYTES bounds all a process keeps per algebra only if the estimate does
+        alg = tmp_path / "alg.alg"
+        alg.write_text(serialize_algebra(alexander_tribracket(n, 1, 1), PartialProduct.diagonal(n)))
+        dia = tmp_path / "genus2.dia"
+        dia.write_text(serialize_diagram(diagrams["genus2_link"]))
+        tracemalloc.start()
+        try:
+            gc.collect()  # empties the free lists, so that each new tuple is a traced block
+            assert main(["count", str(alg), str(dia)]) == 0
+            (tribracket, product), estimate = tribrackets.cli._parsed[parses[0]]
+            assert "keyed_table" in vars(tribracket) and "keyed_table" in vars(product)
+            del tribracket, product
+            gc.collect()  # frees what the count dropped
+            kept = tracemalloc.get_traced_memory()[0]
+            tribrackets.cli._parsed.clear()
+            parses.clear()  # the text, the entry's key
+            gc.collect()  # and the parse's tuples, which went to the free lists
+            held = kept - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert abs(estimate / held - 1) < 0.05, (estimate, held)
+        capsys.readouterr()
 
     def test_bundled_move_reports_cold_then_warm(self, capsys, parses):
         # the CI step on the built package runs the same four files twice in one process

@@ -1116,6 +1116,22 @@ class TestPlanKept:
         assert [ref() for ref in refs] == [None, None, None]
         assert "_count_plan" in vars(dia)
 
+    def test_a_list_changed_after_the_count_leaves_the_diagram_as_checked(self, full_algebra):
+        # a diagram once held the caller's list: appending this crossing after
+        # the first count left the kept plan reading 9 where both oracles read 3
+        vertex = Constraint(ConstraintKind.VERTEX, ("o", "p", "q"))
+        constraints = [vertex]
+        dia = Diagram("d", DiagramKind.SPATIAL_GRAPH, ["o", "p", "q"], constraints)
+        assert count_colorings(full_algebra, dia) == 9
+        constraints.append(Constraint(ConstraintKind.CROSSING, ["o", "p", "q", "q"]))
+        assert dia.constraints == (vertex,) and dia.regions == ("o", "p", "q")
+        assert count_colorings(full_algebra, dia) == 9
+        grown = Diagram("d", DiagramKind.SPATIAL_GRAPH, ["o", "p", "q"], constraints)
+        for d, count in ((dia, 9), (grown, 3)):
+            assert count_colorings(full_algebra, d) == count
+            assert count_colorings_bruteforce(full_algebra, d) == count
+            assert len(enumerate_colorings(full_algebra, d)) == count
+
     def test_the_argument_checks_stay_per_call(self, full_algebra, diag_algebra, diagrams):
         hopf = _fresh(diagrams["hopf_handlebody"])
         assert count_colorings(diag_algebra, hopf) == count_colorings_bruteforce(

@@ -247,6 +247,26 @@ class TestParse:
         assert len(d.constraints) == 1
 
 
+class TestStoredTuples:
+    """A diagram and its constraints keep tuples, whatever sequences they are given."""
+
+    def test_lists_are_stored_as_tuples(self):
+        crossing = Constraint(ConstraintKind.CROSSING, ["a", "b", "b", "a"])
+        dia = Diagram("d", DiagramKind.SPATIAL_GRAPH, ["a", "b"], [crossing])
+        assert type(crossing.refs) is tuple and crossing.refs == ("a", "b", "b", "a")
+        assert (dia.regions, dia.constraints) == (("a", "b"), (crossing,))
+        # once unhashable, and unequal to its own parse
+        parsed = parse_diagram(serialize_diagram(dia))
+        assert (parsed, hash(parsed)) == (dia, hash(dia))
+
+    def test_a_tuple_is_kept_as_given(self):
+        refs, regions = ("a", "b", "a"), ("a", "b")
+        vertex = Constraint(ConstraintKind.VERTEX, refs)
+        constraints = (vertex,)
+        dia = Diagram("d", DiagramKind.SPATIAL_GRAPH, regions, constraints)
+        assert vertex.refs is refs and dia.regions is regions and dia.constraints is constraints
+
+
 class TestBundled:
     def test_every_bundled_diagram_parses(self):
         names = [d.name for d in builtin_diagrams()]

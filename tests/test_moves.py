@@ -285,6 +285,28 @@ class TestMalformedPairs:
             LocalMovePair("m", ("a", "b"), MoveFragment((), (), (merge,)), self.EMPTY)
         assert str(err.value) == f"merge {merge!r} is not a pair of regions"
 
+    def test_a_list_changed_after_the_check_leaves_the_pair_as_checked(self, full_algebra):
+        # a pair once held the caller's list: appending this crossing after the
+        # first check left the kept schedule reporting PASS for a pair that fails
+        kink = _cross("w", "e", "e", "l")
+        constraints = [kink]
+        pair = LocalMovePair("k", ["w", "e"], MoveFragment(["l"], constraints), self.EMPTY)
+        assert check_move_invariance(full_algebra, pair).passed
+        constraints.append(_cross("w", "e", "w", "l"))
+        assert pair.before == MoveFragment(("l",), (kink,)) and pair.boundary == ("w", "e")
+        assert check_move_invariance(full_algebra, pair).passed
+        grown = LocalMovePair("k", ("w", "e"), MoveFragment(("l",), constraints), self.EMPTY)
+        report = check_move_invariance(full_algebra, grown)
+        assert report.summary() == "k  FAIL at e=2 w=1: 0 extensions vs 1"
+        assert report == oracle_check(full_algebra, grown)
+
+    def test_merge_pairs_are_stored_as_tuples(self):
+        poke = pairs_by_id()["R2a"]
+        after = MoveFragment([], [], [["s", "n"]])
+        pair = LocalMovePair("R2a", list(poke.boundary), poke.before, after)
+        assert pair == poke and hash(pair) == hash(poke)
+        assert pair.before is poke.before and pair.after.merges == (("s", "n"),)
+
     def test_every_builtin_pair_rebuilds(self):
         for pair in builtin_move_pairs():
             assert dataclasses.replace(pair) == pair
