@@ -15,7 +15,14 @@ would force it back from the regions still kept.  The search binds the keyed
 tables and walks on an explicit stack, so no diagram is too deep for the
 recursion limit: a branch tries 1..n, a forced region reads one entry of its
 constraint's keyed table, keyed by the values of the regions before it, and every
-value must hold in the constraints it closes.  Stepping back undoes nothing.  The
+value must hold in the constraints it closes.  Stepping back undoes nothing.
+
+A kept schedule is walked in two tiers.  Its first use (a diagram's first count,
+a move pair's first check) walks :func:`_solutions` and compiles nothing; from the
+second, :func:`_kernel` has turned each part into a generator of nested loops,
+compiled once whatever n, and the counter and the move harness run that instead.
+A kernel hands its schedule back to :func:`_solutions` where Python cannot compile
+it (21 loops or more) and, from scratch, where a read has several values.  The
 reference count_colorings_bruteforce shares only that numbering and slot order:
 it tests every assignment through bracket and mul.
 """
@@ -143,6 +150,54 @@ def _solutions(alg: TribracketAlgebra, schedule: list[tuple], val=None) -> Itera
         p += 1
 
 
+class _Several(Exception):
+    """A kernel's forced read has several values, which only a table that is not Latin
+    gives: its caller walks that schedule with :func:`_solutions` instead."""
+
+
+def _kernel(schedule: list[tuple], leaf: Sequence[int]):
+    """A generator function of an algebra, compiled once from a compiled schedule, that
+    yields the tuple of the ``leaf`` regions' values once per coloring, as
+    :func:`_solutions` would; None if Python cannot compile it (21 loops or more).
+
+    A branch is a loop over 1..n, and so is a forced region that fills several slots
+    of its read (the key has several open digits, so its entry is 0); each other forced
+    region is one read of its keyed table, whose none (-1) skips and whose several (0)
+    raises :class:`_Several`.  Each read a region closes is one test.  The source holds
+    only ints and fixed names, and binds only the tables its reads use."""
+    lines, tables, loops = [], set(), 0
+
+    def entry(kind, a, b, c, d, *fills, unset=None) -> str:
+        """The read's keyed-table entry, with region ``unset``'s digits left 0."""
+        table = "TV" if kind is ConstraintKind.VERTEX else "TX"
+        tables.add(table)
+        digits = [*zip((a, b, c, d), ("*M3", "*M2", "*m", ""))][table == "TV":]  # a pads
+        key = " + ".join(f"v{x}{place}" for x, place in digits if x != unset)
+        return f"{table}[{key or 0}]"
+
+    for r, force, closes in schedule:
+        pad, skip = "    " * (loops + 1), "continue" if loops else "return"
+        if force and sum(force[5:]) == 1:  # its entry is r's value
+            lines += [f"{pad}v{r} = {entry(*force, unset=r)}", f"{pad}if v{r} < 1:",
+                      f"{pad}    if v{r}: {skip}", f"{pad}    raise _Several"]
+        else:  # a branch, or r in several slots: filter every value
+            lines.append(f"{pad}for v{r} in span:")
+            pad, skip, loops = pad + "    ", "continue", loops + 1
+            closes = [force, *closes] if force else closes
+        lines += [f"{pad}if {entry(*x)}: {skip}" for x in closes]
+    lines.append(f"{'    ' * (loops + 1)}yield ({''.join(f'v{r}, ' for r in leaf)})")
+    binds = {"TX": "alg.tribracket.keyed_table", "TV": "alg.product.keyed_table"}
+    head = ["def kernel(alg):", "    m = alg.n + 1", "    span = range(1, m)",
+            "    M2 = m * m", "    M3 = M2 * m"]
+    source = "\n".join(head + [f"    {t} = {binds[t]}" for t in sorted(tables)] + lines)
+    namespace = {"_Several": _Several}
+    try:
+        exec(compile(source, "<kernel>", "exec"), namespace)
+    except (SyntaxError, RecursionError):  # e.g. too many statically nested blocks
+        return None
+    return namespace["kernel"]
+
+
 def _plan(
     regions: int, constraints: list[tuple[int, ...]], allowed: Sequence[int] = ()
 ) -> list[tuple[int, int | None, list]]:
@@ -219,14 +274,28 @@ def count_colorings(alg: TribracketAlgebra, dia: Diagram) -> int:
     """The number of valid region colorings of dia by alg: the product of the counts
     of the connected components, n for a region that no constraint touches.  It walks
     each component's part of the schedule, planned once from dia's structure and kept
-    on dia: the one it would get alone, or that of :func:`_fewer_branches`' regions."""
+    on dia: the one it would get alone, or that of :func:`_fewer_branches`' regions;
+    from dia's second count on, by each part's kernel, compiled once and kept on dia."""
     _check_args(alg, dia)
+    kept = "_count_plan" in vars(dia)  # the plan's first walk compiles nothing
     regions, parts = dia._count_plan
+    kernels = dia._count_kernels if kept else [None] * len(parts)
     count, val = alg.n ** (regions - sum(map(len, parts))), [0] * regions
-    for part in parts:
+    for part, kernel in zip(parts, kernels):
         if count:  # a factor 0 ends the search
-            count *= operator.countOf(_solutions(alg, part, val), val)  # it yields val
+            count *= _walk(alg, part, val, kernel)
     return count
+
+
+def _walk(alg: TribracketAlgebra, part: list[tuple], val: list[int], kernel) -> int:
+    """The number of colorings of one compiled part: by its kernel, if it has one and
+    meets no read with several values, else by :func:`_solutions` over val."""
+    if kernel:
+        try:
+            return operator.countOf(kernel(alg), ())
+        except _Several:  # count again from scratch
+            pass
+    return operator.countOf(_solutions(alg, part, val), val)  # it yields val
 
 
 def _count_plan(dia: Diagram) -> tuple[int, list[list[tuple]]]:

@@ -81,6 +81,12 @@ class Diagram:
         from .coloring import _count_plan  # coloring imports this module
         return _count_plan(self)
 
+    @functools.cached_property
+    def _count_kernels(self) -> list:
+        """Per part of the kept plan, its kernel or None, compiled on the second count."""
+        from .coloring import _kernel
+        return [_kernel(part, ()) for part in self._count_plan[1]]
+
 
 def _check_name(name: str) -> None:
     if not isinstance(name, str) or not _NAME_RE.fullmatch(name):

@@ -25,22 +25,38 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import itemgetter
 
 from .algebra import TribracketAlgebra, _keep_tuples, _require
-from .coloring import _compile, _solutions, _system
+from .coloring import _compile, _kernel, _Several, _solutions, _system
 from .diagram import Constraint, ConstraintKind, _check_regions
 
 _C = ConstraintKind.CROSSING
 _V = ConstraintKind.VERTEX
 
 
+def _tuple(value):
+    """value as a tuple if it is a sequence and not a str, else value, for the checks
+    of the pair it joins to refuse."""
+    return tuple(value) if isinstance(value, Sequence) and not isinstance(value, str) else value
+
+
 @dataclass(frozen=True)
 class MoveFragment:
-    internal: tuple[str, ...]
-    constraints: tuple[Constraint, ...]
+    internal: tuple[str, ...] = ()
+    constraints: tuple[Constraint, ...] = ()
     merges: tuple[tuple[str, str], ...] = ()
+
+    def __post_init__(self):
+        """Keep tuples, each merge pair included; a pair checks the rest."""
+        merges = _tuple(self.merges)
+        if type(merges) is tuple:
+            merges = tuple(map(_tuple, merges))
+        for field, value in (("internal", _tuple(self.internal)),
+                             ("constraints", _tuple(self.constraints)), ("merges", merges)):
+            object.__setattr__(self, field, value)
 
 
 @dataclass(frozen=True)
@@ -53,21 +69,22 @@ class LocalMovePair:
 
     def __post_init__(self):
         """Refuse a side that is not a MoveFragment, or what _check_regions refuses;
-        then keep tuples, each merge pair included."""
+        then keep the boundary as a tuple."""
         for frag in (self.before, self.after):
             _require(frag, MoveFragment, "move fragment")
             _check_regions(self.boundary, frag.internal, frag.constraints, frag.merges)
         _keep_tuples(self, "boundary")
-        for side in ("before", "after"):
-            frag = getattr(self, side)
-            kept = _frag(frag.internal, frag.constraints, map(tuple, frag.merges))
-            if kept != frag:
-                object.__setattr__(self, side, kept)
 
     @functools.cached_property
     def _compiled(self) -> tuple[tuple[list, list[int]], ...]:
         """Per side, its search schedule and boundary indices; built on the first check."""
         return tuple(_compile_fragment(self.boundary, frag) for frag in (self.before, self.after))
+
+    @functools.cached_property
+    def _kernels(self) -> tuple:
+        """Per side, the kernel yielding its boundary values, or None; compiled on the
+        second check."""
+        return tuple(_kernel(schedule, ends) for schedule, ends in self._compiled)
 
 
 @dataclass(frozen=True)
@@ -92,10 +109,6 @@ def _v(left: str, middle: str, right: str) -> Constraint:
     return Constraint(_V, (left, middle, right))
 
 
-def _frag(internal=(), constraints=(), merges=()) -> MoveFragment:
-    return MoveFragment(tuple(internal), tuple(constraints), tuple(merges))
-
-
 def builtin_move_pairs() -> list[LocalMovePair]:
     """One pair per generating move, plus the oriented kink/poke variants.
 
@@ -116,7 +129,9 @@ def _move_pairs() -> tuple[LocalMovePair, ...]:
         ("R1c", _x("e", "w", "w", "l")),
         ("R1d", _x("l", "w", "w", "e")),
     ):
-        pairs.append(LocalMovePair(move_id, ("w", "e"), _frag(("l",), (con,)), _frag()))
+        pairs.append(
+            LocalMovePair(move_id, ("w", "e"), MoveFragment(("l",), (con,)), MoveFragment())
+        )
 
     # pokes: two crossings sharing the bigon p; removing them merges the gaps
     for move_id, c1, c2 in (
@@ -129,8 +144,8 @@ def _move_pairs() -> tuple[LocalMovePair, ...]:
             LocalMovePair(
                 move_id,
                 ("w", "e", "s", "n"),
-                before=_frag(("p",), (c1, c2)),
-                after=_frag(merges=(("s", "n"),)),
+                before=MoveFragment(("p",), (c1, c2)),
+                after=MoveFragment(merges=(("s", "n"),)),
             )
         )
 
@@ -139,11 +154,11 @@ def _move_pairs() -> tuple[LocalMovePair, ...]:
         LocalMovePair(
             "R3a",
             ("a", "b", "c", "d", "x", "y"),
-            before=_frag(
+            before=MoveFragment(
                 ("t",),
                 (_x("b", "c", "d", "t"), _x("a", "b", "t", "x"), _x("x", "t", "d", "y")),
             ),
-            after=_frag(
+            after=MoveFragment(
                 ("u",),
                 (_x("a", "b", "c", "u"), _x("u", "c", "d", "y"), _x("a", "u", "y", "x")),
             ),
@@ -156,22 +171,22 @@ def _move_pairs() -> tuple[LocalMovePair, ...]:
             LocalMovePair(
                 move_id,
                 ("a", "b", "m"),
-                before=_frag(constraints=(_v("a", "m", "b"),)),
-                after=_frag(("t",), (_v("a", "t", "b"), con)),
+                before=MoveFragment(constraints=(_v("a", "m", "b"),)),
+                after=MoveFragment(("t",), (_v("a", "t", "b"), con)),
             )
         )
 
     # vertex slides past a strand, one variant per r5 family
     for move_id, before, after in (
-        ("R5.7", _frag(("q",), (_x("a", "b", "c", "q"), _v("a", "p", "q"))),
-         _frag(("r",), (_v("b", "r", "c"), _x("a", "b", "r", "p")))),
-        ("R5.10", _frag(("q",), (_x("a", "b", "c", "q"), _v("q", "p", "c"))),
-         _frag(("r",), (_v("a", "r", "b"), _x("r", "b", "c", "p")))),
-        ("R5.13", _frag(("r",), (_v("b", "r", "c"), _x("a", "b", "c", "p"))),
-         _frag(("r", "s"),
+        ("R5.7", MoveFragment(("q",), (_x("a", "b", "c", "q"), _v("a", "p", "q"))),
+         MoveFragment(("r",), (_v("b", "r", "c"), _x("a", "b", "r", "p")))),
+        ("R5.10", MoveFragment(("q",), (_x("a", "b", "c", "q"), _v("q", "p", "c"))),
+         MoveFragment(("r",), (_v("a", "r", "b"), _x("r", "b", "c", "p")))),
+        ("R5.13", MoveFragment(("r",), (_v("b", "r", "c"), _x("a", "b", "c", "p"))),
+         MoveFragment(("r", "s"),
                (_v("b", "r", "c"), _x("a", "b", "r", "s"), _x("s", "r", "c", "p")))),
-        ("R5.16", _frag(("r",), (_v("a", "r", "b"), _x("a", "b", "c", "p"))),
-         _frag(("r", "s"),
+        ("R5.16", MoveFragment(("r",), (_v("a", "r", "b"), _x("a", "b", "c", "p"))),
+         MoveFragment(("r", "s"),
                (_v("a", "r", "b"), _x("r", "b", "c", "s"), _x("a", "r", "s", "p")))),
     ):
         pairs.append(LocalMovePair(move_id, ("a", "b", "c", "p"), before, after))
@@ -181,8 +196,8 @@ def _move_pairs() -> tuple[LocalMovePair, ...]:
         LocalMovePair(
             "IH",
             ("w", "n", "e", "s"),
-            before=_frag(constraints=(_v("w", "n", "s"), _v("s", "n", "e"))),
-            after=_frag(constraints=(_v("w", "s", "e"), _v("w", "n", "e"))),
+            before=MoveFragment(constraints=(_v("w", "n", "s"), _v("s", "n", "e"))),
+            after=MoveFragment(constraints=(_v("w", "s", "e"), _v("w", "n", "e"))),
             requires_idempotent=True,
         )
     )
@@ -195,8 +210,17 @@ def _compile_fragment(boundary: tuple[str, ...], frag: MoveFragment) -> tuple[li
     return _compile(regions, system), [index[r] for r in boundary]
 
 
-def _tally(alg: TribracketAlgebra, schedule: list, ends: list[int]) -> Counter[tuple[int, ...]]:
-    """The number of fragment colorings restricting to each boundary coloring."""
+def _tally(
+    alg: TribracketAlgebra, schedule: list, ends: list[int], kernel=None
+) -> Counter[tuple[int, ...]]:
+    """The number of fragment colorings restricting to each boundary coloring: by the
+    side's kernel, if it has one and meets no read with several values, else by
+    :func:`_solutions`."""
+    if kernel:
+        try:
+            return Counter(kernel(alg))
+        except _Several:  # tally again from scratch
+            pass
     # itemgetter needs an index, and returns a tuple only for two or more
     end_values = itemgetter(*ends) if len(ends) > 1 else lambda val: tuple(val[i] for i in ends)
     return Counter(map(end_values, _solutions(alg, schedule)))
@@ -210,7 +234,8 @@ def check_move_invariance(alg: TribracketAlgebra, pair: LocalMovePair) -> MoveCh
     """
     _require(alg, TribracketAlgebra, "algebra")
     _require(pair, LocalMovePair, "move pair")
-    before, after = (_tally(alg, *side) for side in pair._compiled)
+    kernels = pair._kernels if "_compiled" in vars(pair) else (None, None)  # from the 2nd
+    before, after = (_tally(alg, *side, kernel) for side, kernel in zip(pair._compiled, kernels))
     if before.items() == after.items():  # counted tallies hold positive counts only
         return MoveCheckReport(pair.move_id, True)
     differ = [k for k in before.keys() | after.keys() if before[k] != after[k]]

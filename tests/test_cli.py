@@ -547,7 +547,8 @@ class TestSharedParses:
 
     @staticmethod
     def estimate(text, n=3):
-        return len(text) + 8 * ((n + 1) ** 4 + (n + 1) ** 3 + n**3 + n**2)
+        cells, tuples = (n + 1) ** 4 + (n + 1) ** 3 + n**3 + n**2, n * n + 2 * n + 4
+        return len(text) + 8 * cells + 40 * tuples + 860
 
     def write(self, tmp_path, name, product):
         path = tmp_path / f"{name}.alg"
@@ -618,7 +619,7 @@ class TestSharedParses:
         assert main(["verify", z3_full_path]) == 0
         assert list(tribrackets.cli._parsed) == [text]
 
-    @pytest.mark.parametrize("n", [12, 40])
+    @pytest.mark.parametrize("n", [3, 12, 40])
     def test_the_estimate_is_what_a_kept_parse_holds(self, capsys, parses, tmp_path, diagrams, n):
         # _CACHE_BYTES bounds all a process keeps per algebra only if the estimate does
         alg = tmp_path / "alg.alg"

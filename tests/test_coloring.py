@@ -3,6 +3,7 @@ import functools
 import gc
 import hashlib
 import itertools
+import operator
 import random
 import re
 import weakref
@@ -36,7 +37,7 @@ from tribrackets import (
     serialize_diagram,
     verify_algebra,
 )
-from tribrackets import coloring
+from tribrackets import coloring, moves
 from tribrackets.coloring import _compile, _plan, _solutions, _system
 from tribrackets.moves import _compile_fragment
 from tests.conftest import arbitrary_algebras, census_algebras, k2_cases
@@ -469,10 +470,8 @@ class TestDisjointUnions:
     def test_a_factor_zero_ends_the_search(self, monkeypatch, cyc_algebra, diagrams):
         # k2 is connected and counts 0, so only the first of three copies is walked
         walks = []
-        solutions = coloring._solutions
-        monkeypatch.setattr(
-            coloring, "_solutions", lambda *args: walks.append(args) or solutions(*args)
-        )
+        walk = coloring._walk
+        monkeypatch.setattr(coloring, "_walk", lambda *args: walks.append(args) or walk(*args))
         k2 = diagrams["k2"]
         assert count_colorings(cyc_algebra, _union([k2, k2, k2], free=("f",))) == 0
         assert len(walks) == 1
@@ -859,7 +858,7 @@ class TestCompileDigest:
 
 def _walks(alg, dia):
     """count_colorings(alg, dia), and the parts of the schedule it walked."""
-    with mock.patch.object(coloring, "_solutions", wraps=coloring._solutions) as spy:
+    with mock.patch.object(coloring, "_walk", wraps=coloring._walk) as spy:
         count = count_colorings(alg, dia)
     return count, [call.args[1] for call in spy.call_args_list]
 
@@ -1161,3 +1160,124 @@ class TestPlanKept:
         sizes = tuple(k for k in (2, 3, 4) if k != first.n)
         for alg in data.draw(st.lists(arbitrary_algebras(sizes=sizes), min_size=1, max_size=3)):
             assert count_colorings(alg, dia) == count_colorings_bruteforce(alg, dia)
+
+
+def _kernel_colorings(alg, schedule, leaf):
+    """The kernel's yields, sorted, or None where it meets a read with several values."""
+    kernel = coloring._kernel(schedule, leaf)
+    try:
+        return sorted(kernel(alg))
+    except coloring._Several:
+        return None
+
+
+def _brute_colorings(alg, regions, system):
+    """Every assignment of regions 0..regions-1 that holds in the system, sorted."""
+    ops = {ConstraintKind.CROSSING: alg.tribracket.bracket, ConstraintKind.VERTEX: alg.product.mul}
+    return [
+        val for val in itertools.product(range(1, alg.n + 1), repeat=regions)
+        if all(ops[kind](*(val[i] for i in refs[:-1])) == val[refs[-1]] for kind, refs in system)
+    ]
+
+
+def _hub(size):
+    """size vertices (h, m_i, x_i) on one hub region h: each needs a branch on m_i or x_i,
+    so the part's kernel would nest size + 1 loops.  Under a diagonal product it counts n."""
+    regions = ("h", *(f"{r}{i}" for i in range(size) for r in "mx"))
+    return _diagram(regions, [
+        Constraint(ConstraintKind.VERTEX, ("h", f"m{i}", f"x{i}")) for i in range(size)
+    ])
+
+
+class TestKernels:
+    """From its second use a kept plan is walked by kernels, compiled Python generators
+    that yield what _solutions yields, or meet a read with several values and leave the
+    schedule to _solutions."""
+
+    @given(alg=arbitrary_algebras(sizes=(1, 2, 3)) | st.sampled_from(census_algebras()),
+           dia=random_diagrams(max_regions=5, max_constraints=4))
+    @settings(max_examples=300, deadline=None)
+    def test_a_kernel_lists_what_the_search_and_brute_force_list(self, alg, dia):
+        # arbitrary tables hold entries -1 and 0, and a drawn region may fill several slots
+        regions, system, _ = _system(dia.regions, dia.constraints)
+        schedule = _compile(regions, system)
+        walked = sorted(tuple(val) for val in _solutions(alg, schedule))
+        assert walked == _brute_colorings(alg, regions, system)
+        listed = _kernel_colorings(alg, schedule, range(regions))
+        assert listed in (None, walked)
+        if all(kind is ConstraintKind.CROSSING for kind, _ in system):
+            # a verified tensor is Latin in every slot, so no read has several values
+            assert listed is not None or alg not in census_algebras()
+
+    @given(alg=arbitrary_algebras(), case=disjoint_unions())
+    @settings(max_examples=150, deadline=None)
+    def test_union_counts_by_kernel_match_brute_force(self, alg, case):
+        _, _, union = case
+        expected = count_colorings_bruteforce(alg, union)
+        assert [count_colorings(alg, union) for _ in range(3)] == [expected] * 3
+        regions, parts = union._count_plan
+        for part, kernel in zip(parts, union._count_kernels):
+            walked = sum(1 for _ in _solutions(alg, part, [0] * regions))
+            try:
+                assert operator.countOf(kernel(alg), ()) == walked
+            except coloring._Several:
+                pass
+
+    def test_a_read_with_several_values_leaves_the_part_to_the_search(self):
+        # r is forced by a product read with two values; the kernel hands the part back
+        alg = TribracketAlgebra(
+            alexander_tribracket(2, 1, 1), PartialProduct(2, ((1, 1), (None, 2)))
+        )
+        dia = _diagram(("l", "m", "r"), (Constraint(ConstraintKind.VERTEX, ("l", "m", "r")),))
+        assert [count_colorings(alg, dia) for _ in range(3)] == [3] * 3
+        (part,) = dia._count_plan[1]
+        with pytest.raises(coloring._Several):
+            list(dia._count_kernels[0](alg))
+        assert sorted(tuple(v) for v in _solutions(alg, part)) == _brute_colorings(
+            alg, *_system(dia.regions, dia.constraints)[:2]
+        )
+
+    def test_a_part_of_more_than_20_loops_is_walked_by_the_search(self):
+        # Python refuses more than 20 statically nested blocks; 23 loops fall back
+        dia = _hub(22)
+        assert _branches(dia._count_plan[1][0]) == 23
+        for n in (1, 2, 3, 4):
+            alg = _linear(n)
+            assert [count_colorings(alg, dia) for _ in range(3)] == [n] * 3
+        assert dia._count_kernels == [None]
+        small = _hub(5)
+        assert [count_colorings(_linear(3), small) for _ in range(2)] == [3, 3]
+        assert small._count_kernels[0] is not None
+
+    def test_the_first_count_and_the_first_check_compile_nothing(self, monkeypatch, diagrams):
+        compiled = []
+        kernel = coloring._kernel
+        spy = lambda *args: compiled.append(args) or kernel(*args)  # noqa: E731
+        monkeypatch.setattr(coloring, "_kernel", spy)
+        monkeypatch.setattr(moves, "_kernel", spy)
+        alg = load_bundled_algebra("z3_full")
+        dia = _fresh(diagrams["theta"])
+        pair = dataclasses.replace(builtin_move_pairs()[0])
+        assert count_colorings(alg, dia) == 9
+        assert check_move_invariance(alg, pair).passed
+        assert compiled == [] and "_count_kernels" not in vars(dia)
+        assert "_kernels" not in vars(pair)
+        assert count_colorings(alg, dia) == 9
+        assert len(compiled) == len(dia._count_plan[1])
+        assert check_move_invariance(alg, pair).passed
+        assert len(compiled) == len(dia._count_plan[1]) + 2  # one kernel per side
+        assert count_colorings(alg, dia) == 9 and check_move_invariance(alg, pair).passed
+        assert len(compiled) == len(dia._count_plan[1]) + 2
+
+    def test_a_kernel_leaves_a_table_it_does_not_read_unbuilt(self):
+        crossing = Constraint(ConstraintKind.CROSSING, ("a", "b", "c", "d"))
+        vertex = Constraint(ConstraintKind.VERTEX, ("a", "b", "c"))
+        for con, used, unused in ((crossing, "tribracket", "product"),
+                                  (vertex, "product", "tribracket")):
+            dia = _diagram(("a", "b", "c", "d"), (con,))
+            count_colorings(_linear(3), dia)  # the first count walks the search
+            alg = _linear(3)
+            assert count_colorings(alg, dia) == count_colorings(alg, dia)
+            assert all(dia._count_kernels)
+            assert "keyed_table" in vars(getattr(alg, used))
+            assert "keyed_table" not in vars(getattr(alg, unused))

@@ -306,6 +306,11 @@ class TestMalformedPairs:
         pair = LocalMovePair("R2a", list(poke.boundary), poke.before, after)
         assert pair == poke and hash(pair) == hash(poke)
         assert pair.before is poke.before and pair.after.merges == (("s", "n"),)
+        # a fragment built from lists keeps tuples itself, so it is the pair's copy
+        before = MoveFragment(list(poke.before.internal), list(poke.before.constraints))
+        pair = LocalMovePair("R2a", poke.boundary, before, after)
+        assert pair.before == before == poke.before and hash(before) == hash(poke.before)
+        assert pair.after == after and hash(after) == hash(poke.after)
 
     def test_every_builtin_pair_rebuilds(self):
         for pair in builtin_move_pairs():
@@ -701,3 +706,42 @@ class TestBruteForceOracle:
         for alg in all_verified_z3_algebras() + [z4_algebra]:
             for pair in builtin_move_pairs():
                 assert check_move_invariance(alg, pair) == oracle_check(alg, pair)
+
+
+@st.composite
+def merged_fragments(draw):
+    """A boundary of 2-4 regions, and a fragment of 0-2 internal regions, 0-3 crossings
+    or vertices drawn from all of them (a region may fill several slots), and 0-2 merges
+    of boundary regions into one."""
+    boundary = tuple(f"b{i}" for i in range(draw(st.integers(min_value=2, max_value=4))))
+    internal = tuple(f"i{i}" for i in range(draw(st.integers(min_value=0, max_value=2))))
+    region = st.sampled_from(boundary + internal)
+    cons = []
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        kind = draw(st.sampled_from((ConstraintKind.CROSSING, ConstraintKind.VERTEX)))
+        arity = 4 if kind is ConstraintKind.CROSSING else 3
+        cons.append(Constraint(kind, tuple(draw(region) for _ in range(arity))))
+    order = draw(st.permutations(boundary))
+    merged = draw(st.integers(min_value=0, max_value=min(2, len(boundary) - 1)))
+    return boundary, MoveFragment(internal, cons, [(order[0], r) for r in order[1:merged + 1]])
+
+
+class TestKernelTallies:
+    """From a pair's second check each side is tallied by a kernel that yields its
+    boundary values; it tallies what the search does, or leaves the side to it."""
+
+    @given(alg=arbitrary_algebras() | st.sampled_from(census_algebras()[:40]),
+           case=merged_fragments())
+    @settings(max_examples=200, deadline=None)
+    def test_kernel_tallies_match_the_search_and_the_oracle(self, alg, case):
+        boundary, frag = case
+        schedule, ends = _compile_fragment(boundary, frag)
+        walked = _tally(alg, schedule, ends)
+        kernel = coloring._kernel(schedule, ends)
+        try:
+            assert Counter(kernel(alg)) == walked
+        except coloring._Several:
+            pass
+        assert _tally(alg, schedule, ends, kernel) == walked
+        for values in itertools.product(range(1, alg.n + 1), repeat=len(boundary)):
+            assert walked[values] == oracle_extensions(alg, frag, dict(zip(boundary, values)))
