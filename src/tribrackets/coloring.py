@@ -3,19 +3,20 @@
 The coloring rule is stated once, by :func:`_system`: it numbers the regions and
 gives each constraint's regions in slot order, inputs first, the result last.
 One exact search, :func:`_solutions`, reads it for the counter, the listing and
-the move harness.  :func:`_compile` fixes from structure alone (once per listing,
+the move harness.  :func:`_plan` fixes from structure alone (once per listing,
 move pair, or diagram for the counter, which keeps it on the diagram whatever n)
 the order the search colors regions in and, for each region, the constraint that
 forces it (none for a branch; a constraint forces its last uncolored region) and
 those it closes.  The listing and the move harness walk that schedule jointly;
 the counter walks each connected component's part of it alone and multiplies the
-counts.  A part is planned again on the regions a peel keeps, if they are fewer
-than it branches on: the peel drops, one at a time, a region whose constraint
-would force it back from the regions still kept.  The search binds the keyed
-tables and walks on an explicit stack, so no diagram is too deep for the
-recursion limit: a branch tries 1..n, a forced region reads one entry of its
-constraint's keyed table, keyed by the values of the regions before it, and every
-value must hold in the constraints it closes.  Stepping back undoes nothing.
+counts.  A part is rescheduled on the regions a peel keeps, if fewer than it
+branches on: the peel drops, one at a time, a region that a constraint would force
+back from the regions still kept, so in reverse each dropped region is forced from
+the kept ones and those dropped after it.  The search binds the keyed tables and
+walks on an explicit stack, so no diagram is too deep for the recursion limit: a
+branch tries 1..n, a forced region reads one entry of its constraint's keyed table,
+keyed by the values of the regions before it, and every value must hold in the
+constraints it closes.  Stepping back undoes nothing.
 
 A kept schedule is walked in two tiers.  Its first use (a diagram's first count,
 a move pair's first check) walks :func:`_solutions` and compiles nothing; from the
@@ -74,23 +75,23 @@ def _system(names: Sequence[str], constraints: Sequence[Constraint], merges=()) 
     return regions, system, index
 
 
-def _compile(regions: int, system: Sequence[tuple[ConstraintKind, tuple[int, ...]]], *allowed):
-    """The schedule of :func:`_plan` over regions 0..regions-1, from structure alone,
-    branching on the ``allowed`` regions, if given, before any other.
+def _compile(regions: int, system: Sequence[tuple[ConstraintKind, tuple[int, ...]]]):
+    """The reads of :func:`_plan`'s schedule of a ``system`` as :func:`_system` gives it."""
+    return _reads(system, _plan(regions, [refs for _, refs in system]))
 
-    ``system`` is as :func:`_system` gives it.  Per position: r, the read of its
-    forcing constraint (False for a branch) and those of the constraints it closes.
-    A read is the kind, four regions whose values are the key's digits while r
-    reads 0, and for each digit whether r fills it."""
+
+def _reads(system: Sequence[tuple[ConstraintKind, tuple[int, ...]]], steps: list[tuple]):
+    """Per step (r, forcing constraint or None, closed constraints) of a schedule of
+    ``system``: r, the read of its forcing constraint (False for a branch) and those of
+    the others it closes.  A read is the kind, four regions whose values are the key's
+    digits while r reads 0, and for each digit whether r fills it."""
     def read(i: int, r: int) -> tuple:
         kind, refs = system[i]  # r pads a vertex's first digit, which r does not fill
         a, b, c, d = refs if len(refs) == 4 else (r, *refs)
         return kind, a, b, c, d, len(refs) == 4 and a == r, b == r, c == r, d == r
 
-    return [
-        (r, f is not None and read(f, r), closes and [read(i, r) for i in closes if i != f])
-        for r, f, closes in _plan(regions, [refs for _, refs in system], *allowed)
-    ]
+    return [(r, f is not None and read(f, r), closes and [read(i, r) for i in closes if i != f])
+            for r, f, closes in steps]
 
 
 def _solutions(alg: TribracketAlgebra, schedule: list[tuple], val=None) -> Iterator[list[int]]:
@@ -198,9 +199,7 @@ def _kernel(schedule: list[tuple], leaf: Sequence[int]):
     return namespace["kernel"]
 
 
-def _plan(
-    regions: int, constraints: list[tuple[int, ...]], allowed: Sequence[int] = ()
-) -> list[tuple[int, int | None, list]]:
+def _plan(regions: int, constraints: list[tuple[int, ...]]) -> list[tuple[int, int | None, list]]:
     """The search's schedule: each region in the order it is colored (fail
     first), with the constraint forcing it (None for a branch) and those it closes.
 
@@ -212,18 +211,12 @@ def _plan(
     then the lowest index.  r's heap key is one int whose digits are the
     constraint count less each score, then r; it is pushed again only when a
     score rises.  Stale keys are skipped: O((R + slots) log R).
-
-    Given ``allowed``, any other region's key sorts after all of theirs.  So
-    allowing the regions the plan branches on unasked changes nothing, and nor
-    does allowing none of a connected component's, whose keys all rise alike.
     """
     sets = [{*refs} for refs in constraints]  # per constraint: its regions
     left = list(map(len, sets))  # per constraint: its uncolored regions
     top, base = len(sets), max(len(sets), regions) + 1
     first, second = base**3, base**2  # a key's drop when its first or second score rises by 1
     key = [((top * base + top) * base + top) * base + r for r in range(regions)]
-    for r in set(range(regions)).difference(allowed) if allowed else ():
-        key[r] += base**4  # above any key of a region allowed to branch
     touch: list[list[int]] = [[] for _ in range(regions)]  # constraints per region
     for i, s in enumerate(sets):
         drop = base + (len(s) == 2) * first  # r's degree rises, and its first score if i is a pair
@@ -299,7 +292,8 @@ def _walk(alg: TribracketAlgebra, part: list[tuple], val: list[int], kernel) -> 
 
 
 def _count_plan(dia: Diagram) -> tuple[int, list[list[tuple]]]:
-    """dia's number of regions, and the compiled parts count_colorings walks at any n."""
+    """dia's number of regions, and the compiled parts count_colorings walks at any n:
+    each connected component's part of the plan, as :func:`_fewer_branches` leaves it."""
     regions, system, _ = _system(dia.regions, dia.constraints)
     parent = list(range(regions))
 
@@ -309,61 +303,65 @@ def _count_plan(dia: Diagram) -> tuple[int, list[list[tuple]]]:
         return r
 
     for _, refs in system:
-        root = find(refs[0])
         for r in refs:
-            parent[find(r)] = root
-
-    def walks(schedule: list[tuple]) -> list[list[tuple]]:
-        parts: dict[int, list[tuple]] = {}
-        for step in schedule:
-            if not step[1]:  # a branch, then the regions it forces, all in its component
-                part = parts.setdefault(find(step[0]), [])
-            part.append(step)
-        # a part of one region that closes no constraint is a region no constraint touches
-        return [part for part in parts.values() if len(part) > 1 or part[0][2]]
-
-    parts = walks(_compile(regions, system))
-    allowed = [r for part in parts for r in _fewer_branches(part)]
-    if allowed:  # a part without an allowed region keeps its schedule
-        parts = walks(_compile(regions, system, allowed))
-    return regions, parts
+            parent[find(r)] = find(refs[0])
+    parts: dict[int, list[tuple]] = {}
+    for step in _plan(regions, [refs for _, refs in system]):
+        if step[1] is None:  # a branch, then the regions it forces, all in its component
+            part = parts.setdefault(find(step[0]), [])
+        part.append(step)
+    # a part of one region that closes no constraint is a region no constraint touches
+    return regions, [_reads(system, _fewer_branches(part, system))
+                     for part in parts.values() if len(part) > 1 or part[0][2]]
 
 
-def _fewer_branches(part: list[tuple]) -> list[int]:
-    """The regions a peel of a compiled part keeps, if fewer than the b it branches on;
-    else [].  While a kept region lies in a constraint whose 2+ distinct regions are all
-    kept, it drops the one in the fewest such, the earliest first: that constraint forces
-    it from the rest, so the kept regions force the part.  Skipped where fewer than b
-    cannot: R less the distinct region sets is b or more (each forces one at most), or
-    no set has b regions or fewer (k force one only through k + 1).  O(slots log R)."""
-    size, branches = len(part), [step[1] for step in part].count(False)
-    if branches < 2 or not any(map(operator.itemgetter(2), part)):
-        return []  # each read forces a region: R less the reads is b
-    sets = {s for _, f, shut in part for x in (f, *shut)
-            if x and len(s := frozenset(x[1:5])) > 1}
-    if size - len(sets) >= branches or min(map(len, sets)) > branches:
-        return []
+def _fewer_branches(part: list[tuple], system: Sequence[tuple]) -> list[tuple]:
+    """A planned part, rescheduled on the regions a peel keeps if fewer than the b it
+    branches on.  While a kept region lies in a constraint whose 2+ distinct regions are
+    all kept, the peel drops the one in the fewest such, the earliest first: each such
+    constraint would force it from the rest.  So the kept regions branch first, in plan
+    order, then each dropped region, the last dropped first, is forced by the first
+    constraint it was dropped from, and each constraint closes at its last region.
+    Skipped where fewer than b cannot: R less the distinct region sets is b or more
+    (each forces one at most), or no set has b regions or fewer (k force one only
+    through k + 1).  O(slots log R)."""
+    size, branches = len(part), [step[1] for step in part].count(None)
+    closed = sorted(i for _, _, shut in part for i in shut)  # each constraint closes once
+    if branches < 2 or len(closed) == size - branches:
+        return part  # each constraint forces a region: R less them is b
+    # per distinct set of 2+ regions, its first constraint
+    first = {s: i for i in reversed(closed) if len(s := frozenset(system[i][1])) > 1}
+    if size - len(first) >= branches or min(map(len, first)) > branches:
+        return part
     at = {r: p for p, (r, _, _) in enumerate(part)}
-    sets = [[*map(at.get, s)] for s in sets]
+    sets = {i: [*map(at.get, s)] for s, i in first.items()}
     touch: list[list[int]] = [[] for _ in part]  # per position: its sets
-    for i, s in enumerate(sets):
+    for i, s in sets.items():
         for p in s:
             touch[p].append(i)
     live = [len(t) for t in touch]  # per position: its sets with every region kept
     heap = [d * size + p for p, d in enumerate(live) if d]
     heapq.heapify(heap)
+    forced: dict[int, int] = {}  # per dropped position, in drop order: its constraint
     while heap:
         d, p = divmod(heapq.heappop(heap), size)
         if d == live[p]:  # not stale: drop p, which ends each of its live sets
+            forced[p] = min(i for i in touch[p] if sets[i])
             for i in touch[p]:
                 for q in sets[i]:
                     live[q] -= 1
                     if live[q]:
                         heapq.heappush(heap, live[q] * size + q)
                 sets[i] = ()  # ended
-            live[p] = -1
-    kept = [r for r, d in zip(at, live) if d >= 0]
-    return kept if len(kept) < branches else []
+    order = [p for p in range(size) if p not in forced]
+    if len(order) >= branches:
+        return part
+    order += reversed(forced)
+    now = {part[p][0]: k for k, p in enumerate(order)}
+    shut: list[list[int]] = [[] for _ in order]
+    for i in closed:
+        shut[max(now[r] for r in system[i][1])].append(i)
+    return [(part[p][0], forced.get(p), s) for p, s in zip(order, shut)]
 
 
 class BruteForceCapError(ValueError):
