@@ -68,13 +68,14 @@ def _parse_shared(text: str) -> tuple:
     entry = _parsed.pop(text, None)
     if entry is None:
         pair = parse_algebra(text)
-        # 8 bytes a cell of both keyed tables and of every level of both nested tables,
-        # 40 a header of their n^2 + 2n + 4 tuples, and about 800 for both objects, their
-        # dicts, this entry and the text's header (600 in a new process on Python 3.10,
-        # 1,000 on 3.11-3.13, and some 300 more or less with the process's history)
+        # 8 bytes a cell of both keyed tables and every level of both nested tables, 40 a
+        # header of their n^2 + 2n + 4 tuples, and as this interpreter sizes them the text,
+        # the pair, both objects, their dicts, this entry and a one-entry dict's table
         n = pair[0].n
         cells, tuples = (n + 1) ** 4 + (n + 1) ** 3 + n**3 + 2 * n * n + 2 * n, n * n + 2 * n + 4
-        entry = pair, len(text) + 8 * cells + 40 * tuples + 800
+        size = 8 * cells + 40 * tuples + sys.getsizeof({text: pair}) - sys.getsizeof({})
+        size += sum(map(sys.getsizeof, (text, pair, *pair, *map(vars, filter(None, pair)))))
+        entry = pair, size + sys.getsizeof((pair, size)) + sys.getsizeof(size)
         if entry[1] > _CACHE_BYTES:
             return pair
         _held += entry[1]

@@ -5,18 +5,17 @@ gives each constraint's regions in slot order, inputs first, the result last.
 One exact search, :func:`_solutions`, reads it for the counter, the listing and
 the move harness.  :func:`_plan` fixes from structure alone (once per listing,
 move pair, or diagram for the counter, which keeps it on the diagram whatever n)
-the order the search colors regions in and, for each region, the constraint that
-forces it (none for a branch; a constraint forces its last uncolored region) and
-those it closes.  The listing and the move harness walk that schedule jointly;
-the counter walks each connected component's part of it alone and multiplies the
-counts.  A part is rescheduled on the regions a peel keeps, if fewer than it
-branches on: the peel drops, one at a time, a region that a constraint would force
-back from the regions still kept, so in reverse each dropped region is forced from
-the kept ones and those dropped after it.  The search binds the keyed tables and
-walks on an explicit stack, so no diagram is too deep for the recursion limit: a
-branch tries 1..n, a forced region reads one entry of its constraint's keyed table,
-keyed by the values of the regions before it, and every value must hold in the
-constraints it closes.  Stepping back undoes nothing.
+the regions the search branches on, in order, and the constraint that forces each
+other region (a constraint forces its last uncolored region).  The listing and the
+move harness walk that schedule jointly; the counter walks each connected
+component's part alone, rescheduled by :func:`_fewer_branches` if a peel keeps
+fewer regions than it branches on, and multiplies the counts.  :func:`_place` then
+colors each forced region in the loop of the latest branch it waits for, and tests
+each constraint as soon as its regions are colored (fail first).  The search binds
+the keyed tables and walks on an explicit stack, so no diagram is too deep for the
+recursion limit: a branch tries 1..n, a forced region reads one entry of its
+constraint's keyed table, keyed by the values of the regions before it, and every
+value must hold in the constraints it closes.  Stepping back undoes nothing.
 
 A kept schedule is walked in two tiers.  Its first use (a diagram's first count,
 a move pair's first check) walks :func:`_solutions` and compiles nothing; from the
@@ -76,8 +75,40 @@ def _system(names: Sequence[str], constraints: Sequence[Constraint], merges=()) 
 
 
 def _compile(regions: int, system: Sequence[tuple[ConstraintKind, tuple[int, ...]]]):
-    """The reads of :func:`_plan`'s schedule of a ``system`` as :func:`_system` gives it."""
-    return _reads(system, _plan(regions, [refs for _, refs in system]))
+    """The reads of :func:`_plan`'s schedule of a ``system`` from :func:`_system`, placed."""
+    return _reads(system, _place(_plan(regions, [refs for _, refs in system]), system))
+
+
+def _place(part: list[tuple], system: Sequence[tuple]) -> list[tuple]:
+    """A schedule reordered to test each constraint once its regions are colored: branches
+    keep their order, a forced region moves to the loop of the latest branch it waits for,
+    and there each test (a constraint that forces nothing) pulls in, depth first, the forced
+    regions it reads, before the rest in part order, and closes at the last.  O(slots)."""
+    force, level, loops = {}, {}, []  # per branch: its region, then the regions in its loop
+    for r, f, _ in part:
+        force[r], level[r] = f, 0  # 0 leaves r's level to the regions it is forced from
+        level[r] = len(loops) if f is None else max(map(level.__getitem__, system[f][1]))
+        loops.append([r]) if f is None else loops[level[r]].append(r)
+    forcing, wants = set(force.values()), [[] for _ in loops]  # per loop: its tests' regions
+    tests = [i for _, _, shut in part for i in shut if i not in forcing]
+    for i in tests:
+        wants[max(map(level.__getitem__, system[i][1]))] += system[i][1]
+    at: dict[int, int] = {}  # per placed region: its position
+    for loop, want in zip(loops, wants):
+        stack = [*reversed(want), loop[0]]
+        while stack:  # the branch, then each test's regions, depth first
+            x, f = stack[-1], force[stack[-1]]
+            wait = f is not None and [y for y in system[f][1] if y not in at and y != x]
+            if wait:  # color the regions x is forced from first
+                stack += reversed(wait)
+            else:
+                at.setdefault(stack.pop(), len(at))
+        for x in loop:  # then the loop's other forced regions, in part order
+            at.setdefault(x, len(at))
+    shut: dict[int, list[int]] = {}  # per position that closes tests: those tests
+    for i in tests:
+        shut.setdefault(max(map(at.__getitem__, system[i][1])), []).append(i)
+    return [(r, force[r], shut.get(k, ())) for k, r in enumerate(at)]
 
 
 def _reads(system: Sequence[tuple[ConstraintKind, tuple[int, ...]]], steps: list[tuple]):
@@ -164,28 +195,39 @@ def _kernel(schedule: list[tuple], leaf: Sequence[int]):
     A branch is a loop over 1..n, and so is a forced region that fills several slots
     of its read (the key has several open digits, so its entry is 0); each other forced
     region is one read of its keyed table, whose none (-1) skips and whose several (0)
-    raises :class:`_Several`.  Each read a region closes is one test.  The source holds
-    only ints and fixed names, and binds only the tables its reads use."""
-    lines, tables, loops = [], set(), 0
+    raises :class:`_Several`.  Each read a region closes is one test; its digits from outer
+    loops are summed once, as the loop inside them opens, in a name such reads share.
+    The source holds only ints and fixed names, and binds only the tables its reads use."""
+    lines, tables, loops, sums = [], set(), 0, {}
+    outside, inner = {}, []  # per region outside the innermost loop: where the next one opens
 
     def entry(kind, a, b, c, d, *fills, unset=None) -> str:
         """The read's keyed-table entry, with region ``unset``'s digits left 0."""
         table = "TV" if kind is ConstraintKind.VERTEX else "TX"
         tables.add(table)
         digits = [*zip((a, b, c, d), ("*M3", "*M2", "*m", ""))][table == "TV":]  # a pads
-        key = " + ".join(f"v{x}{place}" for x, place in digits if x != unset)
-        return f"{table}[{key or 0}]"
+        terms = [f"v{x}{place}" for x, place in digits if x != unset]
+        if not outside.keys().isdisjoint((a, b, c, d)):  # a vertex's pad a is r, never outside
+            outer = tuple(f"v{x}{place}" for x, place in digits if x in outside)
+            if outer not in sums:  # bind their sum once, where the loop inside them opens
+                line, indent = max(outside[x] for x, _ in digits if x in outside)
+                sums[outer] = f"k{len(sums)}"
+                lines[line] = f"{indent}{sums[outer]} = {' + '.join(outer)}\n{lines[line]}"
+            terms = [sums[outer], *(term for term in terms if term not in outer)]
+        return f"{table}[{' + '.join(terms) or 0}]"
 
-    for r, force, closes in schedule:
-        pad, skip = "    " * (loops + 1), "continue" if loops else "return"
+    for r, force, closes in schedule:  # a schedule starts with a branch, so all is in a loop
+        pad = "    " * (loops + 1)
         if force and sum(force[5:]) == 1:  # its entry is r's value
-            lines += [f"{pad}v{r} = {entry(*force, unset=r)}", f"{pad}if v{r} < 1:",
-                      f"{pad}    if v{r}: {skip}", f"{pad}    raise _Several"]
+            lines.append(f"{pad}v{r} = {entry(*force, unset=r)}\n{pad}if v{r} < 1:\n"
+                         f"{pad}    if v{r}: continue\n{pad}    raise _Several")
         else:  # a branch, or r in several slots: filter every value
+            outside.update(dict.fromkeys(inner, (len(lines), pad)))
             lines.append(f"{pad}for v{r} in span:")
-            pad, skip, loops = pad + "    ", "continue", loops + 1
+            pad, loops, inner = pad + "    ", loops + 1, []
             closes = [force, *closes] if force else closes
-        lines += [f"{pad}if {entry(*x)}: {skip}" for x in closes]
+        lines += [f"{pad}if {entry(*x)}: continue" for x in closes]
+        inner.append(r)
     lines.append(f"{'    ' * (loops + 1)}yield ({''.join(f'v{r}, ' for r in leaf)})")
     binds = {"TX": "alg.tribracket.keyed_table", "TV": "alg.product.keyed_table"}
     head = ["def kernel(alg):", "    m = alg.n + 1", "    span = range(1, m)",
@@ -292,8 +334,8 @@ def _walk(alg: TribracketAlgebra, part: list[tuple], val: list[int], kernel) -> 
 
 
 def _count_plan(dia: Diagram) -> tuple[int, list[list[tuple]]]:
-    """dia's number of regions, and the compiled parts count_colorings walks at any n:
-    each connected component's part of the plan, as :func:`_fewer_branches` leaves it."""
+    """dia's number of regions, and the compiled parts count_colorings walks at any n: each
+    component's part of the plan, as :func:`_fewer_branches` leaves it, placed."""
     regions, system, _ = _system(dia.regions, dia.constraints)
     parent = list(range(regions))
 
@@ -311,7 +353,7 @@ def _count_plan(dia: Diagram) -> tuple[int, list[list[tuple]]]:
             part = parts.setdefault(find(step[0]), [])
         part.append(step)
     # a part of one region that closes no constraint is a region no constraint touches
-    return regions, [_reads(system, _fewer_branches(part, system))
+    return regions, [_reads(system, _place(_fewer_branches(part, system), system))
                      for part in parts.values() if len(part) > 1 or part[0][2]]
 
 
@@ -321,10 +363,10 @@ def _fewer_branches(part: list[tuple], system: Sequence[tuple]) -> list[tuple]:
     all kept, the peel drops the one in the fewest such, the earliest first: each such
     constraint would force it from the rest.  So the kept regions branch first, in plan
     order, then each dropped region, the last dropped first, is forced by the first
-    constraint it was dropped from, and each constraint closes at its last region.
-    Skipped where fewer than b cannot: R less the distinct region sets is b or more
-    (each forces one at most), or no set has b regions or fewer (k force one only
-    through k + 1).  O(slots log R)."""
+    constraint it was dropped from; each step keeps its plan's closed list, which
+    :func:`_place` closes again.  Skipped where fewer than b cannot: R less the distinct
+    region sets is b or more (each forces one at most), or no set has b regions or fewer
+    (k force one only through k + 1).  O(slots log R)."""
     size, branches = len(part), [step[1] for step in part].count(None)
     closed = sorted(i for _, _, shut in part for i in shut)  # each constraint closes once
     if branches < 2 or len(closed) == size - branches:
@@ -357,11 +399,7 @@ def _fewer_branches(part: list[tuple], system: Sequence[tuple]) -> list[tuple]:
     if len(order) >= branches:
         return part
     order += reversed(forced)
-    now = {part[p][0]: k for k, p in enumerate(order)}
-    shut: list[list[int]] = [[] for _ in order]
-    for i in closed:
-        shut[max(now[r] for r in system[i][1])].append(i)
-    return [(part[p][0], forced.get(p), s) for p, s in zip(order, shut)]
+    return [(part[p][0], forced.get(p), part[p][2]) for p in order]
 
 
 class BruteForceCapError(ValueError):

@@ -545,8 +545,11 @@ class TestSharedParses:
 
     @staticmethod
     def estimate(text, n=3):
+        pair = parse_algebra(text)
         cells, tuples = (n + 1) ** 4 + (n + 1) ** 3 + n**3 + 2 * n * n + 2 * n, n * n + 2 * n + 4
-        return len(text) + 8 * cells + 40 * tuples + 800
+        size = 8 * cells + 40 * tuples + sys.getsizeof({text: pair}) - sys.getsizeof({})
+        size += sum(map(sys.getsizeof, (text, pair, *pair, *map(vars, filter(None, pair)))))
+        return size + sys.getsizeof((pair, size)) + sys.getsizeof(size)
 
     def write(self, tmp_path, name, product):
         path = tmp_path / f"{name}.alg"
