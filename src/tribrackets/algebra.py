@@ -19,17 +19,17 @@ over 1..n into an :class:`AxiomReport`, in table order and lexicographic
 witness order, so reports are byte-stable; recheck_violation runs one entry
 over a witness's own coordinates, so reports are self-certifying.
 
-verify_tribracket first decides pass or fail on whole lines of the table:
-every line of slots a and c must hold n distinct values (with coherence-1
-they imply slot b), and each coherence law is an equality of composed
-lines, one gather of n values per composition (see _tensor_axioms_hold).
-Only a table that fails runs the tensor entries of the axiom table, so the
-witnesses still come from the table.  The tensor search forces cells by its
-own Latin and coherence rules and reads the table only through
-verify_tribracket, on each complete tensor.  The product census runs the
-r5-compat-1/2 entries on each table it derives, behind its own r4-compat
-filter on the first row, and hands each kept table to verify_algebra; on a
-tribracket these imply the other product entries.
+Both verifiers first decide pass or fail on whole lines.  verify_tribracket
+reads the tensor's verdict, decided once and kept on the object
+(Tribracket.axioms_hold): every line of slots a and c holds n distinct values
+(with coherence-1 they imply slot b), and each coherence law is an equality of
+composed lines (see _tensor_axioms_hold).  Over a tensor whose verdict passes,
+verify_algebra scans r4-compat over the defined cells and checks r5-compat-1/2
+as equalities of lines composed with product rows or columns; on a tribracket
+these imply the other product axioms (see _product_axioms_hold).  Only a table
+that fails runs the axiom table, so the witnesses still come from it.  Both
+censuses force or filter tables by their own rules and hand each complete or
+kept table to these verifiers.
 """
 from __future__ import annotations
 
@@ -195,6 +195,11 @@ class Tribracket:
         See :func:`_keyed_table`; it has (n+1)**4 entries, 28,561 at n = 12.
         """
         return _keyed_table([*itertools.chain(*itertools.chain(*self.table))], self.n, 3)
+
+    @cached_property
+    def axioms_hold(self) -> bool:
+        """Whether the table passes the tensor axioms, decided once (see verify_tribracket)."""
+        return _tensor_axioms_hold(self)
 
 
 @dataclass(frozen=True)
@@ -503,7 +508,49 @@ def verify_tribracket(t: Tribracket) -> AxiomReport:
     family in lexicographic witness order.
     """
     _require(t, Tribracket, "tensor")
-    return AxiomReport(()) if _tensor_axioms_hold(t) else _report(t, None)
+    return AxiomReport(()) if t.axioms_hold else _report(t, None)
+
+
+def _product_axioms_hold(t: Tribracket, p: PartialProduct) -> bool:
+    """Whether p passes the product axioms over a t passing the tensor axioms,
+    decided on whole lines.  With L(a,b) the line c -> [a,b,c], A(b,c) the line
+    a -> [a,b,c], and R(a), C(b) p's row b -> a*b and column a -> a*b, read as 0
+    where undefined and sending 0 to 0, each side reads 0 exactly where it is undefined:
+
+    * r4-compat is one scan over the defined cells;
+    * r5-compat-1, R(a)(L(a,b)(c)) = L(a,b)(R(b)(c)), holds at every c exactly
+      when R(a)∘L(a,b) = L(a,b)∘R(b);
+    * r5-compat-2, C(c)(A(b,c)(a)) = A(b,c)(C(b)(a)), holds at every a exactly
+      when C(c)∘A(b,c) = A(b,c)∘C(b).
+
+    On a tribracket these three imply the other product axioms (m is a defined
+    product, bij-a/c bijectivity in slot a or c):
+
+    * Cancellation.  If a*b = a*b' = m, r4 gives [a,m,b] = m = [a,m,b'],
+      and bij-c gives b = b'.  The right-hand case is the same with bij-a.
+    * r5-compat-3.  Let m = b*c and u = [a,b,m].  By r4, [b,m,c] = m, so
+      coherence-1 at (a,b,m,c) gives [a,u,[u,m,c]] = u.  By r5-compat-1,
+      a*[a,b,c] = u, so r4 gives [a,u,[a,b,c]] = u.  Then bij-c gives
+      [u,m,c] = [a,b,c].
+    * r5-compat-4.  Let m = a*b and w = [m,b,c].  By r4, [a,m,b] = m, so
+      coherence-2 at (a,m,b,c) gives [[a,m,w],w,c] = w.  By r5-compat-2,
+      [a,b,c]*c = w, so r4 gives [[a,b,c],w,c] = w.  Then bij-a gives
+      [a,m,w] = [a,b,c].
+    """
+    n, tab, rows = t.n, t.table, [tuple(v or 0 for v in row) for row in p.table]
+    if not all(tab[a][m - 1][b] == m for a, row in enumerate(rows) for b, m in enumerate(row) if m):
+        return False
+    cols = [*zip(*[[*zip(*mats)] for mats in zip(*tab)])]  # cols[c][b] is A(b, c)
+    # each law reads maps[s]∘mats[s][x] = mats[s][x]∘maps[x], one gather of n^2 values a side
+    # for each s; mats[s][x] at maps[x] is index x*n + v - 1 of the flat lines, or the 0 after
+    for mats, maps in ((tab, rows), (cols, [*zip(*rows)])):
+        at = operator.itemgetter(*[x * n + v - 1 if v else n * n
+                                   for x, m in enumerate(maps) for v in m])
+        for mat, m in zip(mats, maps):
+            flat = (*itertools.chain(*mat), 0)
+            if operator.itemgetter(*flat[:-1])((0, *m)) != at(flat):
+                return False
+    return True
 
 
 def verify_algebra(alg: TribracketAlgebra) -> AxiomReport:
@@ -512,10 +559,13 @@ def verify_algebra(alg: TribracketAlgebra) -> AxiomReport:
     Violation order: left and right cancellation, r4-compat, then
     r5-compat-1..4.  r5-compat-1/2 pair each side's definedness with the
     other's: a violation whose lhs or rhs is None records a definedness
-    mismatch.  Assumes the tribracket itself already passes verify_tribracket.
+    mismatch.  Over a tribracket whose kept verdict passes, pass or fail is decided
+    on whole lines (see :func:`_product_axioms_hold`) and only a failing product
+    runs the axiom table, which lists its violations; over a failing one, the table decides.
     """
     _require(alg, TribracketAlgebra, "algebra")
-    return _report(alg.tribracket, alg.product)
+    t, p = alg.tribracket, alg.product
+    return AxiomReport(()) if t.axioms_hold and _product_axioms_hold(t, p) else _report(t, p)
 
 
 def recheck_violation(v: Violation, t: Tribracket, p: Optional[PartialProduct] = None) -> bool:

@@ -29,8 +29,8 @@ both, and the undo restores them.  Two rules force cells:
 
 A forced value is the only one any completion can take, so forcing keeps the
 output order, and a forced value that breaks a line or a witness cuts the
-branch at once.  The 168 tribrackets of order 4 take about 0.05 s (2,340
-values tried) and all 480 of order 5 about 1.7 s (322,845 values tried) on
+branch at once.  The 168 tribrackets of order 4 take about 0.04 s (2,340
+values tried) and all 480 of order 5 about 1.1 s (322,845 values tried) on
 one Intel Xeon core; order 6 wants a budget.
 """
 from __future__ import annotations
@@ -40,6 +40,7 @@ import math
 import numbers
 import sys
 import time
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -124,23 +125,24 @@ def enumerate_tribrackets(
     # slots[k] holds the lines through cell k = [a,b,c] and its coordinates, (r, c, s, b, t, a),
     # with r = a*nn + b*n (the row), s = size + a*nn + c*n and t = 2*size + b*nn + c*n.
     # A witness (a, b, c, d) is stored as its cells [a,b,c] and [b,c,d], the offsets of
-    # matrix a and of row [a,b], the offset c*n + d of [u,c,d] within matrix u, and d.  It
-    # waits in the watch list of an undecided cell it needs, and is looked at again once
+    # matrix a and of row [a,b], the offset c*n + d of [u,c,d] within matrix u, d and d*n.
+    # It waits in the watch list of an undecided cell it needs, and is looked at again once
     # that cell is decided.
     slots: list[tuple[int, ...]] = []
-    watch: dict[int, list[tuple[int, ...]]] = {}  # a cell's list made on its first witness
+    watch: dict[int, list] = defaultdict(list)  # a cell's list made on its first witness
+    dns = [d * n for d in range(n)]  # one d*n object for all the witnesses of each d
     for a, b, c in itertools.product(range(n), repeat=3):  # cell [a,b,c] is ab + c
         if deadline is not None and time.monotonic() > deadline:
             return EnumerationResult([], False)
         am, ab, bc = a * nn, a * nn + b * n, b * nn + c * n
         slots.append((ab, c, size + am + c * n, b, 2 * size + bc, a))
-        for d in range(n):
+        for d, dn in enumerate(dns):
             abc, bcd = ab + c, bc + d
-            watch.setdefault(max(abc, bcd), []).append((abc, bcd, am, ab, c * n + d, d))
+            watch[max(abc, bcd)].append((abc, bcd, am, ab, c * n + d, d, dn))
     T = [_UNDECIDED] * size
     # where[line + v] is the coordinate at which a line holds v, and free[line] its undecided cells
     where, free = [_UNDECIDED] * (3 * size), [n] * (3 * size)
-    trail: list = []  # cells decided and watch lists appended to, to undo
+    trail, lists = [], []  # cells decided and watch lists appended to, each undone on its own
     queue: list[int] = []  # cells decided whose lines and witnesses are still to see
 
     def put(k: int, v: int) -> bool:
@@ -155,16 +157,15 @@ def enumerate_tribrackets(
         queue.append(k)
         return True
 
-    def undo(mark: int) -> None:
-        while len(trail) > mark:
-            k = trail.pop()
-            if type(k) is int:
-                r, _, s, _, t, _ = slots[k]
-                v, T[k] = T[k], _UNDECIDED
-                where[r + v] = where[s + v] = where[t + v] = _UNDECIDED
-                free[r], free[s], free[t] = free[r] + 1, free[s] + 1, free[t] + 1
-            else:
-                k.pop()
+    def undo(cells: int, appended: int) -> None:
+        for k in trail[cells:]:
+            r, _, s, _, t, _ = slots[k]
+            v, T[k] = T[k], _UNDECIDED
+            where[r + v] = where[s + v] = where[t + v] = _UNDECIDED
+            free[r], free[s], free[t] = free[r] + 1, free[s] + 1, free[t] + 1
+        for appended_to in lists[appended:]:
+            appended_to.pop()
+        del trail[cells:], lists[appended:]
 
     def fill(line: int, start: int, step: int) -> bool:
         """Decide the last undecided cell of a line as the value it misses."""
@@ -179,21 +180,20 @@ def enumerate_tribrackets(
                     or free[t] == 1 and not fill(t, k - a * nn, nn):
                 return False
             for w in watch.get(k, ()):
-                abc, bcd, am, ab, cd, d = w
+                abc, bcd, am, ab, cd, d, dn = w
                 while True:
-                    u, x = T[abc], T[bcd]
-                    if u < 0 or x < 0:
+                    if (u := T[abc]) < 0 or (x := T[bcd]) < 0:  # x is read once u is decided
                         block = abc if u < 0 else bcd
                         break
-                    au, xd = am + u * n, 2 * size + x * nn + d * n  # lines [a,u,.] and [.,x,d]
                     ax, ud = ab + x, u * nn + cd  # cells [a,b,x] and [u,c,d]
                     abx, ucd = T[ax], T[ud]
                     # coherence-1: [a,b,x] = [a,u,[u,c,d]]
                     # coherence-2: [u,c,d] = [[a,b,x],x,d]
                     if abx < 0 or ucd < 0:  # force the undecided side, or wait on it
                         if abx >= 0:  # the column where row [a,u] holds abx, or coherence-2
-                            block, v = ud, max(where[au + abx], T[abx * nn + x * n + d])
+                            block, v = ud, max(where[am + u * n + abx], T[abx * nn + x * n + d])
                         elif ucd >= 0:  # coherence-1, or the matrix whose [.,x,d] holds ucd
+                            au, xd = am + u * n, 2 * size + x * nn + dn  # lines [a,u,.], [.,x,d]
                             block, v = ax, max(T[au + ucd], where[xd + ucd])
                         else:
                             block, v = ax, -1
@@ -202,7 +202,8 @@ def enumerate_tribrackets(
                         if not put(block, v):
                             return False
                         continue
-                    if T[au + ucd] != abx and (T[au + ucd] >= 0 or not put(au + ucd, abx)):
+                    r1 = am + u * n + ucd
+                    if T[r1] != abx and (T[r1] >= 0 or not put(r1, abx)):
                         return False
                     r2 = abx * nn + x * n + d
                     if T[r2] != ucd and (T[r2] >= 0 or not put(r2, ucd)):
@@ -210,30 +211,30 @@ def enumerate_tribrackets(
                     block = -1  # both laws hold for good
                     break
                 if block >= 0:
-                    trail.append(watch.setdefault(block, []))
-                    trail[-1].append(w)
+                    lists.append(watch[block])
+                    lists[-1].append(w)
         return True
 
     out: list[Tribracket] = []
-    frames = [(0, iter(range(n)), 0)]  # (cell, values left, trail length)
+    frames = [(0, iter(range(n)), 0, 0)]  # (cell, values left, both trails' lengths)
     while frames:
-        i, values, mark = frames[-1]
+        i, values, cells, appended = frames[-1]
         for v in values:
             if deadline is not None and time.monotonic() > deadline:
                 return EnumerationResult(out, False)
-            undo(mark)
+            undo(cells, appended)
             queue.clear()
             if put(i, v) and consistent():
                 break
         else:
-            undo(mark)
+            undo(cells, appended)
             frames.pop()
             continue
         j = i + 1
         while j < size and T[j] != _UNDECIDED:
             j += 1
         if j < size:  # descend, skipping the cells already forced
-            frames.append((j, iter(range(n)), len(trail)))
+            frames.append((j, iter(range(n)), len(trail), len(lists)))
         elif not left:
             return EnumerationResult(out, False)
         else:
@@ -267,20 +268,9 @@ def enumerate_products(t: Tribracket) -> list[PartialProduct]:
     [a, [a,1,v], [a,1,c]] = [a,1,v] for every a.  A compatible product passes
     there, so none is lost; a kept table passes r4-compat at every cell, as
     row 1 is its own derivation by r5-compat-1 at a = b = 1.  On a tribracket
-    these imply the other product axioms, as follows (m is a defined product,
-    bij-a/c bijectivity in slot a or c), so every kept table passes the
-    verifier.
-
-    * Cancellation.  If a*b = a*b' = m, r4 gives [a,m,b] = m = [a,m,b'],
-      and bij-c gives b = b'.  The right-hand case is the same with bij-a.
-    * r5-compat-3.  Let m = b*c and u = [a,b,m].  By r4, [b,m,c] = m, so
-      coherence-1 at (a,b,m,c) gives [a,u,[u,m,c]] = u.  By r5-compat-1,
-      a*[a,b,c] = u, so r4 gives [a,u,[a,b,c]] = u.  Then bij-c gives
-      [u,m,c] = [a,b,c].
-    * r5-compat-4.  Let m = a*b and w = [m,b,c].  By r4, [a,m,b] = m, so
-      coherence-2 at (a,m,b,c) gives [[a,m,w],w,c] = w.  By r5-compat-2,
-      [a,b,c]*c = w, so r4 gives [[a,b,c],w,c] = w.  Then bij-a gives
-      [a,m,w] = [a,b,c].
+    these three imply the other product axioms (the proofs are in
+    :func:`tribrackets.algebra._product_axioms_hold`), so every kept table
+    passes the verifier.
     """
     _require_tribracket(t)
     n = t.n

@@ -17,8 +17,10 @@ from tribrackets import (
     ShapeError,
     Tribracket,
     TribracketAlgebra,
+    UnverifiedTribracketError,
     Violation,
     alexander_tribracket,
+    enumerate_idempotent_products,
     enumerate_products,
     enumerate_tribrackets,
     load_bundled_algebra,
@@ -41,10 +43,11 @@ from tests.conftest import (
     FULL_PRODUCT,
     Z3_TENSOR,
     arbitrary_algebras,
+    census_algebras,
     latin_slabs,
     latin_squares,
 )
-from tests.test_moves import crossing_tensors
+from tests.test_moves import census_tensors, crossing_tensors
 
 
 def units(n):
@@ -403,6 +406,100 @@ class TestVerifyDecision:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+@st.composite
+def tensors_with_products(draw):
+    """A census tensor or a crossing_tensors() table (which keeps all, some or none
+    of its axioms), with an arbitrary partial product or, over a tensor that passes,
+    one of its compatible products with one cell redrawn (maybe to the same value)."""
+    t = draw(st.sampled_from(census_tensors()) | crossing_tensors())
+    n = t.n
+    value = st.none() | st.integers(1, n)
+    products = enumerate_products(t) if verify_tribracket(t).passed else []
+    if products and draw(st.booleans()):
+        rows = [list(row) for row in draw(st.sampled_from(products)).table]
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(value)
+    else:
+        rows = [[draw(value) for _ in range(n)] for _ in range(n)]
+    return TribracketAlgebra(t, PartialProduct(n, rows))
+
+
+class TestVerifyAlgebraDecision:
+    """verify_algebra decides on whole lines over a passing tensor; the axiom table
+    is the reference."""
+
+    @staticmethod
+    def assert_agrees(alg: TribracketAlgebra) -> str:
+        t, p = alg.tribracket, alg.product
+        want = _report(t, p)
+        assert verify_algebra(alg) == want
+        tensor = "tensor passes" if verify_tribracket(t).passed else "tensor fails"
+        return f"{tensor}, " + ("product passes" if want.passed else
+                                f"product fails {want.violations[0].axiom} first")
+
+    @given(alg=arbitrary_algebras(sizes=(1, 2, 3, 4)))
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_tables(self, alg):
+        event(self.assert_agrees(alg))
+
+    @given(alg=tensors_with_products())
+    @settings(max_examples=300, deadline=None)
+    def test_census_tensors_and_isotopes_with_near_miss_products(self, alg):
+        event(self.assert_agrees(alg))
+
+    def test_census_tensors_with_their_diagonal_and_empty_products(self):
+        algebras = [*census_algebras(), *(
+            TribracketAlgebra(t, p(t.n)) for t in census_tensors()
+            for p in (PartialProduct.diagonal, PartialProduct.empty))]
+        outcomes = [*map(self.assert_agrees, algebras)]
+        assert "tensor passes, product passes" in outcomes
+        assert any("product fails" in outcome for outcome in outcomes)
+
+
+class TestKeptVerdict:
+    """A tribracket decides its tensor axioms once; the verdict is no dataclass field."""
+
+    @staticmethod
+    def counted(monkeypatch) -> list:
+        import tribrackets.algebra as algebra
+
+        calls, decide = [], algebra._tensor_axioms_hold
+
+        def counting(t):
+            calls.append(t)
+            return decide(t)
+
+        monkeypatch.setattr(algebra, "_tensor_axioms_hold", counting)
+        return calls
+
+    def test_a_tribracket_is_decided_once_by_every_caller(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        t = alexander_tribracket(3, 1, 1)
+        assert verify_tribracket(t).passed and verify_tribracket(t).passed
+        products, idempotent = enumerate_products(t), enumerate_idempotent_products(t)
+        assert (len(products), len(idempotent)) == (8, 1)
+        assert all(verify_algebra(TribracketAlgebra(t, p)).passed for p in products)
+        assert calls == [t] and calls[0] is t
+
+    def test_the_verdict_is_not_compared_hashed_shown_or_a_field(self):
+        t, fresh = alexander_tribracket(3, 1, 1), alexander_tribracket(3, 1, 1)
+        assert t.axioms_hold and "axioms_hold" in vars(t) and "axioms_hold" not in vars(fresh)
+        assert t == fresh and hash(t) == hash(fresh) and repr(t) == repr(fresh)
+        assert [f.name for f in dataclasses.fields(t)] == ["n", "table"]
+
+    def test_a_failing_tensor_keeps_its_verdict_and_its_violations(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        bad = mutate(alexander_tribracket(3, 1, 1), 1, 1, 1, 2)
+        want, p = _report(bad, None), PartialProduct.diagonal(3)
+        assert not want.passed
+        assert verify_tribracket(bad) == want and verify_tribracket(bad) == want
+        assert not bad.axioms_hold
+        for search in (enumerate_products, enumerate_idempotent_products):
+            with pytest.raises(UnverifiedTribracketError):
+                search(bad)
+        assert verify_algebra(TribracketAlgebra(bad, p)) == _report(bad, p)
+        assert calls == [bad]
 
 
 @functools.cache

@@ -414,6 +414,14 @@ class TestBudgetAtInteriorNodes:
         assert result.complete and len(result) == 168
         assert next(ticks) <= 2500
 
+    def test_the_order4_search_reads_the_clock_exactly_2405_times(self, monkeypatch):
+        # 1 reading at the start, 1 per set-up cell (64) and 1 per value tried (2,340):
+        # a search that tries one value more or less, or reads the clock elsewhere, moves it
+        ticks = self._ticking_clock(monkeypatch)
+        result = enumerate_tribrackets(4, EnumerationBudget(timeout=10**9))
+        assert result.complete and len(result) == 168
+        assert next(ticks) == 2405
+
     def test_timeout_bounds_the_set_up(self):
         # the set-up at order 30 builds 30^4 witnesses, about 2 s; the
         # deadline is checked before each of its cells, so it stops within one
