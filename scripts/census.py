@@ -4,7 +4,7 @@
 Counts the tribrackets on n elements for n <= 4 (the whole run takes well under
 a second), then the compatible partial products of each, split by idempotency.
 With --large it also attempts n = 5, which finds all 480 tribrackets in about
-1.1 seconds, under the --timeout budget.  With --moves it also checks every
+0.2 seconds, under the --timeout budget.  With --moves it also checks every
 non-IH move on every algebra (tensor and compatible product) it builds and
 prints one line per order; at n = 5 that is 666 algebras and 10,656 checks.
 With --counts it also counts every bundled diagram on every such algebra

@@ -21,6 +21,7 @@ from tribrackets import (
     verify_algebra,
     verify_tribracket,
 )
+from tribrackets.enumeration import _row_class
 from tests.conftest import Z4_PRODUCT, Z4_TENSOR
 
 # the eight compatible products of the order-3 tensor, row by row (0 = undefined)
@@ -414,13 +415,15 @@ class TestBudgetAtInteriorNodes:
         assert result.complete and len(result) == 168
         assert next(ticks) <= 2500
 
-    def test_the_order4_search_reads_the_clock_exactly_2405_times(self, monkeypatch):
-        # 1 reading at the start, 1 per set-up cell (64) and 1 per value tried (2,340):
-        # a search that tries one value more or less, or reads the clock elsewhere, moves it
+    def test_the_order4_search_reads_the_clock_exactly_1191_times(self, monkeypatch):
+        # 1 reading at the start, 1 per set-up cell (64), 1 per value tried (1,024) and 1 per
+        # relabelled table (102): the 7 first-row classes' searched rows hold the other 66.
+        # A search that tries one value more or less, relabels one table more or less, or
+        # reads the clock elsewhere, moves it
         ticks = self._ticking_clock(monkeypatch)
         result = enumerate_tribrackets(4, EnumerationBudget(timeout=10**9))
         assert result.complete and len(result) == 168
-        assert next(ticks) == 2405
+        assert next(ticks) == 1191
 
     def test_timeout_bounds_the_set_up(self):
         # the set-up at order 30 builds 30^4 witnesses, about 2 s; the
@@ -487,6 +490,90 @@ class TestMaxCandidatesAtOrder4:
         capped = enumerate_tribrackets(4, EnumerationBudget(max_candidates=cap))
         assert capped.items == census[:cap]
         assert capped.complete == (cap >= 168)
+
+
+def conjugator(row0, row):
+    """The relabelling the census applies to the tables of row0 to reach those of row."""
+    (key0, order0), (key, order) = _row_class(row0), _row_class(row)
+    assert key0 == key
+    sigma = [0] * len(row)
+    for x, y in zip(order0, order):
+        sigma[x] = y
+    return sigma
+
+
+class TestFirstRowClasses:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_the_searched_row_conjugates_into_every_row_of_its_class(self, n):
+        # the search reaches first rows in lexicographic order, so the first of each class
+        # is the one searched when every row is reached, as at orders 1-5
+        searched = {}
+        for row in itertools.permutations(range(n)):
+            row0 = searched.setdefault(_row_class(row)[0], row)
+            sigma = conjugator(row0, row)
+            assert sigma[0] == 0 and sorted(sigma) == list(range(n))
+            assert [sigma[row0[x]] for x in range(n)] == [row[sigma[x]] for x in range(n)]
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_rows_share_a_key_exactly_when_a_relabelling_fixing_0_conjugates_them(self, n):
+        rows = list(itertools.permutations(range(n)))
+        fixing_0 = [(0, *rest) for rest in itertools.permutations(range(1, n))]
+        for row in rows:
+            orbit = {tuple(s[row[s.index(y)]] for y in range(n)) for s in fixing_0}
+            assert orbit == {r for r in rows if _row_class(r)[0] == _row_class(row)[0]}
+
+    @pytest.fixture(scope="class")
+    def census4(self):
+        return enumerate_tribrackets(4).items
+
+    @pytest.fixture(scope="class")
+    def census5(self):
+        return enumerate_tribrackets(5).items
+
+    def test_every_order4_cap_returns_a_prefix(self, census4):
+        for cap in range(1, 169):
+            capped = enumerate_tribrackets(4, EnumerationBudget(max_candidates=cap))
+            assert capped.items == census4[:cap]
+            assert capped.complete == (cap == 168)
+
+    @pytest.mark.parametrize("cap", [41, 100, 250, 479])
+    def test_order5_caps_inside_relabelled_rows_return_a_prefix(self, census5, cap):
+        capped = enumerate_tribrackets(5, EnumerationBudget(max_candidates=cap))
+        assert capped.items == census5[:cap] and not capped.complete
+
+    def test_a_deadline_inside_a_relabelled_block_returns_a_sorted_strict_prefix(
+        self, census4, monkeypatch
+    ):
+        # first row 1 3 2 4 is the first relabelled one: its 8 tables, census4[32:40], are
+        # the images of those of 1 2 4 3.  Each reads the clock once before it is handed on;
+        # the deadline is the reading taken before the second, so the third is refused
+        import tribrackets.enumeration as enumeration
+
+        assert [t.table[0][0] for t in census4[31:41]] == [(1, 2, 4, 3)] + [(1, 3, 2, 4)] * 8 + [
+            (1, 3, 4, 2)
+        ]
+        ticks, read = itertools.count(), []
+        clock = type("Clock", (), {"monotonic": lambda: read.append(next(ticks)) or read[-1]})
+        monkeypatch.setattr(enumeration, "time", clock)
+        handed = []
+        monkeypatch.setattr(
+            enumeration, "verify_tribracket", lambda t: handed.append(read[-1]) or verify_tribracket(t)
+        )
+        assert enumerate_tribrackets(4, EnumerationBudget(timeout=10**9)).items == census4
+        assert handed[33] == handed[32] + 1  # no value is tried between relabelled tables
+        result = enumerate_tribrackets(4, EnumerationBudget(timeout=handed[33] - read[0]))
+        assert not result.complete and result.items == census4[:34]
+        keys = [flat(t) for t in result]
+        assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
+
+    def test_the_idempotent_census_keeps_the_diagonal_exactly_when_it_verifies(self, census4):
+        diagonal = PartialProduct.diagonal(4)
+        kept = 0
+        for t in census4:
+            passed = verify_algebra(TribracketAlgebra(t, diagonal)).passed
+            assert enumerate_idempotent_products(t) == ([diagonal] if passed else [])
+            kept += passed
+        assert 0 < kept < 168
 
 
 # sha256 of the order-5 census written one tensor a line, entries joined by
