@@ -38,7 +38,7 @@ import math
 import operator
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
 from importlib import resources
@@ -68,6 +68,12 @@ def _keep_tuples(obj, *fields: str) -> None:
         value = getattr(obj, field)
         if type(value) is not tuple:
             object.__setattr__(obj, field, tuple(value))
+
+
+def _fields_only(obj) -> dict:
+    """A dataclass's pickled state: its fields alone, so what it caches outside them
+    (a compiled kernel cannot be pickled) is rebuilt on use."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 class _LineError(ValueError):
@@ -245,6 +251,12 @@ class PartialProduct:
         a*b is undefined has no value in slot c.
         """
         return _keyed_table(tuple(v or 0 for row in self.table for v in row), self.n, 2)
+
+    @cached_property
+    def cancellative(self) -> bool:
+        """Whether no row or column repeats a defined value: any two of a, b, a*b fix the third."""
+        lines = (*self.table, *zip(*self.table))
+        return all(len(d := [v for v in line if v]) == len({*d}) for line in lines)
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,10 @@ A kept schedule is walked in two tiers.  Its first use (a diagram's first count,
 a move pair's first check) walks :func:`_solutions` and compiles nothing; from the
 second, :func:`_kernel` has turned each part into a generator of nested loops,
 compiled once whatever n, and the counter and the move harness run that instead.
-A kernel hands its schedule back to :func:`_solutions` where Python cannot compile
-it (21 loops or more) and, from scratch, where a read has several values.  The
-reference count_colorings_bruteforce shares only that numbering and slot order:
-it tests every assignment through bracket and mul.
+The tier is chosen before the walk, which never restarts: :func:`_solutions` walks a
+part of more than 20 loops, which Python cannot compile, and any part over an algebra
+that :func:`_single_valued` refuses.  The reference count_colorings_bruteforce shares
+only that numbering and slot order: it tests every assignment through bracket and mul.
 """
 from __future__ import annotations
 
@@ -182,21 +182,23 @@ def _solutions(alg: TribracketAlgebra, schedule: list[tuple], val=None) -> Itera
         p += 1
 
 
-class _Several(Exception):
-    """A kernel's forced read has several values, which only a table that is not Latin
-    gives: its caller walks that schedule with :func:`_solutions` instead."""
+def _single_valued(alg: TribracketAlgebra) -> bool:
+    """Whether no read of alg with one open slot has several values, as a kernel needs:
+    a tensor passing its axioms is Latin in slots a, b and c (see algebra._tensor_axioms_hold)."""
+    return alg.tribracket.axioms_hold and alg.product.cancellative
 
 
 def _kernel(schedule: list[tuple], leaf: Sequence[int]):
     """A generator function of an algebra, compiled once from a compiled schedule, that
     yields the tuple of the ``leaf`` regions' values once per coloring, as
-    :func:`_solutions` would; None if Python cannot compile it (21 loops or more).
+    :func:`_solutions` would over an algebra that :func:`_single_valued` accepts; None
+    if it would nest more than 20 loops, which Python cannot compile.
 
     A branch is a loop over 1..n, and so is a forced region that fills several slots
     of its read (the key has several open digits, so its entry is 0); each other forced
-    region is one read of its keyed table, whose none (-1) skips and whose several (0)
-    raises :class:`_Several`.  Each read a region closes is one test; its digits from outer
-    loops are summed once, as the loop inside them opens, in a name such reads share.
+    region is one read of its keyed table, whose none (-1) skips.  Each read a region
+    closes is one test; its digits from outer loops are summed once, as the loop inside
+    them opens, in a name such reads share.
     The source holds only ints and fixed names, and binds only the tables its reads use."""
     lines, tables, loops, sums = [], set(), 0, {}
     outside, inner = {}, []  # per region outside the innermost loop: where the next one opens
@@ -219,9 +221,10 @@ def _kernel(schedule: list[tuple], leaf: Sequence[int]):
     for r, force, closes in schedule:  # a schedule starts with a branch, so all is in a loop
         pad = "    " * (loops + 1)
         if force and sum(force[5:]) == 1:  # its entry is r's value
-            lines.append(f"{pad}v{r} = {entry(*force, unset=r)}\n{pad}if v{r} < 1:\n"
-                         f"{pad}    if v{r}: continue\n{pad}    raise _Several")
+            lines.append(f"{pad}v{r} = {entry(*force, unset=r)}\n{pad}if v{r} < 0: continue")
         else:  # a branch, or r in several slots: filter every value
+            if loops == 20:  # Python refuses a 21st statically nested block
+                return None
             outside.update(dict.fromkeys(inner, (len(lines), pad)))
             lines.append(f"{pad}for v{r} in span:")
             pad, loops, inner = pad + "    ", loops + 1, []
@@ -233,11 +236,8 @@ def _kernel(schedule: list[tuple], leaf: Sequence[int]):
     head = ["def kernel(alg):", "    m = alg.n + 1", "    span = range(1, m)",
             "    M2 = m * m", "    M3 = M2 * m"]
     source = "\n".join(head + [f"    {t} = {binds[t]}" for t in sorted(tables)] + lines)
-    namespace = {"_Several": _Several}
-    try:
-        exec(compile(source, "<kernel>", "exec"), namespace)
-    except (SyntaxError, RecursionError):  # e.g. too many statically nested blocks
-        return None
+    namespace = {}
+    exec(compile(source, "<kernel>", "exec"), namespace)
     return namespace["kernel"]
 
 
@@ -310,11 +310,11 @@ def count_colorings(alg: TribracketAlgebra, dia: Diagram) -> int:
     of the connected components, n for a region that no constraint touches.  It walks
     each component's part of the schedule, planned once from dia's structure and kept
     on dia: the one it would get alone, or that of :func:`_fewer_branches`' regions;
-    from dia's second count on, by each part's kernel, compiled once and kept on dia."""
+    from dia's second count on, if :func:`_single_valued` accepts alg, by its kernels."""
     _check_args(alg, dia)
     kept = "_count_plan" in vars(dia)  # the plan's first walk compiles nothing
     regions, parts = dia._count_plan
-    kernels = dia._count_kernels if kept else [None] * len(parts)
+    kernels = dia._count_kernels if kept and _single_valued(alg) else [None] * len(parts)
     count, val = alg.n ** (regions - sum(map(len, parts))), [0] * regions
     for part, kernel in zip(parts, kernels):
         if count:  # a factor 0 ends the search
@@ -323,13 +323,10 @@ def count_colorings(alg: TribracketAlgebra, dia: Diagram) -> int:
 
 
 def _walk(alg: TribracketAlgebra, part: list[tuple], val: list[int], kernel) -> int:
-    """The number of colorings of one compiled part: by its kernel, if it has one and
-    meets no read with several values, else by :func:`_solutions` over val."""
+    """The number of colorings of one compiled part: by its kernel if it has one, else
+    by :func:`_solutions` over val."""
     if kernel:
-        try:
-            return operator.countOf(kernel(alg), ())
-        except _Several:  # count again from scratch
-            pass
+        return operator.countOf(kernel(alg), ())
     return operator.countOf(_solutions(alg, part, val), val)  # it yields val
 
 

@@ -22,7 +22,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
-from .algebra import _bundled, _content, _keep_tuples, _LineError, _require, _require_sequence
+from .algebra import (_bundled, _content, _fields_only, _keep_tuples, _LineError, _require,
+                      _require_sequence)
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+")
 _LINE_RE = re.compile(r"(name|kind)\s*=\s*(\S+)|(regions|crossing|vertex)\s*:\s*(.*)")
@@ -75,6 +76,8 @@ class Diagram:
             raise DiagramParseError("a diagram needs at least one region")
         _keep_tuples(self, "regions", "constraints")
 
+    __getstate__ = _fields_only
+
     @functools.cached_property
     def _count_plan(self) -> tuple:
         """The coloring counter's plan, made on the first count; not a field, no table."""
@@ -83,7 +86,7 @@ class Diagram:
 
     @functools.cached_property
     def _count_kernels(self) -> list:
-        """Per part of the kept plan, its kernel or None, compiled on the second count."""
+        """Per part of the kept plan, its kernel or None, compiled by the first count to run one."""
         from .coloring import _kernel
         return [_kernel(part, ()) for part in self._count_plan[1]]
 

@@ -29,8 +29,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .algebra import TribracketAlgebra, _keep_tuples, _require
-from .coloring import _compile, _kernel, _Several, _solutions, _system
+from .algebra import TribracketAlgebra, _fields_only, _keep_tuples, _require
+from .coloring import _compile, _kernel, _single_valued, _solutions, _system
 from .diagram import Constraint, ConstraintKind, _check_regions
 
 _C = ConstraintKind.CROSSING
@@ -75,6 +75,8 @@ class LocalMovePair:
             _check_regions(self.boundary, frag.internal, frag.constraints, frag.merges)
         _keep_tuples(self, "boundary")
 
+    __getstate__ = _fields_only
+
     @functools.cached_property
     def _compiled(self) -> tuple[tuple[list, list[int]], ...]:
         """Per side, its search schedule and boundary indices; built on the first check."""
@@ -83,7 +85,7 @@ class LocalMovePair:
     @functools.cached_property
     def _kernels(self) -> tuple:
         """Per side, the kernel yielding its boundary values, or None; compiled on the
-        second check."""
+        first check that runs kernels."""
         return tuple(_kernel(schedule, ends) for schedule, ends in self._compiled)
 
 
@@ -214,13 +216,9 @@ def _tally(
     alg: TribracketAlgebra, schedule: list, ends: list[int], kernel=None
 ) -> Counter[tuple[int, ...]]:
     """The number of fragment colorings restricting to each boundary coloring: by the
-    side's kernel, if it has one and meets no read with several values, else by
-    :func:`_solutions`."""
+    side's kernel if it has one, else by :func:`_solutions`."""
     if kernel:
-        try:
-            return Counter(kernel(alg))
-        except _Several:  # tally again from scratch
-            pass
+        return Counter(kernel(alg))
     # itemgetter needs an index, and returns a tuple only for two or more
     end_values = itemgetter(*ends) if len(ends) > 1 else lambda val: tuple(val[i] for i in ends)
     return Counter(map(end_values, _solutions(alg, schedule)))
@@ -234,7 +232,8 @@ def check_move_invariance(alg: TribracketAlgebra, pair: LocalMovePair) -> MoveCh
     """
     _require(alg, TribracketAlgebra, "algebra")
     _require(pair, LocalMovePair, "move pair")
-    kernels = pair._kernels if "_compiled" in vars(pair) else (None, None)  # from the 2nd
+    kept = "_compiled" in vars(pair)  # the schedules' first walk compiles nothing
+    kernels = pair._kernels if kept and _single_valued(alg) else (None, None)
     before, after = (_tally(alg, *side, kernel) for side, kernel in zip(pair._compiled, kernels))
     if before.items() == after.items():  # counted tallies hold positive counts only
         return MoveCheckReport(pair.move_id, True)

@@ -9,6 +9,7 @@ from tribrackets import (
     PartialProduct,
     Tribracket,
     TribracketAlgebra,
+    alexander_tribracket,
     builtin_diagrams,
     enumerate_products,
     enumerate_tribrackets,
@@ -27,6 +28,16 @@ Z3_TENSOR = Tribracket(
 FULL_PRODUCT = PartialProduct(3, ((1, 3, 2), (3, 2, 1), (2, 1, 3)))
 DIAG_PRODUCT = PartialProduct(3, ((1, None, None), (None, 2, None), (None, None, 3)))
 CYC_PRODUCT = PartialProduct(3, ((None, 3, None), (None, None, 1), (2, None, None)))
+
+# a read with one open slot has two values over each, so no kernel walks them:
+# alexander(2, 1, 1), whose tensor passes its axioms, under a product whose row 1 repeats
+# 1 (1*1 = 1*2 = 1), and the constant tensor of order 2, which fails its axioms
+SEVERAL_VALUED = {
+    "product_does_not_cancel": TribracketAlgebra(
+        alexander_tribracket(2, 1, 1), PartialProduct(2, ((1, 1), (None, 2)))),
+    "tensor_fails_its_axioms": TribracketAlgebra(
+        Tribracket(2, [[[1, 1], [1, 1]]] * 2), PartialProduct.diagonal(2)),
+}
 
 Z4_TENSOR = Tribracket(
     4,
@@ -142,6 +153,13 @@ def z4_algebra():
 @pytest.fixture(scope="session")
 def diagrams():
     return {d.name: d for d in builtin_diagrams()}
+
+
+def search_walks(monkeypatch, module) -> list:
+    """The arguments of each call of module._solutions from now on."""
+    calls, solutions = [], module._solutions
+    monkeypatch.setattr(module, "_solutions", lambda *args: calls.append(args) or solutions(*args))
+    return calls
 
 
 @st.composite

@@ -502,6 +502,23 @@ class TestKeptVerdict:
         assert calls == [bad]
 
 
+class TestCancellative:
+    """A partial product keeps whether it cancels: no row or column repeats a defined value."""
+
+    @given(alg=arbitrary_algebras(sizes=(1, 2, 3, 4)) | st.sampled_from(census_algebras()))
+    @settings(max_examples=300, deadline=None)
+    def test_it_is_left_and_right_cancellation(self, alg):
+        p, r = alg.product, range(1, alg.n + 1)
+        cancels = all(
+            b == c or x is None or x != y
+            for a, b, c in itertools.product(r, repeat=3)
+            for x, y in ((p.mul(a, b), p.mul(a, c)), (p.mul(b, a), p.mul(c, a)))
+        )
+        event(f"cancels: {cancels}")
+        assert p.cancellative is cancels and "cancellative" in vars(p)
+        assert [f.name for f in dataclasses.fields(p)] == ["n", "table"]
+
+
 @functools.cache
 @st.composite
 def latin_slab_tensors(draw):

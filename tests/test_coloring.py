@@ -5,6 +5,7 @@ import hashlib
 import heapq
 import itertools
 import operator
+import pickle
 import random
 import re
 import weakref
@@ -42,7 +43,8 @@ from tribrackets import (
 from tribrackets import coloring, moves
 from tribrackets.coloring import _compile, _plan, _reads, _solutions, _system
 from tribrackets.moves import _compile_fragment
-from tests.conftest import arbitrary_algebras, census_algebras, k2_cases
+from tests.conftest import (SEVERAL_VALUED, arbitrary_algebras, census_algebras, k2_cases,
+                            search_walks)
 
 
 class TestBundledCounts:
@@ -1237,6 +1239,16 @@ class TestPlanKept:
         assert [ref() for ref in refs] == [None, None, None]
         assert "_count_plan" in vars(dia)
 
+    def test_a_counted_diagram_pickles_its_fields_alone(self, diagrams):
+        # its kernels are exec-made functions, which pickle cannot send to another process
+        alg, dia = load_bundled_algebra("z3_full"), _fresh(diagrams["theta"])
+        assert [count_colorings(alg, dia) for _ in range(3)] == [9] * 3
+        assert {"_count_plan", "_count_kernels"} <= vars(dia).keys()
+        copy = pickle.loads(pickle.dumps(dia))
+        assert copy == dia and hash(copy) == hash(dia)
+        assert vars(copy).keys() == {f.name for f in dataclasses.fields(Diagram)}
+        assert [count_colorings(alg, copy) for _ in range(3)] == [9] * 3
+
     def test_a_list_changed_after_the_count_leaves_the_diagram_as_checked(self, full_algebra):
         # a diagram once held the caller's list: appending this crossing after
         # the first count left the kept plan reading 9 where both oracles read 3
@@ -1284,15 +1296,6 @@ class TestPlanKept:
             assert count_colorings(alg, dia) == count_colorings_bruteforce(alg, dia)
 
 
-def _kernel_colorings(alg, schedule, leaf):
-    """The kernel's yields, sorted, or None where it meets a read with several values."""
-    kernel = coloring._kernel(schedule, leaf)
-    try:
-        return sorted(kernel(alg))
-    except coloring._Several:
-        return None
-
-
 def _brute_colorings(alg, regions, system):
     """Every assignment of regions 0..regions-1 that holds in the system, sorted."""
     ops = {ConstraintKind.CROSSING: alg.tribracket.bracket, ConstraintKind.VERTEX: alg.product.mul}
@@ -1313,8 +1316,8 @@ def _hub(size):
 
 class TestKernels:
     """From its second use a kept plan is walked by kernels, compiled Python generators
-    that yield what _solutions yields, or meet a read with several values and leave the
-    schedule to _solutions."""
+    that yield what _solutions yields over an algebra whose reads with one open slot
+    have one value at most; over any other, every use walks _solutions."""
 
     @given(alg=arbitrary_algebras(sizes=(1, 2, 3)) | st.sampled_from(census_algebras()),
            dia=random_diagrams(max_regions=5, max_constraints=4))
@@ -1325,39 +1328,62 @@ class TestKernels:
         schedule = _compile(regions, system)
         walked = sorted(tuple(val) for val in _solutions(alg, schedule))
         assert walked == _brute_colorings(alg, regions, system)
-        listed = _kernel_colorings(alg, schedule, range(regions))
-        assert listed in (None, walked)
-        if all(kind is ConstraintKind.CROSSING for kind, _ in system):
-            # a verified tensor is Latin in every slot, so no read has several values
-            assert listed is not None or alg not in census_algebras()
+        kernel = coloring._kernel(schedule, range(regions))
+        assert kernel is not None  # 5 regions nest 5 loops at most
+        if coloring._single_valued(alg):
+            assert sorted(kernel(alg)) == walked
+        else:  # every census algebra is walked by its kernels
+            assert alg not in census_algebras()
 
-    @given(alg=arbitrary_algebras(), case=disjoint_unions())
+    @given(alg=arbitrary_algebras() | st.sampled_from([a for a in census_algebras() if a.n < 4]),
+           case=disjoint_unions())
     @settings(max_examples=150, deadline=None)
     def test_union_counts_by_kernel_match_brute_force(self, alg, case):
         _, _, union = case
         expected = count_colorings_bruteforce(alg, union)
         assert [count_colorings(alg, union) for _ in range(3)] == [expected] * 3
+        assert ("_count_kernels" in vars(union)) is coloring._single_valued(alg)
         regions, parts = union._count_plan
         for part, kernel in zip(parts, union._count_kernels):
             walked = sum(1 for _ in _solutions(alg, part, [0] * regions))
-            try:
+            if coloring._single_valued(alg):
                 assert operator.countOf(kernel(alg), ()) == walked
-            except coloring._Several:
-                pass
 
-    def test_a_read_with_several_values_leaves_the_part_to_the_search(self):
-        # r is forced by a product read with two values; the kernel hands the part back
-        alg = TribracketAlgebra(
-            alexander_tribracket(2, 1, 1), PartialProduct(2, ((1, 1), (None, 2)))
-        )
-        dia = _diagram(("l", "m", "r"), (Constraint(ConstraintKind.VERTEX, ("l", "m", "r")),))
-        assert [count_colorings(alg, dia) for _ in range(3)] == [3] * 3
+    @pytest.mark.parametrize("name, constraints", [
+        ("product_does_not_cancel", [Constraint(ConstraintKind.VERTEX, ("l", "m", "r"))]),
+        ("tensor_fails_its_axioms",
+         [Constraint(ConstraintKind.CROSSING, (x, "b", "c", "d")) for x in "ae"]),
+    ], ids=["product_does_not_cancel", "tensor_fails_its_axioms"])
+    def test_a_table_with_a_read_of_several_values_is_walked_by_the_search_at_every_count(
+        self, monkeypatch, name, constraints
+    ):
+        # a region is forced by a read with two values, 1*r = 1 or [a, 1, 1] = 1, whose
+        # entry 0 a kernel would yield as its value
+        alg = SEVERAL_VALUED[name]
+        dia = _diagram(sorted({r for c in constraints for r in c.refs}), constraints)
         (part,) = dia._count_plan[1]
-        with pytest.raises(coloring._Several):
-            list(dia._count_kernels[0](alg))
-        assert sorted(tuple(v) for v in _solutions(alg, part)) == _brute_colorings(
-            alg, *_system(dia.regions, dia.constraints)[:2]
-        )
+        brute = _brute_colorings(alg, *_system(dia.regions, dia.constraints)[:2])
+        assert sorted(tuple(v) for v in _solutions(alg, part)) == brute
+        assert sorted(coloring._kernel(part, range(len(dia.regions)))(alg)) != brute
+        walks = search_walks(monkeypatch, coloring)
+        assert [count_colorings(alg, dia) for _ in range(3)] == [len(brute)] * 3
+        assert len(walks) == 3 and "_count_kernels" not in vars(dia)
+        assert count_colorings_bruteforce(alg, dia) == len(brute)
+
+    def test_the_third_count_over_a_census_algebra_walks_no_search(self, monkeypatch, diagrams):
+        # every census algebra is walked by kernels from a diagram's second count on
+        counted = 0
+        for alg in (alg for alg in census_algebras() if alg.n < 4):
+            forms = corpus_closed_forms(alg)
+            for name, count in forms.items():
+                dia = _fresh(diagrams[name])
+                assert [count_colorings(alg, dia) for _ in range(2)] == [count] * 2
+                with monkeypatch.context() as patch:
+                    walks = search_walks(patch, coloring)
+                    assert count_colorings(alg, dia) == count
+                assert walks == []
+                counted += 1
+        assert counted == 25 * 6 + 3 * 2  # one idempotent algebra an order counts 2 more
 
     def test_a_part_of_more_than_20_loops_is_walked_by_the_search(self):
         # Python refuses more than 20 statically nested blocks; 23 loops fall back
@@ -1370,6 +1396,20 @@ class TestKernels:
         small = _hub(5)
         assert [count_colorings(_linear(3), small) for _ in range(2)] == [3, 3]
         assert small._count_kernels[0] is not None
+
+    def test_a_kernel_nests_20_loops_and_refuses_21_before_compiling(self, monkeypatch):
+        # Python 3.10-3.13 compile 20 statically nested loops and refuse 21
+        sources = []
+        monkeypatch.setattr(coloring, "compile", lambda source, *args: sources.append(source)
+                            or compile(source, *args), raising=False)
+        hub = _hub(19)
+        assert _branches(hub._count_plan[1][0]) == 20
+        assert [count_colorings(_linear(3), hub) for _ in range(3)] == [3] * 3
+        assert hub._count_kernels[0] is not None and len(sources) == 1
+        hub = _hub(20)
+        assert _branches(hub._count_plan[1][0]) == 21
+        assert [count_colorings(_linear(3), hub) for _ in range(3)] == [3] * 3
+        assert hub._count_kernels == [None] and len(sources) == 1
 
     def test_the_first_count_and_the_first_check_compile_nothing(self, monkeypatch, diagrams):
         compiled = []

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import hashlib
 import itertools
+import pickle
 import random
 from collections import Counter
 
@@ -26,16 +27,18 @@ from tribrackets import (
     verify_algebra,
     verify_tribracket,
 )
-from tribrackets import coloring
+from tribrackets import coloring, moves
 from tribrackets.moves import _compile_fragment, _tally
 from tests.conftest import (
     CYC_PRODUCT,
     FULL_PRODUCT,
+    SEVERAL_VALUED,
     Z3_TENSOR,
     arbitrary_algebras,
     census_algebras,
     latin_slabs,
     latin_squares,
+    search_walks,
 )
 
 
@@ -728,7 +731,8 @@ def merged_fragments(draw):
 
 class TestKernelTallies:
     """From a pair's second check each side is tallied by a kernel that yields its
-    boundary values; it tallies what the search does, or leaves the side to it."""
+    boundary values, over an algebra whose reads with one open slot have one value at
+    most; it tallies what the search does.  Over any other, every check walks the search."""
 
     @given(alg=arbitrary_algebras() | st.sampled_from(census_algebras()[:40]),
            case=merged_fragments())
@@ -738,10 +742,42 @@ class TestKernelTallies:
         schedule, ends = _compile_fragment(boundary, frag)
         walked = _tally(alg, schedule, ends)
         kernel = coloring._kernel(schedule, ends)
-        try:
+        assert kernel is not None  # 6 regions nest 6 loops at most
+        if coloring._single_valued(alg):
             assert Counter(kernel(alg)) == walked
-        except coloring._Several:
-            pass
-        assert _tally(alg, schedule, ends, kernel) == walked
+            assert _tally(alg, schedule, ends, kernel) == walked
         for values in itertools.product(range(1, alg.n + 1), repeat=len(boundary)):
             assert walked[values] == oracle_extensions(alg, frag, dict(zip(boundary, values)))
+
+    @pytest.mark.parametrize("name", SEVERAL_VALUED)
+    def test_a_table_with_a_read_of_several_values_is_walked_by_the_search_at_every_check(
+        self, monkeypatch, name
+    ):
+        alg, walks = SEVERAL_VALUED[name], search_walks(monkeypatch, moves)
+        for pair in builtin_move_pairs():
+            pair = dataclasses.replace(pair)  # a pair never checked
+            want = oracle_check(alg, pair)
+            assert [check_move_invariance(alg, pair) for _ in range(3)] == [want] * 3
+            assert "_kernels" not in vars(pair)
+        assert len(walks) == 16 * 3 * 2  # each side of each check
+
+    def test_the_third_check_over_a_census_algebra_walks_no_search(self, monkeypatch):
+        for alg in (alg for alg in census_algebras() if alg.n < 4):
+            for pair in builtin_move_pairs():
+                pair = dataclasses.replace(pair)
+                reports = [check_move_invariance(alg, pair) for _ in range(2)]
+                with monkeypatch.context() as patch:
+                    walks = search_walks(patch, moves)
+                    reports.append(check_move_invariance(alg, pair))
+                assert reports == [oracle_check(alg, pair)] * 3 and walks == []
+
+    def test_a_checked_pair_pickles_its_fields_alone(self, full_algebra):
+        # its kernels are exec-made functions, which pickle cannot send to another process
+        pair = dataclasses.replace(pairs_by_id()["R3a"])
+        assert all(check_move_invariance(full_algebra, pair).passed for _ in range(3))
+        assert {"_compiled", "_kernels"} <= vars(pair).keys()
+        copy = pickle.loads(pickle.dumps(pair))
+        assert copy == pair and hash(copy) == hash(pair)
+        assert vars(copy).keys() == {f.name for f in dataclasses.fields(LocalMovePair)}
+        assert [check_move_invariance(full_algebra, copy) for _ in range(3)] == [
+            check_move_invariance(full_algebra, pair)] * 3
