@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Verbs: verify, enumerate-tribrackets, enumerate-products, count, check-moves,
-demo.  Exit codes: 0 success, 1 mathematical failure (axiom violation, move
+demo.  A plain command line is read against the parser's own actions (``_read``);
+argparse parses everything else, so help, usage errors and their exit codes are its
+own.  Exit codes: 0 success, 1 mathematical failure (axiom violation, move
 failure, oracle mismatch, failed demo row), 2 usage or I/O error.  All output
 meant for scripting is byte-stable across runs.
 """
@@ -147,7 +149,8 @@ def _cmd_check_moves(args) -> int:
     pairs = builtin_move_pairs()
     if args.moves is not None:
         wanted = args.moves.split(",")
-        unknown = [m for m in wanted if m not in {pair.move_id for pair in pairs}]
+        known = {pair.move_id for pair in pairs}
+        unknown = [m for m in wanted if m not in known]
         if unknown:
             raise _CliError(f"unknown move ids: {', '.join(m or repr(m) for m in unknown)}")
         pairs = [pair for pair in pairs if pair.move_id in wanted]
@@ -271,12 +274,69 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace | None:
+    """``parser.parse_args(argv)`` for a plain ``argv``, read against the parser's own
+    actions; None for any other, which argparse then parses itself.
+
+    Plain is: an exact verb, then option names that match exactly, one value for each
+    store option, each positional of the verb filled at most once and every required
+    action (which each positional argparse must fill is) given, no value or positional
+    starting with "-", every ``type`` conversion and ``choices`` test passed, and only
+    store and store-const actions used.  Help, abbreviations, ``--opt=value``, ``--``,
+    negative numbers, a missing or extra argument and a failed conversion are all left
+    to argparse, as is a string default, which argparse converts by ``type``.
+    """
+    verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    sub = verbs.choices.get(argv[0]) if argv else None
+    if sub is None:
+        return None
+    positionals = iter([a for a in sub._actions if not a.option_strings])
+    tokens = iter(argv[1:])
+    read = {}  # action -> the value its last token gave
+    for token in tokens:
+        if token.startswith("-"):
+            action = sub._option_string_actions.get(token)
+            if isinstance(action, argparse._StoreConstAction):
+                read[action] = action.const
+                continue
+            token = next(tokens, "-")
+        else:
+            action = next(positionals, None)
+        if type(action) is not argparse._StoreAction or action.nargs or token.startswith("-"):
+            return None
+        try:
+            value = token if action.type is None else action.type(token)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        read[action] = value
+    values = {}
+    for p, given in ((parser, {verbs: argv[0]}), (sub, read)):
+        if any(a.required and a not in given for a in p._actions):
+            return None
+        unset = [a for a in reversed(p._actions) if a not in given
+                 and a.dest is not argparse.SUPPRESS and a.default is not argparse.SUPPRESS]
+        if any(isinstance(a.default, str) for a in unset):
+            return None
+        # as parse_args: a sub-parser's values over the parser's, and in each an
+        # action's default over a set_defaults entry (the first action's of a dest),
+        # and a value read over both
+        values.update(p._defaults)
+        values.update((a.dest, a.default) for a in unset)
+        values.update((a.dest, v) for a, v in given.items())
+    return argparse.Namespace(**values)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return USAGE_ERROR if exc.code not in (0, None) else 0
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read(parser, argv)
+    if args is None:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         code = args.func(args)
         sys.stdout.flush()  # so that a closed stdout fails here, not at exit

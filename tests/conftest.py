@@ -93,14 +93,16 @@ def census_algebras():
     ]
 
 
+@functools.cache
 def latin_squares(n):
-    """Every Latin square of order n on 1..n, as row tuples, in lexicographic order."""
+    """Every Latin square of order n on 1..n, as row tuples, in lexicographic order;
+    built once per n, since each drawn slab tensor of order n samples it n times."""
     rows = list(itertools.permutations(range(1, n + 1)))
     squares = [()]
     for _ in range(n):
         squares = [sq + (row,) for sq in squares for row in rows
                    if all(v != q[j] for q in sq for j, v in enumerate(row))]
-    return squares
+    return tuple(squares)
 
 
 def latin_slabs(slabs) -> Tribracket:

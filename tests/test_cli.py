@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -5,6 +6,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tribrackets
 from tribrackets import (
@@ -20,7 +23,7 @@ from tribrackets import (
     serialize_algebra,
     serialize_diagram,
 )
-from tribrackets.cli import _build_parser, main
+from tribrackets.cli import _build_parser, _read, main
 from tests.conftest import CYC_PRODUCT, DIAG_PRODUCT, FULL_PRODUCT, Z3_TENSOR
 
 
@@ -437,6 +440,124 @@ class TestUsage:
 
     def test_no_verb_exits_2(self, capsys):
         assert main([]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["frobnicate"],
+            ["verify", "a.alg", "--frob"],
+            ["verify", "a.alg", "b.alg"],
+            ["count", "a.alg"],
+            ["enumerate-tribrackets", "three"],
+            ["check-moves", "a.alg", "--moves"],
+            ["check-moves", "--moves=R1a"],
+            ["-h"],
+            ["check-moves", "-h"],
+        ],
+    )
+    def test_main_prints_and_exits_as_the_parser_does(self, capsys, argv):
+        # against the parser in this process, since argparse's wording varies by version
+        code = main(argv)
+        printed = capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            _build_parser().parse_args(argv)
+        assert (code, printed) == (exc.value.code, capsys.readouterr())
+
+
+# each verb's positionals (None) and options, and the values and tokens drawn with them:
+# every verb, option and positional of the parser, and tokens that argparse reads in ways
+# the reader leaves to it (help, an abbreviation, --opt=value, "--", a negative number)
+ARGUMENTS = {
+    "verify": [None],
+    "enumerate-tribrackets": [None, "--max-candidates", "--timeout"],
+    "enumerate-products": [None, "--idempotent"],
+    "count": [None, None, "--enumerate", "--oracle"],
+    "check-moves": [None, "--moves", "--include-ih"],
+    "demo": [],
+}
+STORE_OPTIONS = ["--max-candidates", "--timeout", "--moves"]
+VALUES = ["z3.alg", "theta.dia", "3", "0.5", "R1a,IH", "", "three", "inf"]
+TOKENS = sorted({a for args in ARGUMENTS.values() for a in args if a}) + VALUES + [
+    "-h", "--inc", "--moves=R1a", "--", "-1", "frobnicate",
+]
+
+
+@st.composite
+def command_lines(draw):
+    """A verb and some of its arguments in any order, each store option followed by a
+    value, with up to two tokens of any kind put among them."""
+    verb = draw(st.sampled_from([*ARGUMENTS, "frobnicate", "-h"]))
+    arguments = draw(st.permutations(ARGUMENTS.get(verb, [])))
+    pieces = [
+        [draw(st.sampled_from(VALUES))] if a is None
+        else [a, draw(st.sampled_from(VALUES))] if a in STORE_OPTIONS else [a]
+        for a in arguments[: draw(st.integers(0, len(arguments)))]
+    ]
+    extra = draw(st.lists(st.sampled_from(TOKENS), max_size=2))
+    pieces.insert(draw(st.integers(0, len(pieces))), extra)
+    return [verb, *(token for piece in pieces for token in piece)]
+
+
+class TestPlainCommandLines:
+    """main reads a plain command line against the parser's actions (_read) and leaves
+    every other to argparse."""
+
+    @given(argv=command_lines())
+    @settings(max_examples=1000, deadline=None)
+    def test_a_command_line_the_reader_accepts_parses_as_argparse_parses_it(self, argv):
+        args = _read(_build_parser(), argv)
+        if args is not None:
+            assert args == _build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "a.alg"],
+            ["enumerate-tribrackets", "4", "--max-candidates", "40", "--timeout", "inf"],
+            ["enumerate-products", "--idempotent", "a.alg"],
+            ["count", "a.alg", "--oracle", "b.dia", "--enumerate"],
+            ["check-moves", "a.alg", "--moves", "R1a", "--include-ih"],
+            ["check-moves", "a.alg", "--moves", "", "--moves", "R2a"],
+            ["demo"],
+        ],
+    )
+    def test_every_verb_has_command_lines_the_reader_accepts(self, argv):
+        args = _read(_build_parser(), argv)
+        assert args is not None and args == _build_parser().parse_args(argv)
+
+    @staticmethod
+    def toy_parser():
+        """A parser with what the command line's lacks: choices, two options of one dest,
+        a string default and defaults set on both levels."""
+        parser = argparse.ArgumentParser(prog="toy")
+        parser.set_defaults(level="top")
+        sub = parser.add_subparsers(dest="verb", required=True)
+        go = sub.add_parser("go")
+        go.add_argument("size", type=int, choices=[1, 2])
+        go.add_argument("--loud", dest="volume", action="store_const", const=2, default=1)
+        go.add_argument("--quiet", dest="volume", action="store_false", default=0)
+        go.set_defaults(level="go")
+        sub.add_parser("named").add_argument("--name", type=str.upper, default="x")
+        return parser
+
+    @pytest.mark.parametrize(
+        "argv, plain",
+        [
+            (["go", "1"], True),
+            (["go", "--loud", "2"], True),
+            (["go", "2", "--quiet"], True),
+            (["go", "3"], False),  # not a choice
+            (["named", "--name", "y"], True),
+            (["named"], False),  # argparse passes the default "x" through type
+        ],
+    )
+    def test_the_reader_follows_the_parser_it_is_given(self, argv, plain):
+        parser = self.toy_parser()
+        args = _read(parser, argv)
+        assert (args is not None) == plain
+        if plain:
+            assert args == parser.parse_args(argv)
 
 
 def run_alone(argv):
