@@ -17,17 +17,19 @@ recursion limit: a branch tries 1..n, a forced region reads one entry of its
 constraint's keyed table, keyed by the values of the regions before it, and every
 value must hold in the constraints it closes.  Stepping back undoes nothing.
 
-A kept schedule is walked in two tiers.  Its first use (a diagram's first count,
-a move pair's first check) walks :func:`_solutions` and compiles nothing; from the
-second, :func:`_kernel` has turned each part into a generator of nested loops,
-compiled once whatever n, and the counter and the move harness run that instead.
-The tier is chosen before the walk, which never restarts: :func:`_solutions` walks a
-part of more than 20 loops, which Python cannot compile, and any part over an algebra
-that :func:`_single_valued` refuses.  The reference count_colorings_bruteforce shares
-only that numbering and slot order: it tests every assignment through bracket and mul.
+A kept schedule, a :class:`_Kept`, chooses for the counter and the move harness alike
+how each use walks it.  Its first use (a diagram's first count, a move pair's first check)
+walks :func:`_solutions` and compiles nothing; from the second, :func:`_kernel` has turned
+each part into a generator of nested loops, compiled once whatever n, which runs instead
+and yields what the search does.  The tier is chosen before the walk, which never restarts:
+:func:`_solutions` walks a part of more than 20 loops, which Python cannot compile, and any
+part over an algebra that :func:`_single_valued` refuses.  The reference
+count_colorings_bruteforce shares only that numbering and slot order: it tests every
+assignment through bracket and mul.
 """
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import operator
@@ -125,11 +127,13 @@ def _reads(system: Sequence[tuple[ConstraintKind, tuple[int, ...]]], steps: list
             for r, f, closes in steps]
 
 
-def _solutions(alg: TribracketAlgebra, schedule: list[tuple], val=None) -> Iterator[list[int]]:
-    """Every coloring of a compiled schedule's regions (only [] if none), as one list
-    of values that changes as the search goes on: copy it to keep a coloring.  It is
-    ``val`` if given, of which the search writes and reads only the schedule's regions."""
+def _solutions(alg: TribracketAlgebra, schedule: list[tuple], ends=(), val=None) -> Iterator:
+    """Per coloring of a compiled schedule's regions, the tuple of the ``ends`` regions'
+    values (only () if the schedule is empty).  The search colors one list of values,
+    ``val`` if given, of which it writes and reads only the schedule's regions."""
     m = alg.n + 1
+    # itemgetter needs an index, and returns a tuple only for two or more
+    get = operator.itemgetter(*ends) if len(ends) > 1 else lambda val: tuple(val[i] for i in ends)
 
     # a read binds its operation's table, built only if read, and r's place values summed
     def bind(kind, a, b, c, d, fa, fb, fc, fd) -> tuple:
@@ -142,7 +146,7 @@ def _solutions(alg: TribracketAlgebra, schedule: list[tuple], val=None) -> Itera
     p = 0
     while True:
         if p == end:  # a full coloring; then step back
-            yield val
+            yield get(val) if ends else ()  # no call per coloring for a count
             values = ()
         else:
             r, force, closes = steps[p]
@@ -189,10 +193,10 @@ def _single_valued(alg: TribracketAlgebra) -> bool:
 
 
 def _kernel(schedule: list[tuple], leaf: Sequence[int]):
-    """A generator function of an algebra, compiled once from a compiled schedule, that
-    yields the tuple of the ``leaf`` regions' values once per coloring, as
-    :func:`_solutions` would over an algebra that :func:`_single_valued` accepts; None
-    if it would nest more than 20 loops, which Python cannot compile.
+    """A generator function of an algebra (and a ``val`` it ignores), compiled once from
+    a compiled schedule, that yields the tuple of the ``leaf`` regions' values once per
+    coloring, as :func:`_solutions` would over an algebra that :func:`_single_valued`
+    accepts; None if it would nest more than 20 loops, which Python cannot compile.
 
     A branch is a loop over 1..n, and so is a forced region that fills several slots
     of its read (the key has several open digits, so its entry is 0); each other forced
@@ -233,12 +237,38 @@ def _kernel(schedule: list[tuple], leaf: Sequence[int]):
         inner.append(r)
     lines.append(f"{'    ' * (loops + 1)}yield ({''.join(f'v{r}, ' for r in leaf)})")
     binds = {"TX": "alg.tribracket.keyed_table", "TV": "alg.product.keyed_table"}
-    head = ["def kernel(alg):", "    m = alg.n + 1", "    span = range(1, m)",
+    head = ["def kernel(alg, val=None):", "    m = alg.n + 1", "    span = range(1, m)",
             "    M2 = m * m", "    M3 = M2 * m"]
     source = "\n".join(head + [f"    {t} = {binds[t]}" for t in sorted(tables)] + lines)
     namespace = {}
     exec(compile(source, "<kernel>", "exec"), namespace)
     return namespace["kernel"]
+
+
+class _Kept:
+    """A kept schedule's compiled parts, each with the regions whose values it yields (its
+    ends), and the walkers of each use, functions walk(alg, val=None) that yield as
+    :func:`_solutions` does: the searches at the first use and over an algebra that
+    :func:`_single_valued` refuses, else the kernels.  It holds no table, nor any val."""
+
+    def __init__(self, parts: Sequence[list[tuple]], ends: Sequence[Sequence[int]]):
+        self.parts, self.ends, self.used = parts, ends, False
+        # a search looks _solutions up as it walks, not as the plan is made
+        self.searches = [lambda alg, val=None, part=part, e=e: _solutions(alg, part, e, val)
+                         for part, e in zip(parts, ends)]
+
+    @functools.cached_property
+    def kernels(self) -> list:
+        """Per part, its kernel, or its search where the kernel would nest over 20 loops."""
+        return [_kernel(part, e) or search
+                for part, e, search in zip(self.parts, self.ends, self.searches)]
+
+    def walkers(self, alg: TribracketAlgebra) -> list:
+        """Per part, its walker for this use over alg."""
+        if self.used and _single_valued(alg):
+            return self.kernels
+        self.used = True
+        return self.searches
 
 
 def _plan(regions: int, constraints: list[tuple[int, ...]]) -> list[tuple[int, int | None, list]]:
@@ -301,7 +331,7 @@ def enumerate_colorings(alg: TribracketAlgebra, dia: Diagram) -> list[dict[str, 
     """All valid colorings from one joint search, sorted by value tuple in region order."""
     _check_args(alg, dia)
     regions, system, _ = _system(dia.regions, dia.constraints)
-    found = sorted(tuple(val) for val in _solutions(alg, _compile(regions, system)))
+    found = sorted(_solutions(alg, _compile(regions, system), range(regions)))
     return [dict(zip(dia.regions, values)) for values in found]
 
 
@@ -310,29 +340,19 @@ def count_colorings(alg: TribracketAlgebra, dia: Diagram) -> int:
     of the connected components, n for a region that no constraint touches.  It walks
     each component's part of the schedule, planned once from dia's structure and kept
     on dia: the one it would get alone, or that of :func:`_fewer_branches`' regions;
-    from dia's second count on, if :func:`_single_valued` accepts alg, by its kernels."""
+    by the walker its :class:`_Kept` chooses."""
     _check_args(alg, dia)
-    kept = "_count_plan" in vars(dia)  # the plan's first walk compiles nothing
-    regions, parts = dia._count_plan
-    kernels = dia._count_kernels if kept and _single_valued(alg) else [None] * len(parts)
-    count, val = alg.n ** (regions - sum(map(len, parts))), [0] * regions
-    for part, kernel in zip(parts, kernels):
+    regions, kept = dia._count_plan
+    count, val = alg.n ** (regions - sum(map(len, kept.parts))), [0] * regions
+    for walk in kept.walkers(alg):
         if count:  # a factor 0 ends the search
-            count *= _walk(alg, part, val, kernel)
+            count *= operator.countOf(walk(alg, val), ())
     return count
 
 
-def _walk(alg: TribracketAlgebra, part: list[tuple], val: list[int], kernel) -> int:
-    """The number of colorings of one compiled part: by its kernel if it has one, else
-    by :func:`_solutions` over val."""
-    if kernel:
-        return operator.countOf(kernel(alg), ())
-    return operator.countOf(_solutions(alg, part, val), val)  # it yields val
-
-
-def _count_plan(dia: Diagram) -> tuple[int, list[list[tuple]]]:
-    """dia's number of regions, and the compiled parts count_colorings walks at any n: each
-    component's part of the plan, as :func:`_fewer_branches` leaves it, placed."""
+def _count_plan(dia: Diagram) -> tuple[int, _Kept]:
+    """dia's number of regions, and the compiled parts count_colorings walks at any n, kept
+    with no ends: each component's part of the plan, as _fewer_branches leaves it, placed."""
     regions, system, _ = _system(dia.regions, dia.constraints)
     parent = list(range(regions))
 
@@ -350,8 +370,9 @@ def _count_plan(dia: Diagram) -> tuple[int, list[list[tuple]]]:
             part = parts.setdefault(find(step[0]), [])
         part.append(step)
     # a part of one region that closes no constraint is a region no constraint touches
-    return regions, [_reads(system, _place(_fewer_branches(part, system), system))
-                     for part in parts.values() if len(part) > 1 or part[0][2]]
+    compiled = [_reads(system, _place(_fewer_branches(part, system), system))
+                for part in parts.values() if len(part) > 1 or part[0][2]]
+    return regions, _Kept(compiled, [()] * len(compiled))
 
 
 def _fewer_branches(part: list[tuple], system: Sequence[tuple]) -> list[tuple]:

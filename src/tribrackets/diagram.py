@@ -80,15 +80,10 @@ class Diagram:
 
     @functools.cached_property
     def _count_plan(self) -> tuple:
-        """The coloring counter's plan, made on the first count; not a field, no table."""
+        """The coloring counter's plan, its region count and a ``coloring._Kept`` of its
+        parts, made on the first count; not a field, no table."""
         from .coloring import _count_plan  # coloring imports this module
         return _count_plan(self)
-
-    @functools.cached_property
-    def _count_kernels(self) -> list:
-        """Per part of the kept plan, its kernel or None, compiled by the first count to run one."""
-        from .coloring import _kernel
-        return [_kernel(part, ()) for part in self._count_plan[1]]
 
 
 def _check_name(name: str) -> None:

@@ -1,10 +1,10 @@
 """Executable invariance checks for the generating diagram moves.
 
 Each move ships as a pair of local constraint systems over a shared set of
-boundary regions.  A check solves each fragment once over its boundary and
-internal regions with the coloring search, tallies fragment colorings per
-boundary coloring (the number of extensions to the internal regions), and
-compares the two tallies.  On any tensor and partial product, R3a fails
+boundary regions.  A check walks each fragment once over its boundary and
+internal regions, tallies fragment colorings per boundary coloring (the
+number of extensions to the internal regions), and compares the two
+tallies.  On any tensor and partial product, R3a fails
 exactly when coherence-1 or coherence-2 does, R2a/R2b when slot-b or slot-c
 bijectivity does, R2c/R2d when slot-a or slot-c bijectivity does, and R1b/R1d
 when some l -> [l, x, x] is not a bijection, a narrower failure than that of
@@ -19,7 +19,9 @@ is defined only on equal operands with aa = a.
 A fragment may also merge two boundary regions (the strand-free side of a
 poke move joins its two gap regions into one band); it is solved as the
 region it merges into, so boundary colorings that disagree on merged regions
-admit no extension on that side.
+admit no extension on that side.  A pair keeps both sides' schedules, with
+the boundary as their ends, in one ``coloring._Kept``, which chooses each
+check's walkers, search or kernels, as it does for the counter.
 """
 from __future__ import annotations
 
@@ -27,10 +29,9 @@ import functools
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .algebra import TribracketAlgebra, _fields_only, _keep_tuples, _require
-from .coloring import _compile, _kernel, _single_valued, _solutions, _system
+from .coloring import _compile, _Kept, _system
 from .diagram import Constraint, ConstraintKind, _check_regions
 
 _C = ConstraintKind.CROSSING
@@ -78,15 +79,10 @@ class LocalMovePair:
     __getstate__ = _fields_only
 
     @functools.cached_property
-    def _compiled(self) -> tuple[tuple[list, list[int]], ...]:
-        """Per side, its search schedule and boundary indices; built on the first check."""
-        return tuple(_compile_fragment(self.boundary, frag) for frag in (self.before, self.after))
-
-    @functools.cached_property
-    def _kernels(self) -> tuple:
-        """Per side, the kernel yielding its boundary values, or None; compiled on the
-        first check that runs kernels."""
-        return tuple(_kernel(schedule, ends) for schedule, ends in self._compiled)
+    def _compiled(self) -> _Kept:
+        """Both sides' schedules, their boundary indices as ends; built on the first check."""
+        sides = [_compile_fragment(self.boundary, frag) for frag in (self.before, self.after)]
+        return _Kept(*zip(*sides))
 
 
 @dataclass(frozen=True)
@@ -100,7 +96,8 @@ class MoveCheckReport:
             return f"{self.move_id}  PASS"
         env, before, after = self.witness
         colors = " ".join(f"{k}={v}" for k, v in sorted(env.items()))
-        return f"{self.move_id}  FAIL at {colors}: {before} extensions vs {after}"
+        at = colors and f" at {colors}"  # a pair with no boundary has no coloring to name
+        return f"{self.move_id}  FAIL{at}: {before} extensions vs {after}"
 
 
 def _x(a: str, b: str, c: str, d: str) -> Constraint:
@@ -212,18 +209,6 @@ def _compile_fragment(boundary: tuple[str, ...], frag: MoveFragment) -> tuple[li
     return _compile(regions, system), [index[r] for r in boundary]
 
 
-def _tally(
-    alg: TribracketAlgebra, schedule: list, ends: list[int], kernel=None
-) -> Counter[tuple[int, ...]]:
-    """The number of fragment colorings restricting to each boundary coloring: by the
-    side's kernel if it has one, else by :func:`_solutions`."""
-    if kernel:
-        return Counter(kernel(alg))
-    # itemgetter needs an index, and returns a tuple only for two or more
-    end_values = itemgetter(*ends) if len(ends) > 1 else lambda val: tuple(val[i] for i in ends)
-    return Counter(map(end_values, _solutions(alg, schedule)))
-
-
 def check_move_invariance(alg: TribracketAlgebra, pair: LocalMovePair) -> MoveCheckReport:
     """Compare extension counts of both fragments over every boundary coloring.
 
@@ -232,9 +217,7 @@ def check_move_invariance(alg: TribracketAlgebra, pair: LocalMovePair) -> MoveCh
     """
     _require(alg, TribracketAlgebra, "algebra")
     _require(pair, LocalMovePair, "move pair")
-    kept = "_compiled" in vars(pair)  # the schedules' first walk compiles nothing
-    kernels = pair._kernels if kept and _single_valued(alg) else (None, None)
-    before, after = (_tally(alg, *side, kernel) for side, kernel in zip(pair._compiled, kernels))
+    before, after = (Counter(walk(alg)) for walk in pair._compiled.walkers(alg))
     if before.items() == after.items():  # counted tallies hold positive counts only
         return MoveCheckReport(pair.move_id, True)
     differ = [k for k in before.keys() | after.keys() if before[k] != after[k]]

@@ -14,6 +14,7 @@ from tribrackets import (
     enumerate_products,
     enumerate_tribrackets,
 )
+from tribrackets import coloring
 
 # the order-3 tensor used throughout the bundled corpus, written out longhand
 Z3_TENSOR = Tribracket(
@@ -157,10 +158,12 @@ def diagrams():
     return {d.name: d for d in builtin_diagrams()}
 
 
-def search_walks(monkeypatch, module) -> list:
-    """The arguments of each call of module._solutions from now on."""
-    calls, solutions = [], module._solutions
-    monkeypatch.setattr(module, "_solutions", lambda *args: calls.append(args) or solutions(*args))
+def search_walks(monkeypatch) -> list:
+    """The arguments of each walk of the coloring search, for a count or a move check, from
+    now on."""
+    calls, solutions = [], coloring._solutions
+    spy = lambda *args: calls.append(args) or solutions(*args)  # noqa: E731
+    monkeypatch.setattr(coloring, "_solutions", spy)
     return calls
 
 

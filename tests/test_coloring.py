@@ -40,7 +40,7 @@ from tribrackets import (
     serialize_diagram,
     verify_algebra,
 )
-from tribrackets import coloring, moves
+from tribrackets import coloring
 from tribrackets.coloring import _compile, _plan, _reads, _solutions, _system
 from tribrackets.moves import _compile_fragment
 from tests.conftest import (SEVERAL_VALUED, arbitrary_algebras, census_algebras, k2_cases,
@@ -471,14 +471,14 @@ class TestDisjointUnions:
             (len(union.regions), len(union.constraints))
         ]
 
-    def test_a_factor_zero_ends_the_search(self, monkeypatch, cyc_algebra, diagrams):
-        # k2 is connected and counts 0, so only the first of three copies is walked
-        walks = []
-        walk = coloring._walk
-        monkeypatch.setattr(coloring, "_walk", lambda *args: walks.append(args) or walk(*args))
+    def test_a_factor_zero_ends_the_search(self, cyc_algebra, diagrams):
+        # k2 is connected and counts 0, so only the first of three copies is walked, by
+        # the search at the first count and by its kernel at the others
         k2 = diagrams["k2"]
-        assert count_colorings(cyc_algebra, _union([k2, k2, k2], free=("f",))) == 0
-        assert len(walks) == 1
+        union = _union([k2, k2, k2], free=("f",))
+        for _ in range(3):
+            count, walked = _walks(cyc_algebra, union)
+            assert count == 0 and walked == union._count_plan[1].parts[:1]
 
     def test_handlebody_union_needs_an_idempotent_product(
         self, full_algebra, diag_algebra, diagrams
@@ -645,15 +645,16 @@ class TestCorpusReadsTheProductTable:
 
 
 def _yields(alg, dia):
-    """Every raw yield of the search on dia, in yield order."""
+    """Every coloring the search yields on dia, every region an end, in yield order."""
     regions, system, _ = _system(dia.regions, dia.constraints)
-    return [tuple(val) for val in _solutions(alg, _compile(regions, system))]
+    return list(_solutions(alg, _compile(regions, system), range(regions)))
 
 
 def _fragment_yields(alg, frag, boundary):
-    """Every raw yield of the search on a move fragment, as ``moves._tally`` walks it."""
+    """Every coloring the search yields on a move fragment's schedule, as a check walks
+    it, every region an end, in yield order."""
     schedule, _ = _compile_fragment(boundary, frag)
-    return [tuple(val) for val in _solutions(alg, schedule)]
+    return list(_solutions(alg, schedule, range(len(schedule))))
 
 
 def _mixed_algebra():
@@ -862,10 +863,19 @@ class TestCompileDigest:
 
 
 def _walks(alg, dia):
-    """count_colorings(alg, dia), and the parts of the schedule it walked."""
-    with mock.patch.object(coloring, "_walk", wraps=coloring._walk) as spy:
+    """count_colorings(alg, dia), and the parts of the schedule it walked, by the search
+    or by their kernels."""
+    walked, walkers = [], coloring._Kept.walkers
+
+    def spy(kept, alg):
+        def walker(part, walk):
+            return lambda *args: walked.append(part) or walk(*args)
+
+        return [*map(walker, kept.parts, walkers(kept, alg))]
+
+    with mock.patch.object(coloring._Kept, "walkers", spy):
         count = count_colorings(alg, dia)
-    return count, [call.args[1] for call in spy.call_args_list]
+    return count, walked
 
 
 def _branches(part):
@@ -1191,8 +1201,11 @@ def _fresh(dia):
 
 
 def _leaves(obj):
-    """Every object reachable from obj through lists and tuples, containers included."""
+    """Every object reachable from obj through lists, tuples and a kept plan's parts and
+    ends, containers included."""
     yield obj
+    if isinstance(obj, coloring._Kept):
+        obj = obj.parts, obj.ends
     if isinstance(obj, (list, tuple)):
         for item in obj:
             yield from _leaves(item)
@@ -1232,8 +1245,11 @@ class TestPlanKept:
         ]
         tables = (alg.tribracket.keyed_table, alg.product.keyed_table)
         for x in _leaves(dia._count_plan):
-            assert isinstance(x, (list, tuple, int, ConstraintKind)), x
+            assert isinstance(x, (list, tuple, int, ConstraintKind, coloring._Kept)), x
             assert all(x is not t for t in tables)
+        kept = dia._count_plan[1]  # besides its parts and ends, their searches alone
+        assert vars(kept).keys() == {"parts", "ends", "used", "searches"}
+        assert [s.__closure__ for s in kept.searches] == [None] * len(kept.parts)
         del alg, tables, x
         gc.collect()
         assert [ref() for ref in refs] == [None, None, None]
@@ -1243,7 +1259,7 @@ class TestPlanKept:
         # its kernels are exec-made functions, which pickle cannot send to another process
         alg, dia = load_bundled_algebra("z3_full"), _fresh(diagrams["theta"])
         assert [count_colorings(alg, dia) for _ in range(3)] == [9] * 3
-        assert {"_count_plan", "_count_kernels"} <= vars(dia).keys()
+        assert "_count_plan" in vars(dia) and "kernels" in vars(dia._count_plan[1])
         copy = pickle.loads(pickle.dumps(dia))
         assert copy == dia and hash(copy) == hash(dia)
         assert vars(copy).keys() == {f.name for f in dataclasses.fields(Diagram)}
@@ -1314,6 +1330,11 @@ def _hub(size):
     ])
 
 
+def _has_kernels(kept):
+    """Per part of a kept plan, whether it has a kernel, not its search in its place."""
+    return [kernel is not search for kernel, search in zip(kept.kernels, kept.searches)]
+
+
 class TestKernels:
     """From its second use a kept plan is walked by kernels, compiled Python generators
     that yield what _solutions yields over an algebra whose reads with one open slot
@@ -1326,7 +1347,7 @@ class TestKernels:
         # arbitrary tables hold entries -1 and 0, and a drawn region may fill several slots
         regions, system, _ = _system(dia.regions, dia.constraints)
         schedule = _compile(regions, system)
-        walked = sorted(tuple(val) for val in _solutions(alg, schedule))
+        walked = sorted(_solutions(alg, schedule, range(regions)))
         assert walked == _brute_colorings(alg, regions, system)
         kernel = coloring._kernel(schedule, range(regions))
         assert kernel is not None  # 5 regions nest 5 loops at most
@@ -1342,10 +1363,10 @@ class TestKernels:
         _, _, union = case
         expected = count_colorings_bruteforce(alg, union)
         assert [count_colorings(alg, union) for _ in range(3)] == [expected] * 3
-        assert ("_count_kernels" in vars(union)) is coloring._single_valued(alg)
-        regions, parts = union._count_plan
-        for part, kernel in zip(parts, union._count_kernels):
-            walked = sum(1 for _ in _solutions(alg, part, [0] * regions))
+        regions, kept = union._count_plan
+        assert ("kernels" in vars(kept)) is coloring._single_valued(alg)
+        for part, kernel in zip(kept.parts, kept.kernels):
+            walked = sum(1 for _ in _solutions(alg, part, val=[0] * regions))
             if coloring._single_valued(alg):
                 assert operator.countOf(kernel(alg), ()) == walked
 
@@ -1361,13 +1382,14 @@ class TestKernels:
         # entry 0 a kernel would yield as its value
         alg = SEVERAL_VALUED[name]
         dia = _diagram(sorted({r for c in constraints for r in c.refs}), constraints)
-        (part,) = dia._count_plan[1]
+        kept, ends = dia._count_plan[1], range(len(dia.regions))
+        (part,) = kept.parts
         brute = _brute_colorings(alg, *_system(dia.regions, dia.constraints)[:2])
-        assert sorted(tuple(v) for v in _solutions(alg, part)) == brute
-        assert sorted(coloring._kernel(part, range(len(dia.regions)))(alg)) != brute
-        walks = search_walks(monkeypatch, coloring)
+        assert sorted(_solutions(alg, part, ends)) == brute
+        assert sorted(coloring._kernel(part, ends)(alg)) != brute
+        walks = search_walks(monkeypatch)
         assert [count_colorings(alg, dia) for _ in range(3)] == [len(brute)] * 3
-        assert len(walks) == 3 and "_count_kernels" not in vars(dia)
+        assert len(walks) == 3 and "kernels" not in vars(kept)
         assert count_colorings_bruteforce(alg, dia) == len(brute)
 
     def test_the_third_count_over_a_census_algebra_walks_no_search(self, monkeypatch, diagrams):
@@ -1379,23 +1401,25 @@ class TestKernels:
                 dia = _fresh(diagrams[name])
                 assert [count_colorings(alg, dia) for _ in range(2)] == [count] * 2
                 with monkeypatch.context() as patch:
-                    walks = search_walks(patch, coloring)
+                    walks = search_walks(patch)
                     assert count_colorings(alg, dia) == count
                 assert walks == []
                 counted += 1
         assert counted == 25 * 6 + 3 * 2  # one idempotent algebra an order counts 2 more
 
-    def test_a_part_of_more_than_20_loops_is_walked_by_the_search(self):
+    def test_a_part_of_more_than_20_loops_is_walked_by_the_search(self, monkeypatch):
         # Python refuses more than 20 statically nested blocks; 23 loops fall back
         dia = _hub(22)
-        assert _branches(dia._count_plan[1][0]) == 23
+        kept = dia._count_plan[1]
+        assert _branches(kept.parts[0]) == 23
+        walks = search_walks(monkeypatch)
         for n in (1, 2, 3, 4):
             alg = _linear(n)
             assert [count_colorings(alg, dia) for _ in range(3)] == [n] * 3
-        assert dia._count_kernels == [None]
+        assert len(walks) == 12 and _has_kernels(kept) == [False]
         small = _hub(5)
         assert [count_colorings(_linear(3), small) for _ in range(2)] == [3, 3]
-        assert small._count_kernels[0] is not None
+        assert _has_kernels(small._count_plan[1]) == [True] and len(walks) == 13
 
     def test_a_kernel_nests_20_loops_and_refuses_21_before_compiling(self, monkeypatch):
         # Python 3.10-3.13 compile 20 statically nested loops and refuse 21
@@ -1403,33 +1427,33 @@ class TestKernels:
         monkeypatch.setattr(coloring, "compile", lambda source, *args: sources.append(source)
                             or compile(source, *args), raising=False)
         hub = _hub(19)
-        assert _branches(hub._count_plan[1][0]) == 20
+        assert _branches(hub._count_plan[1].parts[0]) == 20
         assert [count_colorings(_linear(3), hub) for _ in range(3)] == [3] * 3
-        assert hub._count_kernels[0] is not None and len(sources) == 1
+        assert _has_kernels(hub._count_plan[1]) == [True] and len(sources) == 1
         hub = _hub(20)
-        assert _branches(hub._count_plan[1][0]) == 21
+        assert _branches(hub._count_plan[1].parts[0]) == 21
         assert [count_colorings(_linear(3), hub) for _ in range(3)] == [3] * 3
-        assert hub._count_kernels == [None] and len(sources) == 1
+        assert _has_kernels(hub._count_plan[1]) == [False] and len(sources) == 1
 
     def test_the_first_count_and_the_first_check_compile_nothing(self, monkeypatch, diagrams):
         compiled = []
         kernel = coloring._kernel
         spy = lambda *args: compiled.append(args) or kernel(*args)  # noqa: E731
         monkeypatch.setattr(coloring, "_kernel", spy)
-        monkeypatch.setattr(moves, "_kernel", spy)
         alg = load_bundled_algebra("z3_full")
         dia = _fresh(diagrams["theta"])
         pair = dataclasses.replace(builtin_move_pairs()[0])
         assert count_colorings(alg, dia) == 9
         assert check_move_invariance(alg, pair).passed
-        assert compiled == [] and "_count_kernels" not in vars(dia)
-        assert "_kernels" not in vars(pair)
+        assert compiled == [] and "kernels" not in vars(dia._count_plan[1])
+        assert "kernels" not in vars(pair._compiled)
         assert count_colorings(alg, dia) == 9
-        assert len(compiled) == len(dia._count_plan[1])
+        parts = len(dia._count_plan[1].parts)
+        assert len(compiled) == parts
         assert check_move_invariance(alg, pair).passed
-        assert len(compiled) == len(dia._count_plan[1]) + 2  # one kernel per side
+        assert len(compiled) == parts + 2  # one kernel per side
         assert count_colorings(alg, dia) == 9 and check_move_invariance(alg, pair).passed
-        assert len(compiled) == len(dia._count_plan[1]) + 2
+        assert len(compiled) == parts + 2
 
     def test_a_key_part_from_outer_loops_is_summed_once_outside_the_inner_loop(self, monkeypatch):
         # [a, b, c] = d branches on a, b and c, then reads d: a and b's digits are summed
@@ -1455,6 +1479,6 @@ class TestKernels:
             count_colorings(_linear(3), dia)  # the first count walks the search
             alg = _linear(3)
             assert count_colorings(alg, dia) == count_colorings(alg, dia)
-            assert all(dia._count_kernels)
+            assert _has_kernels(dia._count_plan[1]) == [True]
             assert "keyed_table" in vars(getattr(alg, used))
             assert "keyed_table" not in vars(getattr(alg, unused))
