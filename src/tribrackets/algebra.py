@@ -13,7 +13,8 @@ use from the forward table alone (see :func:`_keyed_table`), once per object.
 
 Each axiom is written once, as an entry of one ordered table: its name, the
 number of leading witness coordinates it ranges over, its witness length,
-whether it reads the product, and a generator of its failures.
+whether it reads the product, and a generator of its failures, made from the
+line along which no value repeats or from the two sides of its equation.
 verify_tribracket and verify_algebra run the tensor and the product entries
 over 1..n into an :class:`AxiomReport`, in table order and lexicographic
 witness order, so reports are byte-stable; recheck_violation runs one entry
@@ -294,7 +295,11 @@ class TribracketAlgebra:
 # Each generator reads 1-based tables padded at index 0: T[a][b][c] is
 # bracket(a, b, c) and P[a][b] is a*b or None.  Given one range per leading
 # witness coordinate, it yields (witness, lhs, rhs) for each failure in
-# lexicographic witness order.
+# lexicographic witness order.  A bijectivity or cancellation law is made by
+# _repeats from the line along which no value repeats, every other law by
+# _equation from its two sides; a side reads None where it reads an undefined
+# product, and a law that holds only where a product is defined reads None on
+# both sides elsewhere.
 
 @dataclass(frozen=True)
 class _Axiom:
@@ -330,83 +335,19 @@ def _repeats(line: Callable[..., list]) -> Callable[..., Iterator[tuple]]:
     return failures
 
 
-def _coherence_1(T, P, ra, rb, rc, rd):
-    """[a, b, [b, c, d]] = [a, u, [u, c, d]] with u = [a, b, c]."""
-    for a, b in itertools.product(ra, rb):
-        row_ab = T[a][b]
-        for c in rc:
-            u = row_ab[c]
-            row_bc, row_au, row_uc = T[b][c], T[a][u], T[u][c]
-            for d in rd:
-                lhs, rhs = row_ab[row_bc[d]], row_au[row_uc[d]]
-                if lhs != rhs:
-                    yield (a, b, c, d), lhs, rhs
+def _equation(sides: Callable[..., tuple]) -> Callable[..., Iterator[tuple]]:
+    """The generator of an axiom that the two sides ``sides(T, P, *witness)`` agree.
 
+    The witness ranges over every coordinate; a failure is a witness whose sides differ.
+    """
 
-def _coherence_2(T, P, ra, rb, rc, rd):
-    """[u, c, d] = [[a, b, w], w, d] with u = [a, b, c] and w = [b, c, d]."""
-    for a, b in itertools.product(ra, rb):
-        row_ab = T[a][b]
-        for c in rc:
-            row_bc, row_uc = T[b][c], T[row_ab[c]][c]
-            for d in rd:
-                w = row_bc[d]
-                lhs, rhs = row_uc[d], T[row_ab[w]][w][d]
-                if lhs != rhs:
-                    yield (a, b, c, d), lhs, rhs
-
-
-def _r4_compat(T, P, ra, rb):
-    """[a, a*b, b] = a*b wherever a*b is defined."""
-    for a, b in itertools.product(ra, rb):
-        ab = P[a][b]
-        if ab is not None and T[a][ab][b] != ab:
-            yield (a, b), T[a][ab][b], ab
-
-
-def _r5_compat_1(T, P, ra, rb, rc):
-    """a*[a, b, c] = [a, b, b*c], each side defined exactly when the other is."""
-    for a, b in itertools.product(ra, rb):
-        row_ab, pa, pb = T[a][b], P[a], P[b]
-        for c in rc:
-            bc = pb[c]
-            lhs, rhs = pa[row_ab[c]], None if bc is None else row_ab[bc]
+    def failures(T, P, *ranges):
+        for witness in itertools.product(*ranges):
+            lhs, rhs = sides(T, P, *witness)
             if lhs != rhs:
-                yield (a, b, c), lhs, rhs
+                yield witness, lhs, rhs
 
-
-def _r5_compat_2(T, P, ra, rb, rc):
-    """[a, b, c]*c = [a*b, b, c], each side defined exactly when the other is."""
-    for a, b in itertools.product(ra, rb):
-        row_ab, ab = T[a][b], P[a][b]
-        for c in rc:
-            lhs, rhs = P[row_ab[c]][c], None if ab is None else T[ab][b][c]
-            if lhs != rhs:
-                yield (a, b, c), lhs, rhs
-
-
-def _r5_compat_3(T, P, ra, rb, rc):
-    """[a, b, c] = [[a, b, b*c], b*c, c] wherever b*c is defined."""
-    for a, b in itertools.product(ra, rb):
-        row_ab, pb = T[a][b], P[b]
-        for c in rc:
-            bc = pb[c]
-            if bc is not None:
-                rhs = T[row_ab[bc]][bc][c]
-                if row_ab[c] != rhs:
-                    yield (a, b, c), row_ab[c], rhs
-
-
-def _r5_compat_4(T, P, ra, rb, rc):
-    """[a, b, c] = [a, a*b, [a*b, b, c]] wherever a*b is defined."""
-    for a, b in itertools.product(ra, rb):
-        ab = P[a][b]
-        if ab is not None:
-            row_ab, row_a_ab, row_ab_b = T[a][b], T[a][ab], T[ab][b]
-            for c in rc:
-                rhs = row_a_ab[row_ab_b[c]]
-                if row_ab[c] != rhs:
-                    yield (a, b, c), row_ab[c], rhs
+    return failures
 
 
 # report order: the tensor axioms, then the product axioms
@@ -415,16 +356,30 @@ _AXIOMS = (
     _Axiom("slot-a-bijection", 2, 4, False, _repeats(lambda T, P, b, c: [m[b][c] for m in T[1:]])),
     _Axiom("slot-b-bijection", 2, 4, False, _repeats(lambda T, P, a, c: [r[c] for r in T[a][1:]])),
     _Axiom("slot-c-bijection", 2, 4, False, _repeats(lambda T, P, a, b: T[a][b][1:])),
-    _Axiom("coherence-1", 4, 4, False, _coherence_1),
-    _Axiom("coherence-2", 4, 4, False, _coherence_2),
+    # [a, b, [b, c, d]] = [a, u, [u, c, d]] with u = [a, b, c]
+    _Axiom("coherence-1", 4, 4, False, _equation(lambda T, P, a, b, c, d: (
+        T[a][b][T[b][c][d]], T[a][(u := T[a][b][c])][T[u][c][d]]))),
+    # [u, c, d] = [[a, b, w], w, d] with u = [a, b, c] and w = [b, c, d]
+    _Axiom("coherence-2", 4, 4, False, _equation(lambda T, P, a, b, c, d: (
+        T[T[a][b][c]][c][d], T[T[a][b][(w := T[b][c][d])]][w][d]))),
     # a*b takes each value at most once as b or a varies
     _Axiom("left-cancellation", 1, 3, True, _repeats(lambda T, P, a: P[a][1:])),
     _Axiom("right-cancellation", 1, 3, True, _repeats(lambda T, P, b: [r[b] for r in P[1:]])),
-    _Axiom("r4-compat", 2, 2, True, _r4_compat),
-    _Axiom("r5-compat-1", 3, 3, True, _r5_compat_1),
-    _Axiom("r5-compat-2", 3, 3, True, _r5_compat_2),
-    _Axiom("r5-compat-3", 3, 3, True, _r5_compat_3),
-    _Axiom("r5-compat-4", 3, 3, True, _r5_compat_4),
+    # [a, a*b, b] = a*b wherever a*b is defined
+    _Axiom("r4-compat", 2, 2, True, _equation(lambda T, P, a, b: (
+        (None, None) if (ab := P[a][b]) is None else (T[a][ab][b], ab)))),
+    # a*[a, b, c] = [a, b, b*c], each side defined exactly when the other is
+    _Axiom("r5-compat-1", 3, 3, True, _equation(lambda T, P, a, b, c: (
+        P[a][T[a][b][c]], None if (bc := P[b][c]) is None else T[a][b][bc]))),
+    # [a, b, c]*c = [a*b, b, c], each side defined exactly when the other is
+    _Axiom("r5-compat-2", 3, 3, True, _equation(lambda T, P, a, b, c: (
+        P[T[a][b][c]][c], None if (ab := P[a][b]) is None else T[ab][b][c]))),
+    # [a, b, c] = [[a, b, b*c], b*c, c] wherever b*c is defined
+    _Axiom("r5-compat-3", 3, 3, True, _equation(lambda T, P, a, b, c: (
+        (None, None) if (bc := P[b][c]) is None else (T[a][b][c], T[T[a][b][bc]][bc][c])))),
+    # [a, b, c] = [a, a*b, [a*b, b, c]] wherever a*b is defined
+    _Axiom("r5-compat-4", 3, 3, True, _equation(lambda T, P, a, b, c: (
+        (None, None) if (ab := P[a][b]) is None else (T[a][b][c], T[a][ab][T[ab][b][c]])))),
 )
 _AXIOM_BY_NAME = {ax.name: ax for ax in _AXIOMS}
 
@@ -585,8 +540,9 @@ def recheck_violation(v: Violation, t: Tribracket, p: Optional[PartialProduct] =
 
     Runs the axiom over the witness's own leading coordinates and looks for
     the witness with both reported sides among the failures.  Raises
-    ValueError for an unknown axiom id, a product axiom without ``p``, or a
-    witness of the wrong length or with a value outside 1..n, and ShapeError for
+    ValueError for an unknown axiom id, a product axiom without ``p``, a
+    witness of the wrong length or with a value outside 1..n, or a side that is
+    not None or an int in 1..n (a bool is not one), and ShapeError for
     a v that is not a Violation and tables that are not a Tribracket and a
     PartialProduct or differ in size.
     """
@@ -599,8 +555,14 @@ def recheck_violation(v: Violation, t: Tribracket, p: Optional[PartialProduct] =
         raise ValueError(f"{ax.name} needs the product table")
     if len(v.witness) != ax.width:
         raise ValueError(f"{ax.name} witness {v.witness} does not have {ax.width} values")
-    if not all(type(x) is not bool and isinstance(x, int) and 1 <= x <= t.n for x in v.witness):
+    def value(x) -> bool:  # True == 1 and 2.0 == 2, so neither may stand for a value
+        return type(x) is not bool and isinstance(x, int) and 1 <= x <= t.n
+
+    if not all(map(value, v.witness)):
         raise ValueError(f"{ax.name} witness {v.witness} has a value outside 1..{t.n}")
+    for side in (v.lhs, v.rhs):
+        if side is not None and not value(side):
+            raise ValueError(f"{ax.name} side {side!r} is not None or a value in 1..{t.n}")
     leading = [range(x, x + 1) for x in v.witness[: ax.ranges]]
     return (v.witness, v.lhs, v.rhs) in ax.failures(T, P, *leading)
 

@@ -57,7 +57,6 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .algebra import (
-    _AXIOM_BY_NAME,
     PartialProduct,
     ShapeError,
     Tribracket,
@@ -319,14 +318,30 @@ def _require_tribracket(t: Tribracket) -> None:
         raise UnverifiedTribracketError("tribracket must pass its axioms before product search")
 
 
+def _r5_holds(T, P, full: range) -> bool:
+    """Whether r5-compat-1, a*[a,b,c] = [a,b,b*c], and r5-compat-2, [a,b,c]*c = [a*b,b,c],
+    hold at every (a, b, c) in ``full`` over padded 1-based tables (P None where
+    undefined), each side undefined exactly when the other is; one pass to the first failure."""
+    for a, b in itertools.product(full, full):
+        row_ab, pa, pb, ab = T[a][b], P[a], P[b], P[a][b]
+        row_abb = None if ab is None else T[ab][b]
+        for c in full:
+            u, bc = row_ab[c], pb[c]
+            if pa[u] != (None if bc is None else row_ab[bc]) or P[u][c] != (
+                None if row_abb is None else row_abb[c]
+            ):
+                return False
+    return True
+
+
 def enumerate_products(t: Tribracket) -> list[PartialProduct]:
     """Every partial product compatible with t, empty table included.
 
     r5-compat-1 at b = 1 reads a*[a,1,c] = [a,1,1*c], and c -> [a,1,c] is a
     bijection, so a compatible product is fixed by its first row.  The search
     tries each first row (cells undefined first, then ascending), derives rows
-    2..n, and keeps a table when the axiom table's r5-compat-1/2 find no
-    failure; distinct first rows keep the output sorted by flattened table.
+    2..n, and keeps a table when r5-compat-1/2 hold (see :func:`_r5_holds`);
+    distinct first rows keep the output sorted by flattened table.
     A value v of 1*c is tried only when r4-compat holds at each cell it fixes,
     [a, [a,1,v], [a,1,c]] = [a,1,v] for every a.  A compatible product passes
     there, so none is lost; a kept table passes r4-compat at every cell, as
@@ -339,20 +354,19 @@ def enumerate_products(t: Tribracket) -> list[PartialProduct]:
     n = t.n
     T, _ = _padded(t, None)
     full = range(1, n + 1)
-    laws = [_AXIOM_BY_NAME[name].failures for name in ("r5-compat-1", "r5-compat-2")]
     firsts = [
         [None] + [v for v in full if all(T[a][T[a][1][v]][T[a][1][c]] == T[a][1][v] for a in full)]
         for c in full
     ]
     out: list[PartialProduct] = []
     for first in itertools.product(*firsts):
-        P = [None, (None, *first)]  # padded 1-based, as the axiom table reads it
+        P = [None, (None, *first)]  # padded 1-based, as T is
         for a in range(2, n + 1):
             row_a1, row = T[a][1], [None] * (n + 1)
             for c, v in zip(full, first):
                 row[row_a1[c]] = None if v is None else row_a1[v]
             P.append(row)
-        if any(next(law(T, P, full, full, full), None) for law in laws):
+        if not _r5_holds(T, P, full):
             continue
         p = PartialProduct(n, tuple(tuple(row[1:]) for row in P[1:]))
         if verify_algebra(TribracketAlgebra(t, p)).passed:

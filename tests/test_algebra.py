@@ -607,6 +607,29 @@ class TestRecheckViolation:
         with pytest.raises(ValueError, match=message):
             recheck_violation(violation, z3, product)
 
+    @pytest.mark.parametrize(
+        "violation, side",
+        [
+            (Violation("r4-compat", (1, 1), 3.0, 2), "3.0"),
+            (Violation("r5-compat-1", (3, 1, 1), None, True), "True"),
+            (Violation("r4-compat", (1, 1), 3, 0), "0"),
+            (Violation("r4-compat", (1, 1), 4, 2), "4"),
+            (Violation("r4-compat", (1, 1), "3", 2), "'3'"),
+        ],
+        ids=["float", "bool", "zero", "too-big", "str"],
+    )
+    def test_a_side_that_is_not_none_or_a_value_is_refused(self, violation, side):
+        # only 1*1 = 2 is defined; its report lists r4-compat at (1, 1): 3 vs 2
+        # and r5-compat-1 at (3, 1, 1): undefined vs 1, and a float or a bool
+        # side once rechecked True, as 3.0 == 3 and True == 1
+        t = alexander_tribracket(3, 1, 1)
+        p = PartialProduct(3, ((2, None, None), (None,) * 3, (None,) * 3))
+        reported = verify_algebra(TribracketAlgebra(t, p)).violations
+        assert Violation("r4-compat", (1, 1), 3, 2) in reported
+        assert Violation("r5-compat-1", (3, 1, 1), None, 1) in reported
+        with pytest.raises(ValueError, match=f"^{violation.axiom} side {re.escape(side)} is not "):
+            recheck_violation(violation, t, p)
+
     @pytest.mark.parametrize("wrong", ["tensor", "product"])
     def test_tables_of_the_wrong_type_are_refused(self, z3, wrong):
         # a bare nested table is not a Tribracket or a PartialProduct

@@ -6,6 +6,7 @@ import time
 import tracemalloc
 
 import pytest
+from hypothesis import event, given, settings
 
 from tribrackets import (
     EnumerationBudget,
@@ -21,8 +22,9 @@ from tribrackets import (
     verify_algebra,
     verify_tribracket,
 )
-from tribrackets.enumeration import _row_class
-from tests.conftest import Z4_PRODUCT, Z4_TENSOR
+from tribrackets.algebra import _padded, _report
+from tribrackets.enumeration import _r5_holds, _row_class
+from tests.conftest import Z4_PRODUCT, Z4_TENSOR, arbitrary_algebras, census_algebras
 
 # the eight compatible products of the order-3 tensor, row by row (0 = undefined)
 EIGHT_PRODUCT_ROWS = [
@@ -113,6 +115,33 @@ class TestEnumerateProducts:
         t = Tribracket(2, (((1, 1), (1, 1)), ((1, 1), (1, 1))))
         with pytest.raises(ValueError):
             enumerate_products(t)
+
+
+class TestR5Holds:
+    """The product census prunes by its own r5-compat-1/2 rule, not by the axiom table."""
+
+    @given(alg=arbitrary_algebras(sizes=(1, 2, 3, 4)))
+    @settings(max_examples=400, deadline=None)
+    def test_holds_exactly_when_the_axiom_table_lists_no_r5_compat_1_or_2_failure(self, alg):
+        t, p = alg.tribracket, alg.product
+        failing = sorted(
+            {v.axiom for v in _report(t, p).violations} & {"r5-compat-1", "r5-compat-2"}
+        )
+        assert _r5_holds(*_padded(t, p), range(1, t.n + 1)) == (not failing)
+        event(f"fails {' and '.join(failing)}" if failing else "holds")
+
+    @pytest.mark.parametrize(
+        "rows, law",
+        [
+            (((None, None, 1), (None, 2, None), (3, None, None)), "r5-compat-1"),
+            (((None, 1, 1), (2, None, 2), (3, 3, None)), "r5-compat-2"),
+        ],
+    )
+    def test_a_product_failing_one_law_alone_is_refused(self, rows, law):
+        t, p = alexander_tribracket(3, 1, 2), PartialProduct(3, rows)
+        failing = {v.axiom for v in _report(t, p).violations}
+        assert failing & {"r5-compat-1", "r5-compat-2"} == {law}
+        assert not _r5_holds(*_padded(t, p), range(1, 4))
 
 
 class TestIdempotentProducts:
@@ -602,6 +631,31 @@ def test_product_lists_of_linear_tensors_6_to_9():
             digest.update(b"|")
     assert count == 836
     assert digest.hexdigest() == LINEAR_PRODUCTS_DIGEST
+
+
+class TestCensusCertificate:
+    """Every census output passes the axiom table itself, which neither whole-line
+    decider nor the censuses' own pruning reads."""
+
+    def test_every_tensor_and_product_of_the_order_1_to_4_censuses(self):
+        algebras = census_algebras()
+        tensors = [*dict.fromkeys(alg.tribracket for alg in algebras)]
+        assert (len(tensors), len(algebras)) == (183, 233)
+        for t in tensors:
+            assert _report(t, None).passed, t
+        for alg in algebras:
+            assert _report(alg.tribracket, alg.product).passed, alg
+
+    def test_every_product_of_the_linear_tensors_6_to_9(self):
+        count = 0
+        for n in range(6, 10):
+            units = [x for x in range(1, n) if math.gcd(x, n) == 1]
+            for x, y in itertools.product(units, repeat=2):
+                t = alexander_tribracket(n, x, y)
+                for p in enumerate_products(t):
+                    assert _report(t, p).passed, (n, x, y, p)
+                    count += 1
+        assert count == 836
 
 
 class TestOrder5Census:

@@ -52,3 +52,13 @@ class TestWorkflow:
         named = {p for step in self.steps() for p in NAMED_PATH.findall(step.get("run", ""))}
         assert {"scripts/census.py", "scripts/reproduce.py", "tests/data/demo.txt"} <= named
         assert [p for p in sorted(named) if not (ROOT / p).is_file()] == []
+
+
+def test_roadmap_aim_2_gives_the_line_count_of_src():
+    # aim 2 measures progress by this number, and it once went stale by 105 lines
+    aim = re.search(
+        r"`wc -l src/tribrackets/\*\.py`\s+\((\d+) today", (ROOT / "ROADMAP.md").read_text("utf-8")
+    )
+    assert aim, "ROADMAP aim 2 no longer gives the count as `wc -l src/tribrackets/*.py` (N today"
+    files = sorted((ROOT / "src" / "tribrackets").glob("*.py"))
+    assert int(aim.group(1)) == sum(f.read_bytes().count(b"\n") for f in files)
